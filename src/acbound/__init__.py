@@ -15,7 +15,6 @@ from .entropy_model import (
     SymbolSequence,
     chrominance_table,
     luminance_table,
-    code_length,
     symbolize,
     sequence_length,
     crude_bound,
@@ -51,7 +50,6 @@ __all__ = [
     "SymbolSequence",
     "chrominance_table",
     "luminance_table",
-    "code_length",
     "symbolize",
     "sequence_length",
     "crude_bound",

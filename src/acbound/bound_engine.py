@@ -26,23 +26,22 @@ pattern cannot occur in a maximum-length configuration.  The capacity
 level additionally caps equal-valued delta copies at one per position.
 The final level applies the replacement argument to every run-generating
 entry, losses included.
+
+The engine computes exactly in integer units of ``1/SCALE`` bits, where
+``SCALE = lcm(1..63)`` is divisible by every multiplicity, and builds a
+``Fraction`` only for reported values.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 
-from .entropy_model import (
-    AC_POSITIONS,
-    CodeLengthTable,
-    ComponentKind,
-    table_for,
-)
+from .entropy_model import AC_POSITIONS, ComponentKind, table_for
 from .quantization import (
     Pow2QuantTable,
     QuantTable,
@@ -58,6 +57,7 @@ ENERGY_UNITS_10 = 16
 ESCAPE_HUFFMAN_BITS = 15    # huffman lengths >= this form the escape region
 MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size copies
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
+SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
 
 
 class OpKind(Enum):
@@ -92,16 +92,21 @@ class ConstraintError(ValueError):
 class DeltaEntry:
     """One local code-length change with its position footprint.
 
-    ``per_position_value`` is the exact change in bits per affected
-    position; ``multiplicity`` is the number of affected positions.
+    ``value`` is the exact change per affected position in units of
+    ``1/SCALE`` bits; ``multiplicity`` is the number of affected positions.
     """
 
     op_kind: OpKind
     position: int
     runlength: int
     size: int
-    per_position_value: Fraction
+    value: int
     multiplicity: int
+
+    @property
+    def per_position_value(self) -> Fraction:
+        """The change in bits per affected position."""
+        return Fraction(self.value, SCALE)
 
     @property
     def is_loss(self) -> bool:
@@ -137,7 +142,8 @@ class ReferenceConfig:
 class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
-    Compared by identity; sorted views are memoized per instance.
+    Each multiset is in ascending ``_entry_sort_key`` order, which the
+    refinements keep; compared by identity.
     """
 
     losses: tuple[DeltaEntry, ...]
@@ -186,6 +192,8 @@ def reference_config(
     if isinstance(exponents, Pow2QuantTable):
         exponents = exponents.c
     exponents = tuple(int(c) for c in exponents)
+    if len(exponents) > AC_POSITIONS:
+        raise UnsupportedTableError(f"at most {AC_POSITIONS} positions are supported")
     if any(c < 0 or c > ref_size - 2 for c in exponents):
         raise UnsupportedTableError(
             f"exponents must lie in 0..{ref_size - 2} (reference sizes >= 2)"
@@ -221,9 +229,9 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
 class _Enumerator:
     """Shared state for delta enumeration and dominance checks."""
 
-    def __init__(self, ref: ReferenceConfig, table: CodeLengthTable):
+    def __init__(self, ref: ReferenceConfig):
         self.ref = ref
-        self.table = table
+        self.table = table = table_for(ref.component)
         self.n = ref.n_positions
         self.sbar = ref.sbar
         self.exponents = ref.exponents
@@ -319,41 +327,45 @@ class _Enumerator:
         return not self.dominated(p, r, new_size)
 
     # -- value helpers shared with decomposition -------------------------
+    # Each returns a bit total spread over its multiplicity, in units of
+    # 1/SCALE bits per position.
 
-    def op1_value(self, p: int, s: int) -> Fraction:
-        return Fraction(self.len0[self.sbar[p - 1]] - self.len0[s])
+    def op1_value(self, p: int, s: int) -> int:
+        return (self.len0[self.sbar[p - 1]] - self.len0[s]) * SCALE
 
-    def op2_value(self, p: int, r: int, s: int) -> Fraction:
-        return Fraction(self.run_cost(p, r) - self.table.code_length(r, s), r + 1)
+    def op2_value(self, p: int, r: int, s: int) -> int:
+        bits = self.run_cost(p, r) - self.table.code_length(r, s)
+        return bits * (SCALE // (r + 1))
 
-    def op3_value(self, p: int, r: int) -> Fraction:
-        return Fraction(
-            self.run_cost(p, r) - self.table.code_length(r, self.sbar[p - 1]), r
-        )
+    def op3_value(self, p: int, r: int) -> int:
+        bits = self.run_cost(p, r) - self.table.code_length(r, self.sbar[p - 1])
+        return bits * (SCALE // r)
 
-    def op4_value(self, p: int) -> Fraction:
+    def op4_value(self, p: int) -> int:
+        """EOB after position ``p``; ``p = 0`` zeroes the whole block."""
         tail = self.prefix[self.n] - self.prefix[p]
-        return Fraction(tail - self.table.eob_bits, self.n - p)
+        return (tail - self.table.eob_bits) * (SCALE // (self.n - p))
 
-    def op5_value(self, p: int, new_size: int) -> Fraction:
-        return Fraction(self.len0[new_size] - self.len0[self.sbar[p - 1]])
+    def op5_value(self, p: int, new_size: int) -> int:
+        return (self.len0[new_size] - self.len0[self.sbar[p - 1]]) * SCALE
 
-    def op6_value(self, p: int, r: int, new_size: int) -> Fraction:
-        return Fraction(
+    def op6_value(self, p: int, r: int, new_size: int) -> int:
+        bits = (
             self.table.code_length(r, new_size)
             - self.table.code_length(r, self.sbar[p - 1])
         )
+        return bits * SCALE
 
 
-def enumerate_deltas(ref: ReferenceConfig, table: CodeLengthTable | None = None) -> LossGainSets:
+def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     """Evaluate every operation instance and collect the base delta sets.
 
     The census counts evaluated cases per family (demoted sizes 1..7 are
     always charged, reachable or not); retained entries are the subset
-    with meaningful values, minus base-level gain exclusions.
+    with meaningful values, minus base-level gain exclusions.  Each set
+    is sorted once here, by ``_entry_sort_key``.
     """
-    table = table or table_for(ref.component)
-    en = _Enumerator(ref, table)
+    en = _Enumerator(ref)
     n = en.n
     census = {k: 0 for k in ("op1", "op2", "op3", "op4", "op5a", "op5b", "op6a", "op6b")}
     losses: list[DeltaEntry] = []
@@ -401,14 +413,17 @@ def enumerate_deltas(ref: ReferenceConfig, table: CodeLengthTable | None = None)
         census["op4"] += 1
         losses.append(DeltaEntry(OpKind.OP4, p, 0, 0, en.op4_value(p), n - p))
 
+    def ordered(entries):
+        return tuple(sorted(entries, key=_entry_sort_key))
+
     return LossGainSets(
-        tuple(losses), tuple(gains9), tuple(gains10), Refinement.BASE, census, n
+        ordered(losses), ordered(gains9), ordered(gains10), Refinement.BASE, census, n
     )
 
 
 def _entry_sort_key(entry: DeltaEntry):
     return (
-        entry.per_position_value,
+        entry.value,
         entry.op_kind.value,
         entry.position,
         entry.runlength,
@@ -429,10 +444,10 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     n = sets.n_positions
 
     def dedup_losses(entries):
-        covered: dict[Fraction, set[int]] = {}
+        covered: dict[int, set[int]] = {}
         out = []
-        for e in sorted(entries, key=_entry_sort_key):
-            positions = covered.setdefault(e.per_position_value, set())
+        for e in entries:
+            positions = covered.setdefault(e.value, set())
             fresh = [q for q in e.footprint(n) if q not in positions]
             if fresh:
                 positions.update(fresh)
@@ -442,16 +457,16 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
                     out.append(
                         DeltaEntry(
                             e.op_kind, e.position, e.runlength, e.size,
-                            e.per_position_value, len(fresh),
+                            e.value, len(fresh),
                         )
                     )
         return tuple(out)
 
     def dedup_gains(entries):
-        seen: set[tuple[Fraction, int]] = set()
+        seen: set[tuple[int, int]] = set()
         out = []
-        for e in sorted(entries, key=_entry_sort_key):
-            key = (e.per_position_value, e.position)
+        for e in entries:
+            key = (e.value, e.position)
             if key not in seen:
                 seen.add(key)
                 out.append(e)
@@ -472,17 +487,14 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     )
 
 
-def refine_maxconfig(
-    sets: LossGainSets, ref: ReferenceConfig, table: CodeLengthTable | None = None
-) -> LossGainSets:
+def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     """Drop run-generating entries the replacement test proves impossible.
 
     Applies to OP2, OP3 and OP6 entries with quantized size above 2; an
     entry survives unless a strictly longer replacement exists for its
     exact positions, so removal is always provable.
     """
-    table = table or table_for(ref.component)
-    en = _Enumerator(ref, table)
+    en = _Enumerator(ref)
 
     def keep(e: DeltaEntry) -> bool:
         if e.op_kind in (OpKind.OP2, OpKind.OP3, OpKind.OP6A, OpKind.OP6B):
@@ -504,46 +516,25 @@ def _base_sets_cached(ref: ReferenceConfig) -> LossGainSets:
     return enumerate_deltas(ref)
 
 
-def build_sets(
-    ref: ReferenceConfig,
-    refinement: Refinement,
-    table: CodeLengthTable | None = None,
-) -> LossGainSets:
+def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
     """Delta sets at the requested refinement level."""
-    if table is None or table is table_for(ref.component):
-        sets = _base_sets_cached(ref)
-    else:
-        sets = enumerate_deltas(ref, table)
+    sets = _base_sets_cached(ref)
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
-        sets = refine_maxconfig(sets, ref, table)
+        sets = refine_maxconfig(sets, ref)
     return refine_capacity(sets)
 
 
-@functools.lru_cache(maxsize=512)
-def _sorted_losses(sets: LossGainSets) -> tuple[DeltaEntry, ...]:
-    return tuple(sorted(sets.losses, key=_entry_sort_key))
-
-
-def _loss_prefix(sets: LossGainSets, count: int) -> list[Fraction]:
+def _loss_prefix(sets: LossGainSets, count: int) -> list[int]:
     """prefix[i] = sum of the i smallest loss copies, i = 0..count."""
-    prefix = [Fraction(0)]
-    for entry in _sorted_losses(sets):
-        for _ in range(entry.multiplicity):
-            prefix.append(prefix[-1] + entry.per_position_value)
-            if len(prefix) > count:
-                return prefix
-    return prefix
+    copies = chain.from_iterable(repeat(e.value, e.multiplicity) for e in sets.losses)
+    return list(accumulate(islice(copies, count), initial=0))
 
 
-def _gain_prefix(entries, count: int) -> list[Fraction]:
+def _gain_prefix(entries, count: int) -> list[int]:
     """prefix[i] = sum of the i largest gain values, i = 0..count."""
-    values = heapq.nlargest(count, (e.per_position_value for e in entries))
-    prefix = [Fraction(0)]
-    for v in values:
-        prefix.append(prefix[-1] + v)
-    return prefix
+    return list(accumulate(islice((e.value for e in reversed(entries)), count), initial=0))
 
 
 def loss_function(sets: LossGainSets, n: int) -> Fraction:
@@ -551,7 +542,7 @@ def loss_function(sets: LossGainSets, n: int) -> Fraction:
     prefix = _loss_prefix(sets, n)
     if n >= len(prefix):
         raise LossSetExhaustedError(f"needed {n} loss copies, have {len(prefix) - 1}")
-    return prefix[n]
+    return Fraction(prefix[n], SCALE)
 
 
 def gain_functions(sets: LossGainSets, a: int, b: int) -> tuple[Fraction, Fraction]:
@@ -560,19 +551,18 @@ def gain_functions(sets: LossGainSets, a: int, b: int) -> tuple[Fraction, Fracti
     prefix10 = _gain_prefix(sets.gains10, b)
     if a >= len(prefix9) or b >= len(prefix10):
         raise LossSetExhaustedError(f"gain sets hold fewer than ({a}, {b}) values")
-    return prefix9[a], prefix10[b]
+    return Fraction(prefix9[a], SCALE), Fraction(prefix10[b], SCALE)
 
 
 def solve_limit(
     ref: ReferenceConfig,
     refinement: Refinement = Refinement.BASE,
-    table: CodeLengthTable | None = None,
     sf: Fraction | None = None,
     sets: LossGainSets | None = None,
 ) -> BoundResult:
     """Maximize gains minus forced losses over the admissible pairs."""
     if sets is None:
-        sets = build_sets(ref, refinement, table)
+        sets = build_sets(ref, refinement)
     pairs = admissible_pairs(ref.n_positions)
     max_a = max(a for a, _ in pairs)
     max_b = max(b for _, b in pairs)
@@ -585,18 +575,13 @@ def solve_limit(
     if len(gains9) <= max_a or len(gains10) <= max_b:
         raise LossSetExhaustedError("gain sets too small for the admissible pairs")
 
-    objective: dict[tuple[int, int], Fraction] = {}
-    best: Fraction | None = None
-    argmax = (0, 0)
-    for a, b in pairs:
-        value = (
-            gains9[a] + gains10[b]
-            - losses[PROMOTION_COST_9 * a + PROMOTION_COST_10 * b]
-        )
-        objective[(a, b)] = value
-        if best is None or value > best:
-            best, argmax = value, (a, b)
-    limit = ref.ref_len + math.ceil(best)
+    scaled = {
+        (a, b): gains9[a] + gains10[b] - losses[PROMOTION_COST_9 * a + PROMOTION_COST_10 * b]
+        for a, b in pairs
+    }
+    argmax = max(scaled, key=scaled.__getitem__)
+    limit = ref.ref_len - (-scaled[argmax] // SCALE)
+    objective = {pair: Fraction(v, SCALE) for pair, v in scaled.items()}
     return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, objective, argmax, limit)
 
 
@@ -623,7 +608,7 @@ def upper_limit(
 # -- exact decomposition of a target configuration -----------------------
 
 
-def decompose(target, ref: ReferenceConfig, table: CodeLengthTable | None = None) -> list[DeltaEntry]:
+def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
     """Unique operation list transforming the reference into ``target``.
 
     ``target`` holds unquantized sizes of a reduced configuration (zero
@@ -631,8 +616,7 @@ def decompose(target, ref: ReferenceConfig, table: CodeLengthTable | None = None
     deltas times multiplicities, added to the reference length, reproduce
     the coded length of the target exactly.
     """
-    table = table or table_for(ref.component)
-    en = _Enumerator(ref, table)
+    en = _Enumerator(ref)
     n = ref.n_positions
     sizes = [int(s) for s in target]
     if len(sizes) != n:
@@ -649,11 +633,6 @@ def decompose(target, ref: ReferenceConfig, table: CodeLengthTable | None = None
     entries: list[DeltaEntry] = []
     last_nonzero = max((i + 1 for i, s in enumerate(sizes) if s > 0), default=0)
     if last_nonzero < n:
-        if last_nonzero == 0:
-            # whole-block EOB: every reference coefficient is zeroed
-            value = Fraction(en.prefix[n] - table.eob_bits, n)
-            entries.append(DeltaEntry(OpKind.OP4, 0, 0, 0, value, n))
-            return entries
         entries.append(
             DeltaEntry(
                 OpKind.OP4, last_nonzero, 0, 0, en.op4_value(last_nonzero), n - last_nonzero
@@ -697,8 +676,8 @@ def decompose(target, ref: ReferenceConfig, table: CodeLengthTable | None = None
 
 def recompose_length(ref: ReferenceConfig, entries) -> Fraction:
     """Reference length plus the signed sum of all entry deltas."""
-    total = Fraction(ref.ref_len)
+    total = ref.ref_len * SCALE
     for e in entries:
-        contribution = e.per_position_value * e.multiplicity
+        contribution = e.value * e.multiplicity
         total += -contribution if e.is_loss else contribution
-    return total
+    return Fraction(total, SCALE)

@@ -103,12 +103,7 @@ def _emit(lines: list[str], manifest: RunManifest, comment: str = "#") -> None:
 
 
 def cmd_limits(args) -> int:
-    if args.sf_set == "paper":
-        sf_texts = list(PUBLISHED_SF_SET)
-    elif args.sf:
-        sf_texts = args.sf
-    else:
-        sf_texts = list(PUBLISHED_SF_SET)
+    sf_texts = args.sf or list(PUBLISHED_SF_SET)
     sfs = [_parse_sf(t) for t in sf_texts]
     components = _COMPONENTS[args.component]
     manifest = _manifest("limits", {
@@ -372,13 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("limits", help="compute upper limits for scale factors")
-    p.add_argument("--sf", action="append", help="scale factor as a fraction, repeatable")
-    p.add_argument("--sf-set", choices=["paper"], help="use the published scale-factor set")
+    sf_choice = p.add_mutually_exclusive_group()
+    sf_choice.add_argument("--sf", action="append",
+                           help="scale factor as a fraction, repeatable")
+    sf_choice.add_argument("--sf-set", choices=["paper"],
+                           help="use the published scale-factor set")
     p.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     p.add_argument("--refinement", choices=["base", "capacity", "maxconfig", "best"],
                    default="best")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("encode", help="encode one 8x8 block from a text file")
@@ -430,11 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 0 when every check held, 1 when one failed,
+    2 on bad input."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:  # out-of-domain parameters, tables and scale factors
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

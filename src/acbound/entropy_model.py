@@ -120,11 +120,6 @@ def table_for(component: ComponentKind) -> CodeLengthTable:
     return _LUMINANCE if component is ComponentKind.LUMINANCE else _CHROMINANCE
 
 
-def code_length(table: CodeLengthTable, runlength: int, size: int) -> int:
-    """Cost of one coded coefficient; see :meth:`CodeLengthTable.code_length`."""
-    return table.code_length(runlength, size)
-
-
 @dataclass(frozen=True)
 class SymbolSequence:
     """Run/size symbols of one block in zigzag order.

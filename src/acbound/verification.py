@@ -95,11 +95,6 @@ class SearchConfig:
             raise ValueError(f"unknown mutation kind {self.mutation!r}")
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_limit(component: ComponentKind, q: QuantTable) -> int:
-    return upper_limit(component, q, Refinement.MAXCONFIG).limit
-
-
 def _quantized_ac_sizes(block, q: QuantTable) -> list[int]:
     coeffs = transform.forward_dct(block)
     zig = transform.zigzag_scan(coeffs)
@@ -122,7 +117,7 @@ def encode_block(block, q: QuantTable, component: ComponentKind) -> EncodeReport
     sizes = _quantized_ac_sizes(arr, q)
     symbols = symbolize(sizes)
     ac_bits = sequence_length(table_for(component), symbols)
-    limit = _cached_limit(component, q)
+    limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
     return EncodeReport(
         component, q.sf, tuple(sizes), symbols, ac_bits, limit, limit - ac_bits, arr
     )
@@ -131,18 +126,16 @@ def encode_block(block, q: QuantTable, component: ComponentKind) -> EncodeReport
 # -- vectorized pipeline for bulk trials ----------------------------------
 
 
+@functools.lru_cache(maxsize=2)
 def _length_lut(component: ComponentKind) -> np.ndarray:
+    """Read-only code lengths indexed [runlength, size]; size 0 costs 0."""
     table = table_for(component)
     lut = np.zeros((AC_POSITIONS, 11), dtype=np.int64)
     for r in range(AC_POSITIONS):
         for s in range(1, 11):
             lut[r, s] = table.code_length(r, s)
+    lut.setflags(write=False)
     return lut
-
-
-@functools.lru_cache(maxsize=4)
-def _lut_for(component: ComponentKind) -> np.ndarray:
-    return _length_lut(component)
 
 
 def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
@@ -157,7 +150,7 @@ def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarra
         same_row = rows[1:] == rows[:-1]
         prev_cols[1:] = np.where(same_row, cols[:-1], -1)
         runs = cols - prev_cols - 1
-        lut = _lut_for(component)
+        lut = _length_lut(component)
         np.add.at(totals, rows, lut[runs, sizes[rows, cols]])
 
     has_any = sizes.any(axis=1)
@@ -217,7 +210,7 @@ def soundness_fuzz(
     noise) and check none exceeds the tightest limit."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    limit = _cached_limit(component, q)
+    limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
     rng = np.random.default_rng(seed)
 
     extremes = structured_extreme_blocks()[:trials]
@@ -289,7 +282,7 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
 
     sizes = _quantized_ac_sizes(best_block, q)
     symbols = symbolize(sizes)
-    limit = _cached_limit(cfg.component, q)
+    limit = upper_limit(cfg.component, q, Refinement.MAXCONFIG).limit
     return EncodeReport(
         cfg.component, cfg.sf if cfg.sf is not None else q.sf, tuple(sizes), symbols,
         best_bits, limit, limit - best_bits, best_block,

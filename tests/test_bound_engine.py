@@ -1,3 +1,5 @@
+import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +70,10 @@ class TestReferenceLength:
     def test_rejects_exponent_seven(self):
         with pytest.raises(UnsupportedTableError):
             reference_config(ComponentKind.LUMINANCE, (7,) * 63)
+
+    def test_rejects_more_than_63_positions(self):
+        with pytest.raises(UnsupportedTableError):
+            reference_config(ComponentKind.LUMINANCE, (0,) * 64)
 
 
 class TestAdmissiblePairs:
@@ -215,6 +221,30 @@ class TestUpperLimit:
         result = upper_limit(ComponentKind.LUMINANCE, q)
         ref = reference_length(ComponentKind.LUMINANCE, pow2_table(q))
         assert result.limit >= ref.ref_len
+
+    def test_objective_matches_fraction_recount(self, component, rng):
+        # recount every objective cell in Fraction arithmetic off the paper table
+        def per_position(e):
+            return e.per_position_value
+
+        for _ in range(10):
+            ref = reference_config(component, rng.integers(0, 7, size=63))
+            for refinement in Refinement:
+                result = solve_limit(ref, refinement)
+                sets = build_sets(ref, refinement)
+                # the 54 smallest copies lie in the 54 smallest entries
+                losses = sorted(
+                    per_position(e) for e in heapq.nsmallest(54, sets.losses, key=per_position)
+                    for _ in range(e.multiplicity)
+                )
+                gains9 = heapq.nlargest(15, map(per_position, sets.gains9))
+                gains10 = heapq.nlargest(3, map(per_position, sets.gains10))
+                for (a, b), value in result.objective.items():
+                    expected = sum(gains9[:a]) + sum(gains10[:b]) - sum(losses[:3 * a + 15 * b])
+                    assert value == expected, (refinement, a, b)
+                best = max(result.objective.values())
+                assert result.limit == ref.ref_len + math.ceil(best)
+                assert result.objective[result.argmax] == best
 
     def test_json_payload(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)

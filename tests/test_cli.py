@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,10 @@ def block_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad usage by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -53,16 +57,37 @@ class TestLimits:
         assert payload["limits"][0]["luminance"]["limit"] == 517
         assert payload["limits"][0]["luminance"]["refinement"] == "maxconfig_pruned"
 
-    def test_byte_stable(self, capsys):
+    def test_byte_stable(self, capsys, monkeypatch):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
         argv = ["limits", "--sf-set", "paper", "--refinement", "best", "--json"]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+        data = first.encode()
+        assert len(data) == 44933
+        assert hashlib.sha256(data).hexdigest() == (
+            "d3b7c434dc6ffe8326d85ef21dfb03078f134f568bca33059df5e8c5fdb5dd79"
+        )
 
     def test_invalid_sf(self, capsys):
         code, _, err = run(capsys, ["limits", "--sf", "3/2"])
         assert code == 2
         assert "outside" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "toy", "--n", "9"],
+    ["verify", "toy", "--exponents", "7,7"],
+    ["verify", "fuzz", "--trials", "0"],
+    ["search", "--sf", "1", "--iterations", "0"],
+    ["limits", "--json", "--csv"],
+    ["limits", "--sf-set", "paper", "--sf", "1"],
+])
+def test_bad_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
 
 
 class TestEncode:

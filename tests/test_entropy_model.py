@@ -7,7 +7,6 @@ from acbound.entropy_model import (
     ComponentKind,
     ParameterError,
     chrominance_table,
-    code_length,
     crude_bound,
     desymbolize,
     luminance_table,
@@ -42,9 +41,9 @@ class TestCodeLength:
 
     def test_zrl_extension(self):
         # 20 zeros then size 1: one 16-zero extension plus symbol (4, 1)
-        assert code_length(CHROMA, 20, 1) == 10 + 7
-        assert code_length(CHROMA, 36, 1) == 2 * 10 + 7
-        assert code_length(LUM, 62, 10) == 3 * 11 + LUM.grid[9][14]
+        assert CHROMA.code_length(20, 1) == 10 + 7
+        assert CHROMA.code_length(36, 1) == 2 * 10 + 7
+        assert LUM.code_length(62, 10) == 3 * 11 + LUM.grid[9][14]
 
     def test_size_monotonicity(self):
         for table in (CHROMA, LUM):
