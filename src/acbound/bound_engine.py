@@ -131,7 +131,6 @@ class ReferenceConfig:
     exponents: tuple[int, ...]
     sbar: tuple[int, ...]
     ref_len: int
-    ref_size: int = REFERENCE_SIZE
 
     @property
     def n_positions(self) -> int:
@@ -178,11 +177,7 @@ class BoundResult:
         }
 
 
-def reference_config(
-    component: ComponentKind,
-    exponents,
-    ref_size: int = REFERENCE_SIZE,
-) -> ReferenceConfig:
+def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     """Build the reference configuration for an exponent vector.
 
     Every exponent must leave a quantized reference size of at least 2,
@@ -194,14 +189,14 @@ def reference_config(
     exponents = tuple(int(c) for c in exponents)
     if len(exponents) > AC_POSITIONS:
         raise UnsupportedTableError(f"at most {AC_POSITIONS} positions are supported")
-    if any(c < 0 or c > ref_size - 2 for c in exponents):
+    if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
         raise UnsupportedTableError(
-            f"exponents must lie in 0..{ref_size - 2} (reference sizes >= 2)"
+            f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"
         )
     table = table_for(component)
-    sbar = tuple(ref_size - c for c in exponents)
+    sbar = tuple(REFERENCE_SIZE - c for c in exponents)
     ref_len = sum(table.code_length(0, s) for s in sbar)
-    return ReferenceConfig(component, exponents, sbar, ref_len, ref_size)
+    return ReferenceConfig(component, exponents, sbar, ref_len)
 
 
 def reference_length(component: ComponentKind, c: Pow2QuantTable) -> ReferenceConfig:
@@ -622,7 +617,7 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
     if len(sizes) != n:
         raise ConstraintError(f"expected {n} sizes, got {len(sizes)}")
     energy = sum(1 << (2 * s - 2) for s in sizes if s > 0)
-    if energy >= (n + 1) << (2 * ref.ref_size - 2):
+    if energy >= (n + 1) << (2 * REFERENCE_SIZE - 2):
         raise ConstraintError("size vector violates the coefficient-ball budget")
     for p, s in enumerate(sizes, start=1):
         if s != 0 and s <= ref.exponents[p - 1]:
@@ -650,24 +645,24 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
         r = run
         run = 0
         if r == 0:
-            if S < ref.ref_size:
+            if S < REFERENCE_SIZE:
                 entries.append(
                     DeltaEntry(OpKind.OP1, p, 0, quantized, en.op1_value(p, quantized), 1)
                 )
-            elif S > ref.ref_size:
-                kind = OpKind.OP5A if S == ref.ref_size + 1 else OpKind.OP5B
+            elif S > REFERENCE_SIZE:
+                kind = OpKind.OP5A if S == REFERENCE_SIZE + 1 else OpKind.OP5B
                 entries.append(
                     DeltaEntry(kind, p, 0, quantized, en.op5_value(p, quantized), 1)
                 )
             continue
-        if S < ref.ref_size:
+        if S < REFERENCE_SIZE:
             entries.append(
                 DeltaEntry(OpKind.OP2, p, r, quantized, en.op2_value(p, r, quantized), r + 1)
             )
         else:
             entries.append(DeltaEntry(OpKind.OP3, p, r, sb, en.op3_value(p, r), r))
-            if S > ref.ref_size:
-                kind = OpKind.OP6A if S == ref.ref_size + 1 else OpKind.OP6B
+            if S > REFERENCE_SIZE:
+                kind = OpKind.OP6A if S == REFERENCE_SIZE + 1 else OpKind.OP6B
                 entries.append(
                     DeltaEntry(kind, p, r, quantized, en.op6_value(p, r, quantized), 1)
                 )

@@ -132,10 +132,6 @@ class SymbolSequence:
     symbols: tuple[tuple[int, int], ...]
     has_eob: bool
 
-    def covered_positions(self, total: int = AC_POSITIONS) -> int:
-        covered = sum(r + 1 for r, _ in self.symbols)
-        return covered if not self.has_eob else total
-
 
 def symbolize(sizes) -> SymbolSequence:
     """Group a 63-entry size vector into (runlength, size) symbols.

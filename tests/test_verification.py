@@ -3,13 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acbound.entropy_model import ComponentKind
-from acbound.quantization import scaled_annex_k
-from acbound.transform import level_shift
+from acbound.entropy_model import ComponentKind, sequence_length, symbolize, table_for
+from acbound.quantization import quantize, scaled_annex_k
+from acbound.transform import forward_dct, level_shift, zigzag_scan
 from acbound.verification import (
     HIGH_COST_SEED_BLOCK,
     SearchConfig,
     ac_bits_batch,
+    ac_bits_from_sizes,
     adversarial_search,
     encode_block,
     random_reduced_sizes,
@@ -57,7 +58,19 @@ class TestEncodeBlock:
         assert len(payload["block"]) == 8
 
 
+def stage_sizes(block, q) -> list[int]:
+    """Quantized AC sizes through the public stage functions, one by one."""
+    zig = zigzag_scan(forward_dct(block))
+    return [abs(quantize(float(zig[k]), q.factor(k))).bit_length() for k in range(1, 64)]
+
+
+def stage_bits(block, q, component) -> int:
+    return sequence_length(table_for(component), symbolize(stage_sizes(block, q)))
+
+
 class TestBatchAgreement:
+    """The vectorized costing path against the public stage functions."""
+
     def test_batch_matches_single_path(self, component, rng):
         for sf in (Fraction(1, 64), Fraction(1, 6), Fraction(1)):
             q = scaled_annex_k(component, sf)
@@ -65,14 +78,39 @@ class TestBatchAgreement:
             batch = ac_bits_batch(blocks, q, component)
             for i in range(0, 400, 7):
                 report = encode_block(blocks[i], q, component)
-                assert batch[i] == report.ac_bits
+                assert report.quantized_sizes == tuple(stage_sizes(blocks[i], q))
+                assert batch[i] == report.ac_bits == stage_bits(blocks[i], q, component)
 
     def test_batch_on_structured_blocks(self, component):
         q = scaled_annex_k(component, Fraction(1, 4))
         blocks = structured_extreme_blocks()
         batch = ac_bits_batch(blocks, q, component)
         for block, bits in zip(blocks, batch):
-            assert encode_block(block, q, component).ac_bits == bits
+            assert stage_bits(block, q, component) == bits
+
+    def test_size_rows_at_the_edges(self, component):
+        table = table_for(component)
+        empty = ac_bits_from_sizes(np.zeros((0, 63), dtype=np.int64), component)
+        assert empty.shape == (0,)
+        rows = [
+            [0] * 62 + [5],                    # one coefficient after a 62-zero run
+            [s % 10 + 1 for s in range(63)],   # every position nonzero: no EOB
+            [10] * 63,
+            [0] * 63,                          # EOB only, as the last row
+        ]
+        bits = ac_bits_from_sizes(np.array(rows), component)
+        assert bits.tolist() == [sequence_length(table, symbolize(row)) for row in rows]
+
+    def test_search_report_matches_stages(self, component):
+        q = scaled_annex_k(component, Fraction(1, 6))
+        cfg = SearchConfig(component, Fraction(1, 6), iterations=200, restarts=2, seed=7)
+        report = adversarial_search(cfg, q)
+        sizes = stage_sizes(report.block, q)
+        assert report.quantized_sizes == tuple(sizes)
+        assert report.symbols == symbolize(sizes)
+        assert report.ac_bits == sequence_length(table_for(component), report.symbols)
+        assert report.slack == report.limit - report.ac_bits
+        assert report.sf == Fraction(1, 6)
 
 
 class TestAdversarialSearch:
