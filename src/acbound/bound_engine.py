@@ -27,6 +27,15 @@ level additionally caps equal-valued delta copies at one per position.
 The final level applies the replacement argument to every run-generating
 entry, losses included.
 
+The replacement argument is decided once per reference: one boolean
+table over every (position, run, size) pattern, built with numpy and
+read by enumeration and the maxconfig level alike.  It lives on a cached
+per-reference enumerator (with the code-length rows and reference prefix
+sums that decomposition also uses), built only when first needed.  The
+capacity level keeps, per value tier, an integer bitmask of the
+positions already covered; an entry keeps as many copies as its
+footprint adds to that mask.
+
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every multiplicity, and builds a
 ``Fraction`` only for reported values.
@@ -41,7 +50,9 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 
-from .entropy_model import AC_POSITIONS, ComponentKind, table_for
+import numpy as np
+
+from .entropy_model import AC_POSITIONS, MAX_RUNLENGTH, MAX_SIZE, ComponentKind, table_for
 from .quantization import (
     Pow2QuantTable,
     QuantTable,
@@ -88,7 +99,7 @@ class ConstraintError(ValueError):
     """A target configuration violates the coefficient-ball constraint."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaEntry:
     """One local code-length change with its position footprint.
 
@@ -141,8 +152,8 @@ class ReferenceConfig:
 class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
-    Each multiset is in ascending ``_entry_sort_key`` order, which the
-    refinements keep; compared by identity.
+    Each multiset is in ascending (value, kind, position, runlength, size)
+    order, which the refinements keep; compared by identity.
     """
 
     losses: tuple[DeltaEntry, ...]
@@ -222,22 +233,23 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
 
 
 class _Enumerator:
-    """Shared state for delta enumeration and dominance checks."""
+    """Per-reference state shared by enumeration, pruning and decomposition.
+
+    Holds the code-length rows ``[r][s]`` of the component, prefix sums of
+    the reference costs and, built on first use, the dominance table.
+    """
 
     def __init__(self, ref: ReferenceConfig):
         self.ref = ref
-        self.table = table = table_for(ref.component)
+        table = table_for(ref.component)
         self.n = ref.n_positions
         self.sbar = ref.sbar
-        self.exponents = ref.exponents
-        self.len0 = [0] * 11
-        for s in range(1, 11):
-            self.len0[s] = table.code_length(0, s)
+        self.lengths = table.length_rows
+        self.len0 = self.lengths[0]
+        self.eob_bits = table.eob_bits
+        self.escape = _escape_rows(ref.component)
         # prefix[i] = sum of len(0, sbar_k) for k = 1..i
-        self.prefix = [0]
-        for s in self.sbar:
-            self.prefix.append(self.prefix[-1] + self.len0[s])
-        self._dominance_cache: dict[tuple, bool] = {}
+        self.prefix = list(accumulate((self.len0[s] for s in self.sbar), initial=0))
 
     def run_cost(self, p: int, r: int) -> int:
         """Reference cost of positions p-r..p as individual symbols."""
@@ -245,81 +257,61 @@ class _Enumerator:
 
     # -- maximum-configuration replacement test --------------------------
 
-    def dominated(self, p: int, r: int, s: int) -> bool:
-        """True when the pattern (r zeros, quantized size s at p) provably
-        cannot occur in a maximum code-length configuration.
+    @functools.cached_property
+    def dominance(self) -> bytes:
+        """Replacement test for every pattern, flat ``[p, r, s]`` (see
+        ``dominance_index``): 1 when the pattern (r zeros, quantized size
+        s at p) provably cannot occur in a maximum code-length
+        configuration.
 
         The pattern's coefficient (unquantized size S) is demoted to
-        S - 1 and up to three of the run's zeros are raised to S - 1;
-        the exchange never increases ball energy.  If some such
-        replacement is strictly longer, any configuration containing the
-        pattern is beaten, so the pattern's deltas can be dropped.  Sizes
-        s <= 2 are never tested (replacement sizes could vanish).
+        S - 1 and j = 1..3 of the run's zeros, at its end or at its start,
+        are raised to S - 1; the exchange never increases ball energy.  If
+        some such replacement is strictly longer, any configuration
+        containing the pattern is beaten, so the pattern's deltas can be
+        dropped.  Sizes s <= 2 are never tested (replacement sizes could
+        vanish) and patterns without a run are never dominated.
         """
-        if s <= 2 or r < 1:
-            return False
-        C = self.exponents
-        jmax = min(MAX_REPLACED_ZEROS, r)
-        key = (
-            r,
-            s,
-            C[p - 1],
-            tuple(C[p - 1 - jmax:p - 1]),
-            tuple(C[p - r - 1:p - r - 1 + jmax]),
-        )
-        cached = self._dominance_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._dominated_uncached(p, r, s, jmax)
-        self._dominance_cache[key] = result
-        return result
+        n = self.n
+        lengths = np.array(self.lengths)
+        len0 = lengths[0]
+        C = np.array(self.ref.exponents)
+        p = np.arange(n + 1)[:, None, None]
+        r = np.arange(n)[None, :, None]
+        s = np.arange(MAX_SIZE + 1)
+        target = lengths[r, s]
+        top = s + C[p - 1] - 1  # S - 1, the size every replacement takes
 
-    def _dominated_uncached(self, p: int, r: int, s: int, jmax: int) -> bool:
-        table = self.table
-        len0 = self.len0
-        C = self.exponents
-        S = s + C[p - 1]
-        target = table.code_length(r, s)
-        for j in range(1, jmax + 1):
-            # raised zeros at the end of the run, adjacent to p
-            sizes = [S - 1 - C[l - 1] for l in range(p - j, p)]
-            if all(1 <= t <= 10 for t in sizes):
-                if j < r:
-                    length = table.code_length(r - j, sizes[0])
-                    length += sum(len0[t] for t in sizes[1:])
-                else:
-                    length = sum(len0[t] for t in sizes)
-                length += len0[s - 1]
-                if length > target:
-                    return True
-            # raised zeros at the start of the run
-            sizes = [S - 1 - C[l - 1] for l in range(p - r, p - r + j)]
-            if all(1 <= t <= 10 for t in sizes):
-                length = sum(len0[t] for t in sizes)
-                if j < r:
-                    length += table.code_length(r - j, s - 1)
-                else:
-                    length += len0[s - 1]
-                if length > target:
-                    return True
-        return False
+        def raised(positions):
+            """Validity and cost of a zero at ``positions`` raised to S - 1."""
+            t = top - C[np.clip(positions, 1, n) - 1]
+            return (t >= 1) & (t <= MAX_SIZE), np.clip(t, 0, MAX_SIZE)
 
-    def escape_cell(self, r: int, s: int) -> bool:
-        return self.table.huffman_length(r, s) >= ESCAPE_HUFFMAN_BITS
+        dominated = np.zeros((n + 1, n, MAX_SIZE + 1), dtype=bool)
+        end_ok = start_ok = True
+        end_cost = start_cost = 0
+        for j in range(1, MAX_REPLACED_ZEROS + 1):
+            rest = np.maximum(r - j, 0)  # zeros left in the run
+            # raised zeros at the end of the run, positions p-j..p-1: the
+            # rest of the run now precedes the one at p-j
+            ok, t = raised(p - j)
+            end_ok = end_ok & ok
+            length = end_cost + lengths[rest, t] + len0[s - 1]
+            dominated |= (r >= j) & end_ok & (length > target)
+            end_cost = end_cost + len0[t]
+            # raised zeros at the start of the run, positions p-r..p-r+j-1:
+            # the rest of the run now precedes the demoted coefficient
+            ok, t = raised(p - r + j - 1)
+            start_ok = start_ok & ok
+            start_cost = start_cost + len0[t]
+            length = start_cost + lengths[rest, s - 1]
+            dominated |= (r >= j) & start_ok & (length > target)
+        dominated &= (r < p) & (s > 2)
+        return dominated.tobytes()
 
-    def keep_gain(self, p: int, r: int, new_size: int) -> bool:
-        """Base retention rule for run promotions (OP6).
-
-        The published per-cell exclusions are not machine readable; they
-        are reconstructed as the escape-region cells, and an entry is
-        only dropped when the replacement test certifies it, so dropping
-        never costs soundness.
-        """
-        if r == 0:
-            return True
-        if not self.escape_cell(r, new_size):
-            return True
-        return not self.dominated(p, r, new_size)
+    def dominance_index(self, p: int, r: int, s: int) -> int:
+        """Offset of the pattern (r zeros, size s at p) in ``dominance``."""
+        return (p * self.n + r) * (MAX_SIZE + 1) + s
 
     # -- value helpers shared with decomposition -------------------------
     # Each returns a bit total spread over its multiplicity, in units of
@@ -329,27 +321,46 @@ class _Enumerator:
         return (self.len0[self.sbar[p - 1]] - self.len0[s]) * SCALE
 
     def op2_value(self, p: int, r: int, s: int) -> int:
-        bits = self.run_cost(p, r) - self.table.code_length(r, s)
+        bits = self.run_cost(p, r) - self.lengths[r][s]
         return bits * (SCALE // (r + 1))
 
     def op3_value(self, p: int, r: int) -> int:
-        bits = self.run_cost(p, r) - self.table.code_length(r, self.sbar[p - 1])
+        bits = self.run_cost(p, r) - self.lengths[r][self.sbar[p - 1]]
         return bits * (SCALE // r)
 
     def op4_value(self, p: int) -> int:
         """EOB after position ``p``; ``p = 0`` zeroes the whole block."""
         tail = self.prefix[self.n] - self.prefix[p]
-        return (tail - self.table.eob_bits) * (SCALE // (self.n - p))
+        return (tail - self.eob_bits) * (SCALE // (self.n - p))
 
     def op5_value(self, p: int, new_size: int) -> int:
         return (self.len0[new_size] - self.len0[self.sbar[p - 1]]) * SCALE
 
     def op6_value(self, p: int, r: int, new_size: int) -> int:
-        bits = (
-            self.table.code_length(r, new_size)
-            - self.table.code_length(r, self.sbar[p - 1])
+        row = self.lengths[r]
+        return (row[new_size] - row[self.sbar[p - 1]]) * SCALE
+
+
+@functools.cache
+def _escape_rows(component: ComponentKind) -> tuple[tuple[bool, ...], ...]:
+    """``[r][s]``: the Huffman code of (r, s) lies in the escape region."""
+    table = table_for(component)
+    return tuple(
+        (False,) + tuple(
+            table.huffman_length(r, s) >= ESCAPE_HUFFMAN_BITS for s in range(1, MAX_SIZE + 1)
         )
-        return bits * SCALE
+        for r in range(MAX_RUNLENGTH + 1)
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _enumerator(ref: ReferenceConfig) -> _Enumerator:
+    return _Enumerator(ref)
+
+
+# Entry order inside each set: value, then kind name, position, run, size.
+_KIND_ORDER = tuple(sorted(OpKind, key=lambda kind: kind.value))
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
 
 
 def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
@@ -357,72 +368,58 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
 
     The census counts evaluated cases per family (demoted sizes 1..7 are
     always charged, reachable or not); retained entries are the subset
-    with meaningful values, minus base-level gain exclusions.  Each set
-    is sorted once here, by ``_entry_sort_key``.
+    with meaningful values, minus base-level gain exclusions: a run
+    promotion (OP6) whose cell lies in the escape region is dropped when
+    the replacement test certifies it.  The published per-cell exclusions
+    are not machine readable; they are reconstructed as the escape-region
+    cells, and dropping never costs soundness.  Each set is sorted once
+    here, by value, kind, position, run and size.  Reference sizes are at
+    most 8, so both promoted sizes stay within 10.
     """
-    en = _Enumerator(ref)
-    n = en.n
-    census = {k: 0 for k in ("op1", "op2", "op3", "op4", "op5a", "op5b", "op6a", "op6b")}
-    losses: list[DeltaEntry] = []
-    gains9: list[DeltaEntry] = []
-    gains10: list[DeltaEntry] = []
+    en = _enumerator(ref)
+    n, sbar, escape, dominance = en.n, en.sbar, en.escape, en.dominance
+    runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
+    census = {
+        "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
+        "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
+    }
+    OP1, OP2, OP3, OP4, OP5A, OP5B, OP6A, OP6B = (_KIND_RANK[kind] for kind in OpKind)
+    # rows (value, kind rank, position, runlength, size, multiplicity)
+    losses: list[tuple] = []
+    gains9: list[tuple] = []
+    gains10: list[tuple] = []
 
     for p in range(1, n + 1):
-        sb = en.sbar[p - 1]
-        for s in range(1, MAX_LOSS_SIZE + 1):
-            census["op1"] += 1
-            if s < sb:
-                losses.append(DeltaEntry(OpKind.OP1, p, 0, s, en.op1_value(p, s), 1))
-        if sb + 1 <= 10:
-            census["op5a"] += 1
-            gains9.append(DeltaEntry(OpKind.OP5A, p, 0, sb + 1, en.op5_value(p, sb + 1), 1))
-        if sb + 2 <= 10:
-            census["op5b"] += 1
-            gains10.append(DeltaEntry(OpKind.OP5B, p, 0, sb + 2, en.op5_value(p, sb + 2), 1))
+        sb = sbar[p - 1]
+        for s in range(1, min(sb, MAX_LOSS_SIZE + 1)):
+            losses.append((en.op1_value(p, s), OP1, p, 0, s, 1))
+        gains9.append((en.op5_value(p, sb + 1), OP5A, p, 0, sb + 1, 1))
+        gains10.append((en.op5_value(p, sb + 2), OP5B, p, 0, sb + 2, 1))
 
     for p in range(2, n + 1):
-        sb = en.sbar[p - 1]
+        sb = sbar[p - 1]
+        demoted = range(1, min(sb, MAX_LOSS_SIZE + 1))
         for r in range(1, p):
-            for s in range(1, MAX_LOSS_SIZE + 1):
-                census["op2"] += 1
-                if s < sb:
-                    losses.append(
-                        DeltaEntry(OpKind.OP2, p, r, s, en.op2_value(p, r, s), r + 1)
-                    )
-            census["op3"] += 1
-            losses.append(DeltaEntry(OpKind.OP3, p, r, sb, en.op3_value(p, r), r))
-            if sb + 1 <= 10:
-                census["op6a"] += 1
-                if en.keep_gain(p, r, sb + 1):
-                    gains9.append(
-                        DeltaEntry(OpKind.OP6A, p, r, sb + 1, en.op6_value(p, r, sb + 1), 1)
-                    )
-            if sb + 2 <= 10:
-                census["op6b"] += 1
-                if en.keep_gain(p, r, sb + 2):
-                    gains10.append(
-                        DeltaEntry(OpKind.OP6B, p, r, sb + 2, en.op6_value(p, r, sb + 2), 1)
-                    )
+            losses.extend((en.op2_value(p, r, s), OP2, p, r, s, r + 1) for s in demoted)
+            losses.append((en.op3_value(p, r), OP3, p, r, sb, r))
+            cell = en.dominance_index(p, r, 0)
+            if not (escape[r][sb + 1] and dominance[cell + sb + 1]):
+                gains9.append((en.op6_value(p, r, sb + 1), OP6A, p, r, sb + 1, 1))
+            if not (escape[r][sb + 2] and dominance[cell + sb + 2]):
+                gains10.append((en.op6_value(p, r, sb + 2), OP6B, p, r, sb + 2, 1))
 
     for p in range(1, n):
-        census["op4"] += 1
-        losses.append(DeltaEntry(OpKind.OP4, p, 0, 0, en.op4_value(p), n - p))
+        losses.append((en.op4_value(p), OP4, p, 0, 0, n - p))
 
-    def ordered(entries):
-        return tuple(sorted(entries, key=_entry_sort_key))
+    def ordered(rows):
+        rows.sort()
+        return tuple(
+            DeltaEntry(_KIND_ORDER[kind], p, r, s, value, m)
+            for value, kind, p, r, s, m in rows
+        )
 
     return LossGainSets(
         ordered(losses), ordered(gains9), ordered(gains10), Refinement.BASE, census, n
-    )
-
-
-def _entry_sort_key(entry: DeltaEntry):
-    return (
-        entry.value,
-        entry.op_kind.value,
-        entry.position,
-        entry.runlength,
-        entry.size,
     )
 
 
@@ -432,27 +429,31 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     A position is affected by exactly one operation in any single
     configuration, so it can carry at most one copy of a given delta
     value; surplus copies within a value tier are dropped by reducing
-    entry multiplicities in deterministic entry order.  Footprints of
-    reduced entries keep their original extent; only the copy counts
-    feed the loss and gain functions.
+    entry multiplicities in deterministic entry order.  Each tier keeps
+    a bitmask of the positions it already covers, and an entry keeps the
+    copies its footprint adds to that mask.  Footprints of reduced
+    entries keep their original extent; only the copy counts feed the
+    loss and gain functions.
     """
     n = sets.n_positions
 
     def dedup_losses(entries):
-        covered: dict[int, set[int]] = {}
+        covered: dict[int, int] = {}
         out = []
         for e in entries:
-            positions = covered.setdefault(e.value, set())
-            fresh = [q for q in e.footprint(n) if q not in positions]
+            span = e.footprint(n)
+            footprint = ((1 << len(span)) - 1) << span.start
+            tier = covered.get(e.value, 0)
+            fresh = (footprint & ~tier).bit_count()
             if fresh:
-                positions.update(fresh)
-                if len(fresh) == e.multiplicity:
+                covered[e.value] = tier | footprint
+                if fresh == e.multiplicity:
                     out.append(e)
                 else:
                     out.append(
                         DeltaEntry(
                             e.op_kind, e.position, e.runlength, e.size,
-                            e.value, len(fresh),
+                            e.value, fresh,
                         )
                     )
         return tuple(out)
@@ -485,21 +486,23 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     """Drop run-generating entries the replacement test proves impossible.
 
-    Applies to OP2, OP3 and OP6 entries with quantized size above 2; an
-    entry survives unless a strictly longer replacement exists for its
-    exact positions, so removal is always provable.
+    Applies to OP2, OP3 and OP6 entries with quantized size above 2 (the
+    other kinds have no run, which the test never drops); an entry
+    survives unless a strictly longer replacement exists for its exact
+    positions, so removal is always provable.
     """
-    en = _Enumerator(ref)
+    en = _enumerator(ref)
+    dominance, index = en.dominance, en.dominance_index
 
-    def keep(e: DeltaEntry) -> bool:
-        if e.op_kind in (OpKind.OP2, OpKind.OP3, OpKind.OP6A, OpKind.OP6B):
-            return not en.dominated(e.position, e.runlength, e.size)
-        return True
+    def kept(entries):
+        return tuple(
+            e for e in entries if not dominance[index(e.position, e.runlength, e.size)]
+        )
 
     return LossGainSets(
-        tuple(e for e in sets.losses if keep(e)),
-        tuple(e for e in sets.gains9 if keep(e)),
-        tuple(e for e in sets.gains10 if keep(e)),
+        kept(sets.losses),
+        kept(sets.gains9),
+        kept(sets.gains10),
         Refinement.MAXCONFIG,
         sets.census,
         sets.n_positions,
@@ -611,7 +614,7 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
     deltas times multiplicities, added to the reference length, reproduce
     the coded length of the target exactly.
     """
-    en = _Enumerator(ref)
+    en = _enumerator(ref)
     n = ref.n_positions
     sizes = [int(s) for s in target]
     if len(sizes) != n:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 MAX_RUNLENGTH = 62      # 62 zeros before the last of 63 AC coefficients
 MAX_SIZE = 10           # AC amplitudes fit in 10 bits
@@ -57,6 +58,15 @@ class CodeLengthTable:
             raise ParameterError(f"size {size} outside 1..{MAX_SIZE}")
         zrl_count, rest = divmod(runlength, 16)
         return zrl_count * self.zrl_bits + self.grid[size - 1][rest]
+
+    @cached_property
+    def length_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``code_length`` as a grid ``[runlength][size]`` for runlength
+        0..62 and size 0..10, where size 0 costs 0."""
+        return tuple(
+            (0,) + tuple(self.code_length(r, s) for s in range(1, MAX_SIZE + 1))
+            for r in range(MAX_RUNLENGTH + 1)
+        )
 
     def huffman_length(self, runlength: int, size: int) -> int:
         """Length of the Huffman part alone for the residual symbol."""

@@ -28,7 +28,6 @@ from .bound_engine import (
     upper_limit,
 )
 from .entropy_model import (
-    AC_POSITIONS,
     ComponentKind,
     SymbolSequence,
     sequence_length,
@@ -128,11 +127,7 @@ def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _length_lut(component: ComponentKind) -> np.ndarray:
     """Read-only code lengths indexed [runlength, size]; size 0 costs 0."""
-    table = table_for(component)
-    lut = np.zeros((AC_POSITIONS, 11), dtype=np.int64)
-    for r in range(AC_POSITIONS):
-        for s in range(1, 11):
-            lut[r, s] = table.code_length(r, s)
+    lut = np.array(table_for(component).length_rows, dtype=np.int64)
     lut.setflags(write=False)
     return lut
 

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from acbound import bound_engine
 from acbound.bound_engine import (
     ConstraintError,
     LossSetExhaustedError,
@@ -309,6 +311,116 @@ class TestRefinements:
         for n in (1, 20, 54):
             assert loss_function(tight, n) >= loss_function(base, n)
         assert tight.refinement is Refinement.MAXCONFIG
+
+
+def scalar_dominated(ref, p, r, s):
+    """The replacement test, one pattern at a time from ``code_length``.
+
+    True when demoting the size-s coefficient at p (unquantized size S)
+    to S - 1 and raising j = 1..3 zeros at the end or at the start of its
+    run of r zeros to S - 1 gives a strictly longer code.
+    """
+    if s <= 2 or r < 1:
+        return False
+    table = table_for(ref.component)
+    C = ref.exponents
+
+    def alone(size):
+        return table.code_length(0, size)
+
+    S = s + C[p - 1]
+    target = table.code_length(r, s)
+    for j in range(1, min(3, r) + 1):
+        sizes = [S - 1 - C[k - 1] for k in range(p - j, p)]
+        if all(1 <= t <= 10 for t in sizes):
+            if j < r:
+                length = table.code_length(r - j, sizes[0]) + sum(map(alone, sizes[1:]))
+            else:
+                length = sum(map(alone, sizes))
+            if length + alone(s - 1) > target:
+                return True
+        sizes = [S - 1 - C[k - 1] for k in range(p - r, p - r + j)]
+        if all(1 <= t <= 10 for t in sizes):
+            length = sum(map(alone, sizes))
+            length += table.code_length(r - j, s - 1) if j < r else alone(s - 1)
+            if length > target:
+                return True
+    return False
+
+
+def set_dedup_losses(entries, n):
+    """Capacity pruning of a loss set with one position set per value tier."""
+    covered = {}
+    out = []
+    for e in entries:
+        positions = covered.setdefault(e.value, set())
+        fresh = [q for q in e.footprint(n) if q not in positions]
+        if fresh:
+            positions.update(fresh)
+            out.append(dataclasses.replace(e, multiplicity=len(fresh)))
+    return tuple(out)
+
+
+def oracle_references(rng):
+    """The 14 paper cells, seeded random 63-vectors and short instances."""
+    refs = [
+        reference_length(component, pow2_table(scaled_annex_k(component, sf)))
+        for component in ComponentKind for sf in SF_GRID
+    ]
+    for component in ComponentKind:
+        refs += [reference_config(component, rng.integers(0, 7, size=63)) for _ in range(6)]
+        refs += [
+            reference_config(component, rng.integers(0, 7, size=n)) for n in range(1, 21)
+        ]
+    return refs
+
+
+class TestDominanceTable:
+    def test_table_matches_scalar_replacement_test(self, rng):
+        for ref in oracle_references(rng):
+            en = bound_engine._enumerator(ref)
+            n = ref.n_positions
+            count = 0
+            for p in range(1, n + 1):
+                for r in range(p):
+                    for s in range(11):
+                        expected = scalar_dominated(ref, p, r, s)
+                        cell = en.dominance[en.dominance_index(p, r, s)]
+                        assert cell == expected, (ref.exponents, p, r, s)
+                        count += expected
+            # nothing is marked outside the 0 <= r < p patterns
+            assert sum(en.dominance) == count
+
+    def test_escape_gains_dropped_exactly_when_dominated(self, component, rng):
+        table = table_for(component)
+        for _ in range(3):
+            ref = reference_config(component, rng.integers(0, 7, size=63))
+            sets = enumerate_deltas(ref)
+            kept = {(e.position, e.runlength, e.size) for e in sets.gains9 + sets.gains10}
+            for p in range(2, 64):
+                for r in range(1, p):
+                    for size in (ref.sbar[p - 1] + 1, ref.sbar[p - 1] + 2):
+                        dropped = (
+                            table.huffman_length(r, size) >= 15
+                            and scalar_dominated(ref, p, r, size)
+                        )
+                        assert ((p, r, size) in kept) is not dropped, (p, r, size)
+
+
+class TestCapacityBitmask:
+    def test_matches_set_based_pruning(self, component, rng):
+        for _ in range(4):
+            ref = reference_config(component, rng.integers(0, 7, size=63))
+            base = build_sets(ref, Refinement.BASE)
+            for sets in (base, refine_maxconfig(base, ref)):
+                expected = set_dedup_losses(sets.losses, ref.n_positions)
+                assert refine_capacity(sets).losses == expected
+
+    def test_matches_on_short_instances(self, rng):
+        for n in range(1, 21):
+            ref = reference_config(ComponentKind.LUMINANCE, rng.integers(0, 7, size=n))
+            base = build_sets(ref, Refinement.BASE)
+            assert refine_capacity(base).losses == set_dedup_losses(base.losses, n)
 
 
 class TestGeneralizedInstances:
