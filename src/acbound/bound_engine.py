@@ -431,13 +431,14 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     value; surplus copies within a value tier are dropped by reducing
     entry multiplicities in deterministic entry order.  Each tier keeps
     a bitmask of the positions it already covers, and an entry keeps the
-    copies its footprint adds to that mask.  Footprints of reduced
-    entries keep their original extent; only the copy counts feed the
-    loss and gain functions.
+    copies its footprint adds to that mask.  A gain is one copy at its
+    own position, so the same rule keeps one gain per position and value.
+    Footprints of reduced entries keep their original extent; only the
+    copy counts feed the loss and gain functions.
     """
     n = sets.n_positions
 
-    def dedup_losses(entries):
+    def dedup(entries):
         covered: dict[int, int] = {}
         out = []
         for e in entries:
@@ -458,25 +459,15 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
                     )
         return tuple(out)
 
-    def dedup_gains(entries):
-        seen: set[tuple[int, int]] = set()
-        out = []
-        for e in entries:
-            key = (e.value, e.position)
-            if key not in seen:
-                seen.add(key)
-                out.append(e)
-        return tuple(out)
-
     refinement = (
         Refinement.MAXCONFIG
         if sets.refinement is Refinement.MAXCONFIG
         else Refinement.CAPACITY
     )
     return LossGainSets(
-        dedup_losses(sets.losses),
-        dedup_gains(sets.gains9),
-        dedup_gains(sets.gains10),
+        dedup(sets.losses),
+        dedup(sets.gains9),
+        dedup(sets.gains10),
         refinement,
         sets.census,
         n,

@@ -6,14 +6,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .bound_engine import Refinement, upper_limit
+from .bound_engine import (
+    Refinement,
+    build_sets,
+    gain_functions,
+    loss_function,
+    reference_length,
+    upper_limit,
+)
 from .entropy_model import ComponentKind, crude_bound
 from .quantization import pow2_table, scaled_annex_k
 from .transform import level_shift
@@ -35,33 +41,13 @@ _COMPONENTS = {
     "both": (ComponentKind.LUMINANCE, ComponentKind.CHROMINANCE),
 }
 
+# the levels each --refinement choice runs; the reported result is the tightest
 _REFINEMENTS = {
-    "base": Refinement.BASE,
-    "capacity": Refinement.CAPACITY,
-    "maxconfig": Refinement.MAXCONFIG,
+    "base": (Refinement.BASE,),
+    "capacity": (Refinement.CAPACITY,),
+    "maxconfig": (Refinement.MAXCONFIG,),
+    "best": tuple(Refinement),
 }
-
-
-class UsageError(SystemExit):
-    pass
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    timestamp: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
 
 
 def _timestamp() -> str | None:
@@ -72,17 +58,23 @@ def _timestamp() -> str | None:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
-def _manifest(command: str, parameters: dict, seed: int | None = None) -> RunManifest:
-    return RunManifest(command, parameters, seed, __version__, _timestamp())
+def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
+    return {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+        "timestamp": _timestamp(),
+    }
 
 
 def _parse_sf(text: str) -> Fraction:
     try:
         sf = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"error: cannot parse scale factor {text!r}: {exc}")
+        raise ValueError(f"cannot parse scale factor {text!r}: {exc}")
     if not Fraction(1, 64) <= sf <= 1:
-        raise UsageError(f"error: scale factor {text} outside [1/64, 1]")
+        raise ValueError(f"scale factor {text} outside [1/64, 1]")
     return sf
 
 
@@ -93,10 +85,10 @@ def _seed_from(args) -> int:
     return int(env) if env is not None else 0
 
 
-def _emit(lines: list[str], manifest: RunManifest, comment: str = "#") -> None:
+def _emit(lines: list[str], manifest: dict) -> None:
     for line in lines:
         print(line)
-    print(f"{comment} manifest: {json.dumps(manifest.to_dict(), sort_keys=True)}")
+    print(f"# manifest: {json.dumps(manifest, sort_keys=True)}")
 
 
 # -- limits ------------------------------------------------------------------
@@ -115,19 +107,15 @@ def cmd_limits(args) -> int:
         row = {"sf": text}
         for comp in components:
             q = scaled_annex_k(comp, sf)
-            if args.refinement == "best":
-                result = min(
-                    (upper_limit(comp, q, r) for r in Refinement),
-                    key=lambda res: res.limit,
-                )
-            else:
-                result = upper_limit(comp, q, _REFINEMENTS[args.refinement])
-            row[comp.value] = result
+            row[comp.value] = min(
+                (upper_limit(comp, q, r) for r in _REFINEMENTS[args.refinement]),
+                key=lambda res: res.limit,
+            )
         rows.append(row)
 
     if args.json:
         payload = {
-            "manifest": manifest.to_dict(),
+            "manifest": manifest,
             "crude_bound": crude_bound(),
             "limits": [
                 {
@@ -166,31 +154,26 @@ def cmd_limits(args) -> int:
 
 def _read_block_file(path: str) -> np.ndarray:
     try:
-        text = open(path).read()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
-        raise UsageError(f"error: cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     rows = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 8:
-        raise UsageError(f"error: {path}: expected 8 non-empty lines, found {len(lines)}")
+        raise ValueError(f"{path}: expected 8 non-empty lines, found {len(lines)}")
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != 8:
-            raise UsageError(
-                f"error: {path}:{lineno}: expected 8 values, found {len(tokens)}"
-            )
+            raise ValueError(f"{path}:{lineno}: expected 8 values, found {len(tokens)}")
         row = []
         for col, token in enumerate(tokens, start=1):
             try:
                 value = int(token)
             except ValueError:
-                raise UsageError(
-                    f"error: {path}:{lineno}:{col}: not an integer: {token!r}"
-                )
+                raise ValueError(f"{path}:{lineno}:{col}: not an integer: {token!r}")
             if not 0 <= value <= 255:
-                raise UsageError(
-                    f"error: {path}:{lineno}:{col}: sample {value} outside 0..255"
-                )
+                raise ValueError(f"{path}:{lineno}:{col}: sample {value} outside 0..255")
             row.append(value)
         rows.append(row)
     return np.array(rows, dtype=np.int64)
@@ -206,7 +189,7 @@ def cmd_encode(args) -> int:
         "block_file": args.block_file, "sf": args.sf, "component": args.component,
     })
     if args.json:
-        print(json.dumps({"manifest": manifest.to_dict(), "report": report.to_json_dict()},
+        print(json.dumps({"manifest": manifest, "report": report.to_json_dict()},
                          indent=2, sort_keys=True))
         return 0
     lines = [
@@ -225,105 +208,70 @@ def cmd_encode(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _check(lines: list[str], name: str, ok: bool, detail: str = "") -> bool:
-    mark = "PASS" if ok else "FAIL"
-    suffix = f" ({detail})" if detail else ""
-    lines.append(f"{mark} {name}{suffix}")
-    return ok
+def _check(checks: list[dict], name: str, ok: bool, detail: str = "") -> None:
+    checks.append({"name": name, "ok": ok, "detail": detail})
 
 
-def _checks_as_json(lines: list[str]) -> list[dict]:
-    out = []
-    for line in lines:
-        mark, _, rest = line.partition(" ")
-        name, _, detail = rest.partition(" (")
-        out.append({
-            "name": name,
-            "ok": mark == "PASS",
-            "detail": detail[:-1] if detail else "",
-        })
-    return out
-
-
-def _verify_deltas(args, lines: list[str]) -> bool:
-    from .bound_engine import (
-        build_sets,
-        gain_functions,
-        loss_function,
-        reference_length,
-    )
-
+def _verify_deltas(args, checks: list[dict]) -> None:
     sf = _parse_sf(args.sf)
     component = _COMPONENTS[args.component][0]
     q = scaled_annex_k(component, sf)
     ref = reference_length(component, pow2_table(q))
     sets = build_sets(ref, Refinement.BASE)
     result = upper_limit(component, q, Refinement.BASE)
-    ok = True
-    ok &= _check(lines, "reference length", ref.ref_len == result.ref_len,
-                 f"len={ref.ref_len}")
-    ok &= _check(lines, "objective zero at the origin",
-                 result.objective[(0, 0)] == 0)
-    ok &= _check(lines, "limit covers reference", result.limit >= ref.ref_len,
-                 f"limit={result.limit}")
+    _check(checks, "reference length", ref.ref_len == result.ref_len, f"len={ref.ref_len}")
+    _check(checks, "objective zero at the origin", result.objective[(0, 0)] == 0)
+    _check(checks, "limit covers reference", result.limit >= ref.ref_len,
+           f"limit={result.limit}")
     if component is ComponentKind.CHROMINANCE and sf == 1:
-        ok &= _check(lines, "losses 2n-1",
-                     all(loss_function(sets, n) == 2 * n - 1 for n in range(1, 55)))
-        ok &= _check(lines, "size-9 gains 3a",
-                     all(gain_functions(sets, a, 0)[0] == 3 * a for a in range(16)))
-        ok &= _check(lines, "size-10 gains 6b",
-                     all(gain_functions(sets, 0, b)[1] == 6 * b for b in range(4)))
-        ok &= _check(lines, "limit 349", result.limit == 349 and result.argmax == (0, 0))
+        _check(checks, "losses 2n-1",
+               all(loss_function(sets, n) == 2 * n - 1 for n in range(1, 55)))
+        _check(checks, "size-9 gains 3a",
+               all(gain_functions(sets, a, 0)[0] == 3 * a for a in range(16)))
+        _check(checks, "size-10 gains 6b",
+               all(gain_functions(sets, 0, b)[1] == 6 * b for b in range(4)))
+        _check(checks, "limit 349", result.limit == 349 and result.argmax == (0, 0))
     total = sum(sets.census.values())
-    ok &= _check(lines, "evaluated cases 20159", total == 20159, f"total={total}")
-    return ok
+    _check(checks, "evaluated cases 20159", total == 20159, f"total={total}")
 
 
-def _verify_toy(args, lines: list[str]) -> bool:
+def _verify_toy(args, checks: list[dict]) -> None:
     exponents = None
     if args.exponents:
         exponents = tuple(int(t) for t in args.exponents.split(","))
-    ok = True
     for component in _COMPONENTS[args.component]:
         exact, limit = toy_oracle(args.n, component, exponents)
-        gap = limit - exact
-        ok &= _check(lines, f"toy n={args.n} {component.value}", limit >= exact,
-                     f"exact={exact} limit={limit} gap={gap}")
-    return ok
+        _check(checks, f"toy n={args.n} {component.value}", limit >= exact,
+               f"exact={exact} limit={limit} gap={limit - exact}")
 
 
-def _verify_fuzz(args, lines: list[str]) -> bool:
+def _verify_fuzz(args, checks: list[dict]) -> None:
     seed = _seed_from(args)
     sf_texts = list(PUBLISHED_SF_SET) if args.sf is None else [args.sf]
-    ok = True
     for component in _COMPONENTS[args.component]:
         for text in sf_texts:
             q = scaled_annex_k(component, _parse_sf(text))
             summary = soundness_fuzz(args.trials, q, component, seed)
-            ok &= _check(
-                lines, f"fuzz {component.value} sf={text}",
+            _check(
+                checks, f"fuzz {component.value} sf={text}",
                 summary["min_slack"] >= 0,
                 f"max_bits={summary['max_bits']} min_slack={summary['min_slack']}",
             )
-    return ok
 
 
 def cmd_verify(args) -> int:
     manifest = _manifest("verify", {"suite": args.suite}, seed=getattr(args, "seed", None))
-    lines: list[str] = []
-    if args.suite == "deltas":
-        ok = _verify_deltas(args, lines)
-    elif args.suite == "toy":
-        ok = _verify_toy(args, lines)
+    checks: list[dict] = []
+    args.run_suite(args, checks)
+    ok = all(check["ok"] for check in checks)
+    if args.json:
+        print(json.dumps({"manifest": manifest, "ok": ok, "checks": checks},
+                         indent=2, sort_keys=True))
     else:
-        ok = _verify_fuzz(args, lines)
-    if getattr(args, "json", False):
-        print(json.dumps({
-            "manifest": manifest.to_dict(),
-            "ok": ok,
-            "checks": _checks_as_json(lines),
-        }, indent=2, sort_keys=True))
-    else:
+        lines = []
+        for check in checks:
+            suffix = f" ({check['detail']})" if check["detail"] else ""
+            lines.append(f"{'PASS' if check['ok'] else 'FAIL'} {check['name']}{suffix}")
         _emit(lines, manifest)
     return 0 if ok else 1
 
@@ -343,7 +291,7 @@ def cmd_search(args) -> int:
         "mutation": args.mutation,
     }, seed=cfg.seed)
     if args.json:
-        print(json.dumps({"manifest": manifest.to_dict(), "report": report.to_json_dict()},
+        print(json.dumps({"manifest": manifest, "report": report.to_json_dict()},
                          indent=2, sort_keys=True))
         return 0
     gap = (report.limit - report.ac_bits) / report.ac_bits
@@ -373,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf_choice.add_argument("--sf-set", choices=["paper"],
                            help="use the published scale-factor set")
     p.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
-    p.add_argument("--refinement", choices=["base", "capacity", "maxconfig", "best"],
-                   default="best")
+    p.add_argument("--refinement", choices=list(_REFINEMENTS), default="best")
     output = p.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true")
     output.add_argument("--csv", action="store_true")
@@ -396,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--component", choices=[k for k in _COMPONENTS if k != "both"],
                    default="chroma")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, run_suite=_verify_deltas)
 
     v = vsub.add_parser("toy", help="exhaustive oracle on a small instance")
     v.add_argument("--n", type=int, default=4)
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     v.add_argument("--exponents", help="comma-separated exponent vector")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, run_suite=_verify_toy)
 
     v = vsub.add_parser("fuzz", help="random blocks must stay under the limit")
     v.add_argument("--trials", type=int, default=10_000)
@@ -411,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sf", help="single scale factor; defaults to the published set")
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, run_suite=_verify_fuzz)
 
     p = sub.add_parser("search", help="hill-climb for long-coded blocks")
     p.add_argument("--sf", required=True)
@@ -434,10 +381,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:  # out-of-domain parameters, tables and scale factors
+    except ValueError as exc:  # bad parameters, tables, scale factors or block files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

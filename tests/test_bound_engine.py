@@ -361,6 +361,17 @@ def set_dedup_losses(entries, n):
     return tuple(out)
 
 
+def seen_dedup_gains(entries):
+    """Capacity pruning of a gain set: the first entry per (value, position)."""
+    seen = set()
+    out = []
+    for e in entries:
+        if (e.value, e.position) not in seen:
+            seen.add((e.value, e.position))
+            out.append(e)
+    return tuple(out)
+
+
 def oracle_references(rng):
     """The 14 paper cells, seeded random 63-vectors and short instances."""
     refs = [
@@ -413,14 +424,19 @@ class TestCapacityBitmask:
             ref = reference_config(component, rng.integers(0, 7, size=63))
             base = build_sets(ref, Refinement.BASE)
             for sets in (base, refine_maxconfig(base, ref)):
-                expected = set_dedup_losses(sets.losses, ref.n_positions)
-                assert refine_capacity(sets).losses == expected
+                capped = refine_capacity(sets)
+                assert capped.losses == set_dedup_losses(sets.losses, ref.n_positions)
+                assert capped.gains9 == seen_dedup_gains(sets.gains9)
+                assert capped.gains10 == seen_dedup_gains(sets.gains10)
 
     def test_matches_on_short_instances(self, rng):
         for n in range(1, 21):
             ref = reference_config(ComponentKind.LUMINANCE, rng.integers(0, 7, size=n))
             base = build_sets(ref, Refinement.BASE)
-            assert refine_capacity(base).losses == set_dedup_losses(base.losses, n)
+            capped = refine_capacity(base)
+            assert capped.losses == set_dedup_losses(base.losses, n)
+            assert capped.gains9 == seen_dedup_gains(base.gains9)
+            assert capped.gains10 == seen_dedup_gains(base.gains10)
 
 
 class TestGeneralizedInstances:

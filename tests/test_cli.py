@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acbound
+from acbound import cli
 from acbound.cli import main
+from acbound.entropy_model import ComponentKind
 from acbound.verification import HIGH_COST_SEED_BLOCK
 
 
@@ -124,6 +131,16 @@ class TestEncode:
         assert code == 2
         assert ":3:4:" in err
 
+    def test_block_file_is_closed(self, block_file):
+        # an unclosed file only warns when it is collected, so run a fresh interpreter
+        src = str(Path(acbound.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "acbound.cli", "encode", block_file, "--sf", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0
+        assert "ResourceWarning" not in proc.stderr
+
     def test_out_of_range_sample(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         rows = [" ".join(["10"] * 8) for _ in range(8)]
@@ -132,6 +149,11 @@ class TestEncode:
         code, _, err = run(capsys, ["encode", str(path), "--sf", "1", "--component", "lum"])
         assert code == 2
         assert "outside 0..255" in err
+
+
+def render_check(check):
+    suffix = f" ({check['detail']})" if check["detail"] else ""
+    return f"{'PASS' if check['ok'] else 'FAIL'} {check['name']}{suffix}"
 
 
 class TestVerify:
@@ -167,6 +189,31 @@ class TestVerify:
         assert payload["ok"] is True
         assert all(check["ok"] for check in payload["checks"])
         assert len(payload["checks"]) == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "deltas"], ["verify", "toy", "--n", "2"]])
+    def test_json_checks_match_text_lines(self, capsys, argv):
+        _, text, _ = run(capsys, argv)
+        _, out, _ = run(capsys, argv + ["--json"])
+        rendered = [render_check(check) for check in json.loads(out)["checks"]]
+        assert rendered == text.splitlines()[:-1]
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        def toy_oracle(n_positions, component, exponents=None):
+            # the luminance instance claims a block longer than its limit
+            return (120, 100) if component is ComponentKind.LUMINANCE else (90, 100)
+
+        monkeypatch.setattr(cli, "toy_oracle", toy_oracle)
+        code, out, _ = run(capsys, ["verify", "toy", "--n", "2"])
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "FAIL toy n=2 luminance (exact=120 limit=100 gap=-20)",
+            "PASS toy n=2 chrominance (exact=90 limit=100 gap=10)",
+        ]
+        code, out, _ = run(capsys, ["verify", "toy", "--n", "2", "--json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert [check["ok"] for check in payload["checks"]] == [False, True]
 
 
 class TestSearch:
