@@ -260,7 +260,9 @@ def _verify_fuzz(args, checks: list[dict]) -> None:
 
 
 def cmd_verify(args) -> int:
-    manifest = _manifest("verify", {"suite": args.suite}, seed=getattr(args, "seed", None))
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("cmd", "func", "run_suite", "json", "seed")}
+    manifest = _manifest("verify", parameters, seed=_seed_from(args) if "seed" in args else None)
     checks: list[dict] = []
     args.run_suite(args, checks)
     ok = all(check["ok"] for check in checks)
@@ -345,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify, run_suite=_verify_deltas)
 
-    v = vsub.add_parser("toy", help="exhaustive oracle on a small instance")
-    v.add_argument("--n", type=int, default=4)
+    v = vsub.add_parser("toy", help="exact relaxed maximum against the engine limit")
+    v.add_argument("--n", type=int, default=4, help="number of AC positions, 1..63")
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     v.add_argument("--exponents", help="comma-separated exponent vector")
     v.add_argument("--json", action="store_true")

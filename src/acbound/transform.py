@@ -1,11 +1,11 @@
-"""8x8 DCT as a 64-dimensional orthogonal map, zigzag order, and the
-geometric membership predicates used by the bound derivation.
+"""8x8 DCT as a 64-dimensional orthogonal map, zigzag order, and
+membership predicates for the geometry the bound derivation assumes.
 
 The forward transform of a level-shifted pixel block always lands inside
 the ball of radius 2**10 around the origin, and its AC energy is strictly
-below 2**20.  The bound engine never consumes floating-point DCT output;
-the transform exists for the encoding pipeline and the verification
-harnesses.
+below 2**20.  Neither the DCT output nor the predicates feed the bound
+engine: the transform serves the encoding pipeline and the verification
+harnesses, and the predicates let the tests check that geometry.
 """
 
 from __future__ import annotations

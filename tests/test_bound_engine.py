@@ -33,7 +33,7 @@ from acbound.quantization import (
     pow2_table,
     scaled_annex_k,
 )
-from acbound.verification import random_reduced_sizes
+from acbound.verification import random_reduced_sizes, toy_oracle
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 
@@ -525,7 +525,9 @@ class TestSoundnessAgainstDirectEnumeration:
                 for _ in range(per_setting)
             ])
             bits = ac_bits_from_sizes(quantized, component)
-            assert int(bits.max()) <= limits[Refinement.MAXCONFIG]
+            exact, tight = toy_oracle(63, component, ref.exponents)
+            assert tight == limits[Refinement.MAXCONFIG]
+            assert int(bits.max()) <= exact <= limits[Refinement.MAXCONFIG]
             # spot-check the vectorized costs against the symbol pipeline
             table = table_for(component)
             for i in range(0, per_setting, 1700):

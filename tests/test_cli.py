@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import acbound
-from acbound import cli
+from acbound import cli, verification
 from acbound.cli import main
 from acbound.entropy_model import ComponentKind
 from acbound.verification import HIGH_COST_SEED_BLOCK
@@ -83,12 +84,13 @@ class TestLimits:
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "toy", "--n", "9"],
+    ["verify", "toy", "--n", "0"],
     ["verify", "toy", "--exponents", "7,7"],
     ["verify", "fuzz", "--trials", "0"],
     ["search", "--sf", "1", "--iterations", "0"],
     ["limits", "--json", "--csv"],
     ["limits", "--sf-set", "paper", "--sf", "1"],
+    ["verify", "toy", "--n", "64"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -214,6 +216,43 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert [check["ok"] for check in payload["checks"]] == [False, True]
+
+    def test_fuzz_violation_is_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "upper_limit", lambda *args: SimpleNamespace(limit=100))
+        argv = ["verify", "fuzz", "--trials", "300", "--sf", "1", "--component", "lum"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out.splitlines()[0] == "FAIL fuzz luminance sf=1 (max_bits=225 min_slack=-125)"
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 1
+        assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("env_seed, flags, seed", [
+        ("5", [], 5), (None, ["--seed", "7"], 7), (None, [], 0),
+    ])
+    def test_fuzz_manifest_records_what_ran(self, capsys, monkeypatch, env_seed, flags, seed):
+        if env_seed is None:
+            monkeypatch.delenv("ACBOUND_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ACBOUND_SEED", env_seed)
+        code, out, _ = run(capsys, [
+            "verify", "fuzz", "--trials", "100", "--sf", "1", "--component", "lum", "--json",
+        ] + flags)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["seed"] == seed
+        assert manifest["parameters"] == {
+            "suite": "fuzz", "trials": 100, "sf": "1", "component": "lum",
+        }
+
+    def test_toy_manifest_records_its_instance(self, capsys):
+        _, out, _ = run(capsys, ["verify", "toy", "--n", "3", "--exponents", "0,1,2", "--json"])
+        manifest = json.loads(out)["manifest"]
+        assert manifest["seed"] is None
+        assert manifest["parameters"] == {
+            "suite": "toy", "n": 3, "component": "both", "exponents": "0,1,2",
+        }
 
 
 class TestSearch:

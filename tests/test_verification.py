@@ -1,8 +1,13 @@
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acbound import verification
 from acbound.entropy_model import ComponentKind, sequence_length, symbolize, table_for
 from acbound.quantization import quantize, scaled_annex_k
 from acbound.transform import forward_dct, level_shift, zigzag_scan
@@ -162,9 +167,44 @@ class TestToyOracle:
 
     def test_refuses_large_instances(self):
         with pytest.raises(ValueError):
-            toy_oracle(9, ComponentKind.LUMINANCE)
+            toy_oracle(0, ComponentKind.LUMINANCE)
+        with pytest.raises(ValueError):
+            toy_oracle(64, ComponentKind.LUMINANCE)
         with pytest.raises(ValueError):
             toy_oracle(2, ComponentKind.LUMINANCE, (0, 1, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_brute_force(self, component, n):
+        rng = np.random.default_rng(n)
+        sizes = np.array(list(itertools.product(range(11), repeat=n)))
+        draws = [rng.integers(0, 7, n).tolist() for _ in range(3)]
+        # ascending vectors put the costliest positions last, where ending
+        # the block in zeros (EOB) can be the longest choice
+        for exponents in [[0] * n] + draws + [sorted(d) for d in draws]:
+            # energy of quantized size s at exponent C: 4**(s - 1 + C), size 0 free
+            costs = np.array([[0] + [4 ** (s - 1 + c) for s in range(1, 11)]
+                              for c in exponents])
+            energy = costs[np.arange(n), sizes].sum(axis=1)
+            feasible = sizes[energy < (n + 1) << 14]
+            brute = int(ac_bits_from_sizes(feasible, component).max())
+            assert toy_oracle(n, component, exponents)[0] == brute
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_exact_maximum_never_rises_with_an_exponent(self, data):
+        n = data.draw(st.integers(1, 12))
+        exponents = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        k = data.draw(st.integers(0, n - 1))
+        component = data.draw(st.sampled_from(list(ComponentKind)))
+        raised = exponents[:k] + [exponents[k] + 1] + exponents[k + 1:]
+        assert toy_oracle(n, component, raised)[0] <= toy_oracle(n, component, exponents)[0]
+
+    @given(st.lists(st.integers(0, 6), min_size=63, max_size=63),
+           st.sampled_from(list(ComponentKind)))
+    @settings(max_examples=8, deadline=None)
+    def test_engine_dominates_exact_maximum_at_63_positions(self, exponents, component):
+        exact, limit = toy_oracle(63, component, exponents)
+        assert exact <= limit
 
 
 class TestSoundnessFuzz:
@@ -174,6 +214,32 @@ class TestSoundnessFuzz:
         assert summary["min_slack"] >= 0
         assert summary["max_bits"] <= summary["limit"]
         assert summary["trials"] == 3000
+
+    def test_chunked_draws_match_one_draw(self):
+        # 45,000 trials span three 20,000-block noise chunks; the longest
+        # block (146 bits, reached twice) is drawn in the second one
+        component = ComponentKind.CHROMINANCE
+        q = scaled_annex_k(component, 1)
+        summary = soundness_fuzz(45_000, q, component, seed=1)
+        worst = summary.pop("worst_block")
+        assert summary == {"trials": 45_000, "limit": 349, "max_bits": 146, "min_slack": 203}
+        extremes = structured_extreme_blocks()
+        rng = np.random.default_rng(1)
+        blocks = np.concatenate([
+            extremes,
+            rng.integers(-128, 128, size=(45_000 - len(extremes), 8, 8), dtype=np.int64),
+        ])
+        bits = ac_bits_batch(blocks, q, component)
+        assert int(bits.argmax()) == 39_562
+        assert (worst == blocks[39_562]).all()
+
+    def test_reports_a_violation_instead_of_raising(self, monkeypatch):
+        monkeypatch.setattr(verification, "upper_limit", lambda *args: SimpleNamespace(limit=100))
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        summary = soundness_fuzz(300, q, ComponentKind.LUMINANCE)
+        assert summary["max_bits"] == 225
+        assert summary["min_slack"] == -125
+        assert ac_bits_batch(summary["worst_block"][None], q, ComponentKind.LUMINANCE)[0] == 225
 
     def test_rejects_zero_trials(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
