@@ -28,17 +28,35 @@ The final level applies the replacement argument to every run-generating
 entry, losses included.
 
 The replacement argument is decided once per reference: one boolean
-table over every (position, run, size) pattern, built with numpy and
+array over every (position, run, size) pattern, built with numpy and
 read by enumeration and the maxconfig level alike.  It lives on a cached
 per-reference enumerator (with the code-length rows and reference prefix
-sums that decomposition also uses), built only when first needed.  The
-capacity level keeps, per value tier, an integer bitmask of the
+sums that decomposition also uses), built only when first needed.
+
+A delta set is a numpy record array, one narrow row per entry: kind
+rank, position, run, size, footprint start and width, the entry's bit
+total and its copy count.  Enumeration fills the rows over the
+(position, run, size) grids and orders each set once with ``np.lexsort``
+on (bits / width, kind, position, run, size).  The float64 key orders
+exactly: two distinct fractions with denominators of at most 63 differ
+by at least 1/3906, far more than one ulp below 2**11, and equal
+fractions round to the same double because IEEE division is correctly
+rounded.  The key also names the value tier in the capacity walk.
+
+The maxconfig level is one boolean mask over the rows.  The capacity
+level walks a set keeping, per value tier, an integer bitmask of the
 positions already covered; an entry keeps as many copies as its
-footprint adds to that mask.
+footprint adds to that mask.  A limit reads only the smallest
+``max(3a + 15b)`` loss copies and the largest ``a`` and ``b`` gains, so
+on the limit path the walk stops once it holds them, taking gains from
+the top.  Stopping is exact: prefix sums within a value tier do not
+depend on which entry of the tier carries a copy.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
-``SCALE = lcm(1..63)`` is divisible by every multiplicity, and builds a
-``Fraction`` only for reported values.
+``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
+bits, so exact values are Python ints, made only for the rows a prefix
+sums; a ``Fraction`` is built only for reported values.  ``DeltaEntry``
+objects are built only when a set's entry tuples are read.
 """
 
 from __future__ import annotations
@@ -148,20 +166,51 @@ class ReferenceConfig:
         return len(self.sbar)
 
 
+# One row of a delta set.  ``start`` and ``width`` give the footprint,
+# the positions start..start+width-1; the exact per-position value is
+# ``bits * (SCALE // width)``.  ``multiplicity`` is the number of copies
+# the entry carries: its width, until capacity pruning reduces it.  Rows
+# are padded to 16 bytes, a size numpy gathers as whole items; records of
+# other sizes are copied field by field, many times slower.
+_ROW = np.dtype({
+    "names": ["kind", "position", "run", "size", "start", "width", "bits", "multiplicity"],
+    "formats": ["u1"] * 6 + ["i2", "u1"],
+    "offsets": [0, 1, 2, 3, 4, 5, 6, 8],
+    "itemsize": 16,
+})
+
+
 @dataclass(frozen=True, eq=False)
 class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
-    Each multiset is in ascending (value, kind, position, runlength, size)
-    order, which the refinements keep; compared by identity.
+    Each multiset is a ``_ROW`` record array in ascending (value, kind,
+    position, runlength, size) order, which the refinements keep.  The
+    ``losses``, ``gains9`` and ``gains10`` tuples hold the same rows as
+    ``DeltaEntry`` objects, in the same order; each is built on first
+    read, so the limit path never builds one.  The order key is the
+    float64 ``bits / width``, which is exact: see the module docstring.
+    Compared by identity.
     """
 
-    losses: tuple[DeltaEntry, ...]
-    gains9: tuple[DeltaEntry, ...]
-    gains10: tuple[DeltaEntry, ...]
+    loss_rows: np.ndarray
+    gain9_rows: np.ndarray
+    gain10_rows: np.ndarray
     refinement: Refinement
     census: dict[str, int]
     n_positions: int
+
+    @functools.cached_property
+    def losses(self) -> tuple[DeltaEntry, ...]:
+        return _delta_entries(self.loss_rows)
+
+    @functools.cached_property
+    def gains9(self) -> tuple[DeltaEntry, ...]:
+        return _delta_entries(self.gain9_rows)
+
+    @functools.cached_property
+    def gains10(self) -> tuple[DeltaEntry, ...]:
+        return _delta_entries(self.gain10_rows)
 
 
 @dataclass(frozen=True)
@@ -247,7 +296,6 @@ class _Enumerator:
         self.lengths = table.length_rows
         self.len0 = self.lengths[0]
         self.eob_bits = table.eob_bits
-        self.escape = _escape_rows(ref.component)
         # prefix[i] = sum of len(0, sbar_k) for k = 1..i
         self.prefix = list(accumulate((self.len0[s] for s in self.sbar), initial=0))
 
@@ -258,11 +306,10 @@ class _Enumerator:
     # -- maximum-configuration replacement test --------------------------
 
     @functools.cached_property
-    def dominance(self) -> bytes:
-        """Replacement test for every pattern, flat ``[p, r, s]`` (see
-        ``dominance_index``): 1 when the pattern (r zeros, quantized size
-        s at p) provably cannot occur in a maximum code-length
-        configuration.
+    def dominance(self) -> np.ndarray:
+        """Replacement test for every pattern, a boolean array ``[p, r, s]``:
+        True when the pattern (r zeros, quantized size s at p) provably
+        cannot occur in a maximum code-length configuration.
 
         The pattern's coefficient (unquantized size S) is demoted to
         S - 1 and j = 1..3 of the run's zeros, at its end or at its start,
@@ -273,12 +320,14 @@ class _Enumerator:
         vanish) and patterns without a run are never dominated.
         """
         n = self.n
-        lengths = np.array(self.lengths)
+        lengths = _length_grid(self.ref.component)
         len0 = lengths[0]
-        C = np.array(self.ref.exponents)
-        p = np.arange(n + 1)[:, None, None]
-        r = np.arange(n)[None, :, None]
-        s = np.arange(MAX_SIZE + 1)
+        # int16 grids keep the (p, r, s) temporaries small; flat ``take``
+        # gathers are much faster than broadcast fancy indexing
+        C = np.array(self.ref.exponents, dtype=np.int16)
+        p = np.arange(n + 1, dtype=np.int16)[:, None, None]
+        r = np.arange(n, dtype=np.int16)[None, :, None]
+        s = np.arange(MAX_SIZE + 1, dtype=np.int16)
         target = lengths[r, s]
         top = s + C[p - 1] - 1  # S - 1, the size every replacement takes
 
@@ -296,22 +345,18 @@ class _Enumerator:
             # rest of the run now precedes the one at p-j
             ok, t = raised(p - j)
             end_ok = end_ok & ok
-            length = end_cost + lengths[rest, t] + len0[s - 1]
+            length = end_cost + lengths.take(rest * (MAX_SIZE + 1) + t) + len0[s - 1]
             dominated |= (r >= j) & end_ok & (length > target)
-            end_cost = end_cost + len0[t]
+            end_cost = end_cost + len0.take(t)
             # raised zeros at the start of the run, positions p-r..p-r+j-1:
             # the rest of the run now precedes the demoted coefficient
             ok, t = raised(p - r + j - 1)
             start_ok = start_ok & ok
-            start_cost = start_cost + len0[t]
+            start_cost = start_cost + len0.take(t)
             length = start_cost + lengths[rest, s - 1]
             dominated |= (r >= j) & start_ok & (length > target)
         dominated &= (r < p) & (s > 2)
-        return dominated.tobytes()
-
-    def dominance_index(self, p: int, r: int, s: int) -> int:
-        """Offset of the pattern (r zeros, size s at p) in ``dominance``."""
-        return (p * self.n + r) * (MAX_SIZE + 1) + s
+        return dominated
 
     # -- value helpers shared with decomposition -------------------------
     # Each returns a bit total spread over its multiplicity, in units of
@@ -342,15 +387,21 @@ class _Enumerator:
 
 
 @functools.cache
-def _escape_rows(component: ComponentKind) -> tuple[tuple[bool, ...], ...]:
-    """``[r][s]``: the Huffman code of (r, s) lies in the escape region."""
+def _length_grid(component: ComponentKind) -> np.ndarray:
+    """``code_length`` as an int16 array ``[r, s]``; size 0 costs 0."""
+    return np.array(table_for(component).length_rows, dtype=np.int16)
+
+
+@functools.cache
+def _escape_grid(component: ComponentKind) -> np.ndarray:
+    """``[r, s]``: the Huffman code of (r, s) lies in the escape region."""
     table = table_for(component)
-    return tuple(
-        (False,) + tuple(
+    return np.array([
+        [False] + [
             table.huffman_length(r, s) >= ESCAPE_HUFFMAN_BITS for s in range(1, MAX_SIZE + 1)
-        )
+        ]
         for r in range(MAX_RUNLENGTH + 1)
-    )
+    ])
 
 
 @functools.lru_cache(maxsize=128)
@@ -363,6 +414,30 @@ _KIND_ORDER = tuple(sorted(OpKind, key=lambda kind: kind.value))
 _KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
 
 
+def _ordered(families) -> np.ndarray:
+    """The rows of one set, from the columns of each family of entries
+    (kind, position, run, size, start, width, bits; scalars broadcast),
+    sorted by value, kind, position, run and size."""
+    rows = np.empty(sum(len(family[-1]) for family in families), _ROW)
+    lo = 0
+    for kind, position, run, size, start, width, bits in families:
+        part = rows[lo:lo + len(bits)]
+        part["kind"], part["position"], part["run"], part["size"] = kind, position, run, size
+        part["start"], part["width"], part["bits"] = start, width, bits
+        part["multiplicity"] = width
+        lo += len(bits)
+    return rows[np.lexsort(
+        (rows["size"], rows["run"], rows["position"], rows["kind"], rows["bits"] / rows["width"])
+    )]
+
+
+def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
+    return tuple(
+        DeltaEntry(_KIND_ORDER[kind], p, r, s, bits * (SCALE // width), m)
+        for kind, p, r, s, _, width, bits, m in rows.tolist()
+    )
+
+
 def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     """Evaluate every operation instance and collect the base delta sets.
 
@@ -372,54 +447,120 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     promotion (OP6) whose cell lies in the escape region is dropped when
     the replacement test certifies it.  The published per-cell exclusions
     are not machine readable; they are reconstructed as the escape-region
-    cells, and dropping never costs soundness.  Each set is sorted once
-    here, by value, kind, position, run and size.  Reference sizes are at
-    most 8, so both promoted sizes stay within 10.
+    cells, and dropping never costs soundness.  Each family is built over
+    its (position, run, size) grid in numpy and each set is sorted once,
+    by value, kind, position, run and size.  Reference sizes are at most
+    8, so both promoted sizes stay within 10.
     """
     en = _enumerator(ref)
-    n, sbar, escape, dominance = en.n, en.sbar, en.escape, en.dominance
+    n = en.n
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
     census = {
         "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
     OP1, OP2, OP3, OP4, OP5A, OP5B, OP6A, OP6B = (_KIND_RANK[kind] for kind in OpKind)
-    # rows (value, kind rank, position, runlength, size, multiplicity)
-    losses: list[tuple] = []
-    gains9: list[tuple] = []
-    gains10: list[tuple] = []
+    lengths = _length_grid(ref.component)
+    len0 = lengths[0]
+    escape = _escape_grid(ref.component)
+    prefix = np.array(en.prefix)
+    demoted = np.arange(1, MAX_LOSS_SIZE + 1)
 
-    for p in range(1, n + 1):
-        sb = sbar[p - 1]
-        for s in range(1, min(sb, MAX_LOSS_SIZE + 1)):
-            losses.append((en.op1_value(p, s), OP1, p, 0, s, 1))
-        gains9.append((en.op5_value(p, sb + 1), OP5A, p, 0, sb + 1, 1))
-        gains10.append((en.op5_value(p, sb + 2), OP5B, p, 0, sb + 2, 1))
+    # single positions: demotions (OP1) and bare promotions (OP5)
+    sbar = np.array(en.sbar)
+    p = np.arange(1, n + 1)
+    i, j = np.nonzero(demoted < sbar[:, None])
+    losses = [(OP1, p[i], 0, demoted[j], p[i], 1, len0[sbar[i]] - len0[demoted[j]])]
+    gains9 = [(OP5A, p, 0, sbar + 1, p, 1, len0[sbar + 1] - len0[sbar])]
+    gains10 = [(OP5B, p, 0, sbar + 2, p, 1, len0[sbar + 2] - len0[sbar])]
 
-    for p in range(2, n + 1):
-        sb = sbar[p - 1]
-        demoted = range(1, min(sb, MAX_LOSS_SIZE + 1))
-        for r in range(1, p):
-            losses.extend((en.op2_value(p, r, s), OP2, p, r, s, r + 1) for s in demoted)
-            losses.append((en.op3_value(p, r), OP3, p, r, sb, r))
-            cell = en.dominance_index(p, r, 0)
-            if not (escape[r][sb + 1] and dominance[cell + sb + 1]):
-                gains9.append((en.op6_value(p, r, sb + 1), OP6A, p, r, sb + 1, 1))
-            if not (escape[r][sb + 2] and dominance[cell + sb + 2]):
-                gains10.append((en.op6_value(p, r, sb + 2), OP6B, p, r, sb + 2, 1))
+    # runs of r zeros ahead of position p, 1 <= r < p
+    p, r = np.tril_indices(n, -1)
+    p, r = p + 1, r + 1
+    sbar = sbar[p - 1]
+    run_cost = prefix[p] - prefix[p - r - 1]
+    i, j = np.nonzero(demoted < sbar[:, None])
+    run_p, run_r, size = p[i], r[i], demoted[j]
+    losses.append(
+        (OP2, run_p, run_r, size, run_p - run_r, run_r + 1, run_cost[i] - lengths[run_r, size])
+    )
+    losses.append((OP3, p, r, sbar, p - r, r, run_cost - lengths[r, sbar]))
+    for kind, size, family in ((OP6A, sbar + 1, gains9), (OP6B, sbar + 2, gains10)):
+        keep = ~(escape[r, size] & en.dominance[p, r, size])
+        family.append((
+            kind, p[keep], r[keep], size[keep], p[keep], 1,
+            lengths[r[keep], size[keep]] - lengths[r[keep], sbar[keep]],
+        ))
 
-    for p in range(1, n):
-        losses.append((en.op4_value(p), OP4, p, 0, 0, n - p))
-
-    def ordered(rows):
-        rows.sort()
-        return tuple(
-            DeltaEntry(_KIND_ORDER[kind], p, r, s, value, m)
-            for value, kind, p, r, s, m in rows
-        )
+    # EOB after position p
+    p = np.arange(1, n)
+    losses.append((OP4, p, 0, 0, p + 1, n - p, prefix[n] - prefix[p] - en.eob_bits))
 
     return LossGainSets(
-        ordered(losses), ordered(gains9), ordered(gains10), Refinement.BASE, census, n
+        _ordered(losses), _ordered(gains9), _ordered(gains10), Refinement.BASE, census, n
+    )
+
+
+def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = False):
+    """The rows the capacity rule keeps, with their copy counts.
+
+    Walks ``rows`` in ascending order, or from the top, keeping per value
+    tier a bitmask of the positions already covered; an entry keeps the
+    copies its footprint adds to that mask.  Stops once ``stop`` copies
+    are held.  Returns the kept rows in ascending order.
+    """
+    walk = rows[::-1] if from_top else rows
+    covered: dict[float, int] = {}
+    kept: list[int] = []
+    copies: list[int] = []
+    held = 0
+    for i, (tier, start, width) in enumerate(_walk_columns(walk)):
+        if held >= stop:
+            break
+        footprint = ((1 << width) - 1) << start
+        mask = covered.get(tier, 0)
+        fresh = (footprint & ~mask).bit_count()
+        if fresh:
+            covered[tier] = mask | footprint
+            kept.append(i)
+            copies.append(fresh)
+            held += fresh
+    out = walk[kept]
+    out["multiplicity"] = copies
+    return out[::-1] if from_top else out
+
+
+def _walk_columns(rows: np.ndarray):
+    """(value tier, footprint start, width) per row, converted 256 rows at
+    a time: a stopping walk reads only the first few hundred."""
+    for lo in range(0, len(rows), 256):
+        part = rows[lo:lo + 256]
+        yield from zip(
+            (part["bits"] / part["width"]).tolist(), part["start"].tolist(), part["width"].tolist()
+        )
+
+
+def _capped(sets: LossGainSets, stops=None) -> LossGainSets:
+    """The capacity level of ``sets``.
+
+    With ``stops = (losses, gains9, gains10)`` the walks stop once they
+    hold that many copies, gains taken from the top: the result then holds
+    only the smallest loss copies and the largest gains a limit reads.
+    """
+    loss_stop, stop9, stop10 = stops or (math.inf,) * 3
+    top = stops is not None
+    refinement = (
+        Refinement.MAXCONFIG
+        if sets.refinement is Refinement.MAXCONFIG
+        else Refinement.CAPACITY
+    )
+    return LossGainSets(
+        _capacity_walk(sets.loss_rows, loss_stop),
+        _capacity_walk(sets.gain9_rows, stop9, top),
+        _capacity_walk(sets.gain10_rows, stop10, top),
+        refinement,
+        sets.census,
+        sets.n_positions,
     )
 
 
@@ -436,42 +577,7 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     Footprints of reduced entries keep their original extent; only the
     copy counts feed the loss and gain functions.
     """
-    n = sets.n_positions
-
-    def dedup(entries):
-        covered: dict[int, int] = {}
-        out = []
-        for e in entries:
-            span = e.footprint(n)
-            footprint = ((1 << len(span)) - 1) << span.start
-            tier = covered.get(e.value, 0)
-            fresh = (footprint & ~tier).bit_count()
-            if fresh:
-                covered[e.value] = tier | footprint
-                if fresh == e.multiplicity:
-                    out.append(e)
-                else:
-                    out.append(
-                        DeltaEntry(
-                            e.op_kind, e.position, e.runlength, e.size,
-                            e.value, fresh,
-                        )
-                    )
-        return tuple(out)
-
-    refinement = (
-        Refinement.MAXCONFIG
-        if sets.refinement is Refinement.MAXCONFIG
-        else Refinement.CAPACITY
-    )
-    return LossGainSets(
-        dedup(sets.losses),
-        dedup(sets.gains9),
-        dedup(sets.gains10),
-        refinement,
-        sets.census,
-        n,
-    )
+    return _capped(sets)
 
 
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
@@ -482,18 +588,15 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     survives unless a strictly longer replacement exists for its exact
     positions, so removal is always provable.
     """
-    en = _enumerator(ref)
-    dominance, index = en.dominance, en.dominance_index
+    dominance = _enumerator(ref).dominance
 
-    def kept(entries):
-        return tuple(
-            e for e in entries if not dominance[index(e.position, e.runlength, e.size)]
-        )
+    def kept(rows):
+        return rows[np.flatnonzero(~dominance[rows["position"], rows["run"], rows["size"]])]
 
     return LossGainSets(
-        kept(sets.losses),
-        kept(sets.gains9),
-        kept(sets.gains10),
+        kept(sets.loss_rows),
+        kept(sets.gain9_rows),
+        kept(sets.gain10_rows),
         Refinement.MAXCONFIG,
         sets.census,
         sets.n_positions,
@@ -505,30 +608,41 @@ def _base_sets_cached(ref: ReferenceConfig) -> LossGainSets:
     return enumerate_deltas(ref)
 
 
-def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
-    """Delta sets at the requested refinement level."""
+def _level_sets(ref: ReferenceConfig, refinement: Refinement, stops=None) -> LossGainSets:
     sets = _base_sets_cached(ref)
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
         sets = refine_maxconfig(sets, ref)
-    return refine_capacity(sets)
+    return _capped(sets, stops)
 
 
-def _loss_prefix(sets: LossGainSets, count: int) -> list[int]:
+def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
+    """Delta sets at the requested refinement level."""
+    return _level_sets(ref, refinement)
+
+
+def _values(rows: np.ndarray) -> list[int]:
+    """Exact per-position values of ``rows``, in units of 1/SCALE bits."""
+    columns = zip(rows["bits"].tolist(), rows["width"].tolist())
+    return [bits * (SCALE // width) for bits, width in columns]
+
+
+def _loss_prefix(rows: np.ndarray, count: int) -> list[int]:
     """prefix[i] = sum of the i smallest loss copies, i = 0..count."""
-    copies = chain.from_iterable(repeat(e.value, e.multiplicity) for e in sets.losses)
+    rows = rows[:count]  # every row carries at least one copy
+    copies = chain.from_iterable(map(repeat, _values(rows), rows["multiplicity"].tolist()))
     return list(accumulate(islice(copies, count), initial=0))
 
 
-def _gain_prefix(entries, count: int) -> list[int]:
+def _gain_prefix(rows: np.ndarray, count: int) -> list[int]:
     """prefix[i] = sum of the i largest gain values, i = 0..count."""
-    return list(accumulate(islice((e.value for e in reversed(entries)), count), initial=0))
+    return list(accumulate(_values(rows[::-1][:count]), initial=0))
 
 
 def loss_function(sets: LossGainSets, n: int) -> Fraction:
     """Sum of the n smallest loss copies (multiplicity expanded)."""
-    prefix = _loss_prefix(sets, n)
+    prefix = _loss_prefix(sets.loss_rows, n)
     if n >= len(prefix):
         raise LossSetExhaustedError(f"needed {n} loss copies, have {len(prefix) - 1}")
     return Fraction(prefix[n], SCALE)
@@ -536,8 +650,8 @@ def loss_function(sets: LossGainSets, n: int) -> Fraction:
 
 def gain_functions(sets: LossGainSets, a: int, b: int) -> tuple[Fraction, Fraction]:
     """Sums of the a largest size-9 and b largest size-10 gains."""
-    prefix9 = _gain_prefix(sets.gains9, a)
-    prefix10 = _gain_prefix(sets.gains10, b)
+    prefix9 = _gain_prefix(sets.gain9_rows, a)
+    prefix10 = _gain_prefix(sets.gain10_rows, b)
     if a >= len(prefix9) or b >= len(prefix10):
         raise LossSetExhaustedError(f"gain sets hold fewer than ({a}, {b}) values")
     return Fraction(prefix9[a], SCALE), Fraction(prefix10[b], SCALE)
@@ -549,16 +663,20 @@ def solve_limit(
     sf: Fraction | None = None,
     sets: LossGainSets | None = None,
 ) -> BoundResult:
-    """Maximize gains minus forced losses over the admissible pairs."""
-    if sets is None:
-        sets = build_sets(ref, refinement)
+    """Maximize gains minus forced losses over the admissible pairs.
+
+    Without ``sets``, the capacity walk stops once it holds the loss
+    copies and gains the pairs read.
+    """
     pairs = admissible_pairs(ref.n_positions)
     max_a = max(a for a, _ in pairs)
     max_b = max(b for _, b in pairs)
     max_n = max(PROMOTION_COST_9 * a + PROMOTION_COST_10 * b for a, b in pairs)
-    losses = _loss_prefix(sets, max_n)
-    gains9 = _gain_prefix(sets.gains9, max_a)
-    gains10 = _gain_prefix(sets.gains10, max_b)
+    if sets is None:
+        sets = _level_sets(ref, refinement, (max_n, max_a, max_b))
+    losses = _loss_prefix(sets.loss_rows, max_n)
+    gains9 = _gain_prefix(sets.gain9_rows, max_a)
+    gains10 = _gain_prefix(sets.gain10_rows, max_b)
     if len(losses) <= max_n:
         raise LossSetExhaustedError(f"needed {max_n} loss copies, have {len(losses) - 1}")
     if len(gains9) <= max_a or len(gains10) <= max_b:

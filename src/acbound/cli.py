@@ -252,11 +252,13 @@ def _verify_fuzz(args, checks: list[dict]) -> None:
         for text in sf_texts:
             q = scaled_annex_k(component, _parse_sf(text))
             summary = soundness_fuzz(args.trials, q, component, seed)
-            _check(
-                checks, f"fuzz {component.value} sf={text}",
-                summary["min_slack"] >= 0,
-                f"max_bits={summary['max_bits']} min_slack={summary['min_slack']}",
-            )
+            ok = summary["min_slack"] >= 0
+            detail = f"max_bits={summary['max_bits']} min_slack={summary['min_slack']}"
+            if not ok:
+                # the witness: raw samples 0..255 in raster order
+                raw = (summary["worst_block"] + 128).ravel().tolist()
+                detail += " block=" + ",".join(map(str, raw))
+            _check(checks, f"fuzz {component.value} sf={text}", ok, detail)
 
 
 def cmd_verify(args) -> int:

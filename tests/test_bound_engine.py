@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acbound import bound_engine
 from acbound.bound_engine import (
     ConstraintError,
+    DeltaEntry,
     LossSetExhaustedError,
     OpKind,
     Refinement,
@@ -396,11 +399,11 @@ class TestDominanceTable:
                 for r in range(p):
                     for s in range(11):
                         expected = scalar_dominated(ref, p, r, s)
-                        cell = en.dominance[en.dominance_index(p, r, s)]
+                        cell = en.dominance[p, r, s]
                         assert cell == expected, (ref.exponents, p, r, s)
                         count += expected
             # nothing is marked outside the 0 <= r < p patterns
-            assert sum(en.dominance) == count
+            assert en.dominance.sum() == count
 
     def test_escape_gains_dropped_exactly_when_dominated(self, component, rng):
         table = table_for(component)
@@ -437,6 +440,153 @@ class TestCapacityBitmask:
             assert capped.losses == set_dedup_losses(base.losses, n)
             assert capped.gains9 == seen_dedup_gains(base.gains9)
             assert capped.gains10 == seen_dedup_gains(base.gains10)
+
+
+EXPONENT_VECTORS = st.lists(st.integers(0, 6), min_size=1, max_size=63)
+KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)
+
+
+def columnar_examples(test):
+    """All-0, all-6 and ascending vectors, full-length and short."""
+    for n in (63, 17, 4):
+        for vector in ([0] * n, [6] * n, [k * 7 // n for k in range(n)]):
+            test = example(vector, ComponentKind.LUMINANCE)(test)
+    return test
+
+
+def limit_stops(ref):
+    """(loss copies, size-9 gains, size-10 gains) a limit of ``ref`` reads."""
+    pairs = admissible_pairs(ref.n_positions)
+    return (
+        max(3 * a + 15 * b for a, b in pairs),
+        max(a for a, _ in pairs),
+        max(b for _, b in pairs),
+    )
+
+
+def scalar_enumeration(ref):
+    """The base sets, one operation instance at a time from the scalar
+    value helpers ``decompose`` uses, sorted as exact tuples."""
+    en = bound_engine._enumerator(ref)
+    table = table_for(ref.component)
+    n, sbar = ref.n_positions, ref.sbar
+    losses, gains9, gains10 = [], [], []
+    for p in range(1, n + 1):
+        sb = sbar[p - 1]
+        losses += [(en.op1_value(p, s), OpKind.OP1, p, 0, s, 1) for s in range(1, min(sb, 8))]
+        gains9.append((en.op5_value(p, sb + 1), OpKind.OP5A, p, 0, sb + 1, 1))
+        gains10.append((en.op5_value(p, sb + 2), OpKind.OP5B, p, 0, sb + 2, 1))
+        for r in range(1, p):
+            losses += [
+                (en.op2_value(p, r, s), OpKind.OP2, p, r, s, r + 1) for s in range(1, min(sb, 8))
+            ]
+            losses.append((en.op3_value(p, r), OpKind.OP3, p, r, sb, r))
+            for kind, size, gains in ((OpKind.OP6A, sb + 1, gains9),
+                                      (OpKind.OP6B, sb + 2, gains10)):
+                if not (table.huffman_length(r, size) >= 15 and en.dominance[p, r, size]):
+                    gains.append((en.op6_value(p, r, size), kind, p, r, size, 1))
+    losses += [(en.op4_value(p), OpKind.OP4, p, 0, 0, n - p) for p in range(1, n)]
+
+    def entries(rows):
+        rows.sort(key=lambda row: (row[0], row[1].value) + row[2:])
+        return tuple(DeltaEntry(kind, p, r, s, value, m) for value, kind, p, r, s, m in rows)
+
+    return entries(losses), entries(gains9), entries(gains10)
+
+
+class TestColumnarSets:
+    def test_enumeration_matches_the_scalar_loop(self, rng):
+        for ref in oracle_references(rng):
+            sets = enumerate_deltas(ref)
+            assert (sets.losses, sets.gains9, sets.gains10) == scalar_enumeration(ref)
+
+    @given(EXPONENT_VECTORS, st.sampled_from(list(ComponentKind)))
+    @settings(max_examples=25, deadline=None)
+    @columnar_examples
+    def test_stopping_walk_reads_the_full_walk_prefixes(self, exponents, component):
+        ref = reference_config(component, exponents)
+        stops = limit_stops(ref)
+        for refinement in Refinement:
+            full = build_sets(ref, refinement)
+            stopped = bound_engine._level_sets(ref, refinement, stops)
+            assert stopped.refinement is full.refinement
+            for rows, count, prefix in (
+                ("loss_rows", stops[0], bound_engine._loss_prefix),
+                ("gain9_rows", stops[1], bound_engine._gain_prefix),
+                ("gain10_rows", stops[2], bound_engine._gain_prefix),
+            ):
+                expected = prefix(getattr(full, rows), count)
+                assert prefix(getattr(stopped, rows), count) == expected, (refinement, rows)
+
+    @given(EXPONENT_VECTORS, st.sampled_from(list(ComponentKind)))
+    @settings(max_examples=15, deadline=None)
+    @columnar_examples
+    def test_entries_follow_the_exact_value_order(self, exponents, component):
+        # the float64 sort key must agree with exact (value, kind, p, r, s) order
+        ref = reference_config(component, exponents)
+        for refinement in Refinement:
+            sets = build_sets(ref, refinement)
+            for rows, entries in (
+                (sets.loss_rows, sets.losses),
+                (sets.gain9_rows, sets.gains9),
+                (sets.gain10_rows, sets.gains10),
+            ):
+                exact = sorted(
+                    (Fraction(bits, width), kind, p, r, s, m)
+                    for kind, p, r, s, _, width, bits, m in rows.tolist()
+                )
+                assert [
+                    (e.per_position_value, KIND_ORDER.index(e.op_kind), e.position,
+                     e.runlength, e.size, e.multiplicity)
+                    for e in entries
+                ] == exact
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=20),
+           st.sampled_from(list(ComponentKind)))
+    @settings(max_examples=25, deadline=None)
+    @example([6], ComponentKind.CHROMINANCE)
+    @example([0] * 5, ComponentKind.LUMINANCE)
+    def test_exhaustion_on_short_instances(self, exponents, component):
+        ref = reference_config(component, exponents)
+        loss_stop, stop9, stop10 = limit_stops(ref)
+        for refinement in Refinement:
+            sets = build_sets(ref, refinement)
+            copies = sum(e.multiplicity for e in sets.losses)
+            assert loss_function(sets, copies) == sum(
+                e.per_position_value * e.multiplicity for e in sets.losses
+            )
+            with pytest.raises(LossSetExhaustedError):
+                loss_function(sets, copies + 1)
+            gain_functions(sets, len(sets.gains9), len(sets.gains10))
+            for a, b in ((len(sets.gains9) + 1, 0), (0, len(sets.gains10) + 1)):
+                with pytest.raises(LossSetExhaustedError):
+                    gain_functions(sets, a, b)
+            short = (
+                copies < loss_stop or len(sets.gains9) < stop9 or len(sets.gains10) < stop10
+            )
+            if short:
+                with pytest.raises(LossSetExhaustedError):
+                    solve_limit(ref, refinement)
+            else:
+                assert solve_limit(ref, refinement) == solve_limit(ref, sets=sets)
+
+    @pytest.mark.parametrize("exponents", [[0] * 63, [6] * 63, [k // 10 for k in range(63)]])
+    def test_limit_path_builds_no_entry(self, monkeypatch, exponents):
+        built = []
+
+        def counting_entry(*args):
+            built.append(args)
+            return DeltaEntry(*args)
+
+        monkeypatch.setattr(bound_engine, "DeltaEntry", counting_entry)
+        bound_engine._base_sets_cached.cache_clear()
+        bound_engine._enumerator.cache_clear()
+        ref = reference_config(ComponentKind.CHROMINANCE, exponents)
+        for refinement in Refinement:
+            solve_limit(ref, refinement)
+        assert built == []
+        # the stand-in does count: reading the entry tuples builds them
+        assert len(build_sets(ref, Refinement.BASE).losses) == len(built) > 0
 
 
 class TestGeneralizedInstances:

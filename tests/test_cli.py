@@ -6,13 +6,16 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import acbound
 from acbound import cli, verification
 from acbound.cli import main
 from acbound.entropy_model import ComponentKind
-from acbound.verification import HIGH_COST_SEED_BLOCK
+from acbound.quantization import scaled_annex_k
+from acbound.transform import level_shift
+from acbound.verification import HIGH_COST_SEED_BLOCK, encode_block
 
 
 @pytest.fixture
@@ -76,6 +79,33 @@ class TestLimits:
         assert hashlib.sha256(data).hexdigest() == (
             "d3b7c434dc6ffe8326d85ef21dfb03078f134f568bca33059df5e8c5fdb5dd79"
         )
+
+    @pytest.mark.parametrize("refinement, output, digest", [
+        ("base", [], "7c8ed4538525b49b336a64d714c011f3d53f794ce7f585761d29252fa99d06be"),
+        ("base", ["--csv"], "4c2478ee038676df6f775279de1197a420c5585e00338835c2ac686d29a012dd"),
+        ("base", ["--json"], "762ee01904096aab441dd3a2d71c62b28b2352bc0b3ab94a87a2e00c71688009"),
+        ("capacity", [], "b8973ad6a5eed1b45c7848deede8e236ee50282738c47f0f744fd309e963ce8a"),
+        ("capacity", ["--csv"],
+         "6bb4053720127d9f7046f670461b02cc4168e02ee5920e97a27ff208c5d9e807"),
+        ("capacity", ["--json"],
+         "1b3307c021e791bd8909a2c8ff497c5245eec7025da517588a3bb013b88ed2f2"),
+        ("maxconfig", [], "715dc366ca32e7efc7c066f66a076df5565ce90a2a2746da77541543ca59da9d"),
+        ("maxconfig", ["--csv"],
+         "718c8ca64593eed98603ca3e4cb592a0355770292e4dc0f5d3a350b1fcb89fe7"),
+        ("maxconfig", ["--json"],
+         "9ffa483bb97e452a0cf3f29206d0fa4b8ad70d744a700142572b310c2db33cdb"),
+        ("best", [], "7862b8ebcf9f43230f158ca2a6777f04260360f8ec53105dde17e1504961edc1"),
+        ("best", ["--csv"], "37a61752f55c8dfdff52af3aefab5f202219c7c1cee72abef23584d82fa2b974"),
+        ("best", ["--json"], "d3b7c434dc6ffe8326d85ef21dfb03078f134f568bca33059df5e8c5fdb5dd79"),
+    ])
+    def test_paper_table_pinned_at_every_level(self, capsys, monkeypatch, refinement, output,
+                                               digest):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        code, out, _ = run(
+            capsys, ["limits", "--sf-set", "paper", "--refinement", refinement] + output
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_invalid_sf(self, capsys):
         code, _, err = run(capsys, ["limits", "--sf", "3/2"])
@@ -222,11 +252,20 @@ class TestVerify:
         argv = ["verify", "fuzz", "--trials", "300", "--sf", "1", "--component", "lum"]
         code, out, err = run(capsys, argv)
         assert code == 1
-        assert out.splitlines()[0] == "FAIL fuzz luminance sf=1 (max_bits=225 min_slack=-125)"
+        line = out.splitlines()[0]
+        assert line.startswith("FAIL fuzz luminance sf=1 (max_bits=225 min_slack=-125 block=")
         assert "Traceback" not in err
+        # the witness: 64 raw samples in raster order that re-encode to max_bits
+        samples = [int(v) for v in line.rstrip(")").split("block=")[1].split(",")]
+        assert len(samples) == 64 and all(0 <= v <= 255 for v in samples)
+        raw = np.array(samples).reshape(8, 8)
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        assert encode_block(level_shift(raw), q, ComponentKind.LUMINANCE).ac_bits == 225
         code, out, _ = run(capsys, argv + ["--json"])
         assert code == 1
-        assert json.loads(out)["ok"] is False
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["checks"][0]["detail"] == line.split(" (", 1)[1][:-1]
 
     @pytest.mark.parametrize("env_seed, flags, seed", [
         ("5", [], 5), (None, ["--seed", "7"], 7), (None, [], 0),
