@@ -5,11 +5,14 @@ have unquantized size 8 (value 2**7), so every reduced configuration on
 the coefficient sphere is reachable through local size-replacement
 operations:
 
-* OP1 demotes one coefficient below its reference size,
 * OP2 turns a run of coefficients into zeros ending in a demoted one,
 * OP3 turns a run into zeros ahead of a kept reference coefficient,
 * OP4 zeroes the tail behind the last nonzero coefficient (EOB),
-* OP5 and OP6 promote a coefficient to size 9 or 10, bare or after a run.
+* OP6 turns a run into zeros ending in one promoted to size 9 or 10.
+
+OP1 and OP5 are the empty-run (``r = 0``) cases of OP2 and OP6, a bare
+demotion or promotion costed by the same symbol length ``len(r, s)``:
+one formula computes both, and only the kind label differs.
 
 Each operation has an exact per-position code-length delta.  Energy
 accounting over the coefficient ball forces every promotion to be paid
@@ -29,9 +32,11 @@ entry, losses included.
 
 The replacement argument is decided once per reference: one boolean
 array over every (position, run, size) pattern, built with numpy and
-read by enumeration and the maxconfig level alike.  It lives on a cached
-per-reference enumerator (with the code-length rows and reference prefix
-sums that decomposition also uses), built only when first needed.
+read by enumeration and the maxconfig level alike.  One cache holds all
+per-reference state: an enumerator with the reference prefix sums that
+decomposition also uses, and, each built on first use, the dominance
+array and the base delta sets.  Code lengths come from the component's
+one ``CodeLengthTable.lengths`` array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
@@ -198,7 +203,6 @@ class LossGainSets:
     gain10_rows: np.ndarray
     refinement: Refinement
     census: dict[str, int]
-    n_positions: int
 
     @functools.cached_property
     def losses(self) -> tuple[DeltaEntry, ...]:
@@ -244,8 +248,6 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     so that reference coefficients stay nonzero after quantization and
     the promotion interdependence holds.
     """
-    if isinstance(exponents, Pow2QuantTable):
-        exponents = exponents.c
     exponents = tuple(int(c) for c in exponents)
     if len(exponents) > AC_POSITIONS:
         raise UnsupportedTableError(f"at most {AC_POSITIONS} positions are supported")
@@ -263,7 +265,7 @@ def reference_length(component: ComponentKind, c: Pow2QuantTable) -> ReferenceCo
     """Reference configuration for a full 63-position power-of-2 table."""
     if len(c.c) != AC_POSITIONS:
         raise UnsupportedTableError(f"expected {AC_POSITIONS} exponents, got {len(c.c)}")
-    return reference_config(component, c)
+    return reference_config(component, c.c)
 
 
 def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
@@ -284,8 +286,10 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
 class _Enumerator:
     """Per-reference state shared by enumeration, pruning and decomposition.
 
-    Holds the code-length rows ``[r][s]`` of the component, prefix sums of
-    the reference costs and, built on first use, the dominance table.
+    Holds the component's code lengths as nested lists ``[r][s]`` (Python
+    ints, so exact values never meet a fixed-width integer), prefix sums
+    of the reference costs and, each built on first use, the dominance
+    table and the base delta sets.
     """
 
     def __init__(self, ref: ReferenceConfig):
@@ -293,11 +297,10 @@ class _Enumerator:
         table = table_for(ref.component)
         self.n = ref.n_positions
         self.sbar = ref.sbar
-        self.lengths = table.length_rows
-        self.len0 = self.lengths[0]
+        self.lengths = table.lengths.tolist()
         self.eob_bits = table.eob_bits
         # prefix[i] = sum of len(0, sbar_k) for k = 1..i
-        self.prefix = list(accumulate((self.len0[s] for s in self.sbar), initial=0))
+        self.prefix = list(accumulate((self.lengths[0][s] for s in self.sbar), initial=0))
 
     def run_cost(self, p: int, r: int) -> int:
         """Reference cost of positions p-r..p as individual symbols."""
@@ -320,7 +323,7 @@ class _Enumerator:
         vanish) and patterns without a run are never dominated.
         """
         n = self.n
-        lengths = _length_grid(self.ref.component)
+        lengths = table_for(self.ref.component).lengths
         len0 = lengths[0]
         # int16 grids keep the (p, r, s) temporaries small; flat ``take``
         # gathers are much faster than broadcast fancy indexing
@@ -358,12 +361,14 @@ class _Enumerator:
         dominated &= (r < p) & (s > 2)
         return dominated
 
+    @functools.cached_property
+    def base_sets(self) -> LossGainSets:
+        return enumerate_deltas(self.ref)
+
     # -- value helpers shared with decomposition -------------------------
     # Each returns a bit total spread over its multiplicity, in units of
-    # 1/SCALE bits per position.
-
-    def op1_value(self, p: int, s: int) -> int:
-        return (self.len0[self.sbar[p - 1]] - self.len0[s]) * SCALE
+    # 1/SCALE bits per position.  ``r = 0`` is the bare operation: OP1 for
+    # ``op2_value`` and OP5 for ``op6_value``.
 
     def op2_value(self, p: int, r: int, s: int) -> int:
         bits = self.run_cost(p, r) - self.lengths[r][s]
@@ -378,18 +383,9 @@ class _Enumerator:
         tail = self.prefix[self.n] - self.prefix[p]
         return (tail - self.eob_bits) * (SCALE // (self.n - p))
 
-    def op5_value(self, p: int, new_size: int) -> int:
-        return (self.len0[new_size] - self.len0[self.sbar[p - 1]]) * SCALE
-
     def op6_value(self, p: int, r: int, new_size: int) -> int:
         row = self.lengths[r]
         return (row[new_size] - row[self.sbar[p - 1]]) * SCALE
-
-
-@functools.cache
-def _length_grid(component: ComponentKind) -> np.ndarray:
-    """``code_length`` as an int16 array ``[r, s]``; size 0 costs 0."""
-    return np.array(table_for(component).length_rows, dtype=np.int16)
 
 
 @functools.cache
@@ -412,6 +408,11 @@ def _enumerator(ref: ReferenceConfig) -> _Enumerator:
 # Entry order inside each set: value, then kind name, position, run, size.
 _KIND_ORDER = tuple(sorted(OpKind, key=lambda kind: kind.value))
 _KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
+
+# Kinds indexed by ``r > 0``, the bare operation first: a demotion, and a
+# promotion by its size step S - 8.
+_DEMOTION = (OpKind.OP1, OpKind.OP2)
+_PROMOTION = {1: (OpKind.OP5A, OpKind.OP6A), 2: (OpKind.OP5B, OpKind.OP6B)}
 
 
 def _ordered(families) -> np.ndarray:
@@ -447,10 +448,11 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     promotion (OP6) whose cell lies in the escape region is dropped when
     the replacement test certifies it.  The published per-cell exclusions
     are not machine readable; they are reconstructed as the escape-region
-    cells, and dropping never costs soundness.  Each family is built over
-    its (position, run, size) grid in numpy and each set is sorted once,
-    by value, kind, position, run and size.  Reference sizes are at most
-    8, so both promoted sizes stay within 10.
+    cells, and dropping never costs soundness.  Demotions and promotions
+    are built over the (position, run, size) grid with runs 0 <= r < p,
+    the kind label naming the bare (r = 0) or run case; each set is
+    sorted once, by value, kind, position, run and size.  Reference sizes
+    are at most 8, so both promoted sizes stay within 10.
     """
     en = _enumerator(ref)
     n = en.n
@@ -459,46 +461,50 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
         "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
-    OP1, OP2, OP3, OP4, OP5A, OP5B, OP6A, OP6B = (_KIND_RANK[kind] for kind in OpKind)
-    lengths = _length_grid(ref.component)
-    len0 = lengths[0]
+    lengths = table_for(ref.component).lengths
     escape = _escape_grid(ref.component)
     prefix = np.array(en.prefix)
     demoted = np.arange(1, MAX_LOSS_SIZE + 1)
 
-    # single positions: demotions (OP1) and bare promotions (OP5)
-    sbar = np.array(en.sbar)
-    p = np.arange(1, n + 1)
-    i, j = np.nonzero(demoted < sbar[:, None])
-    losses = [(OP1, p[i], 0, demoted[j], p[i], 1, len0[sbar[i]] - len0[demoted[j]])]
-    gains9 = [(OP5A, p, 0, sbar + 1, p, 1, len0[sbar + 1] - len0[sbar])]
-    gains10 = [(OP5B, p, 0, sbar + 2, p, 1, len0[sbar + 2] - len0[sbar])]
+    def kind_ranks(kinds, run):
+        """uint8 kind ranks by run length, the bare kind at r = 0."""
+        bare, with_run = (np.uint8(_KIND_RANK[kind]) for kind in kinds)
+        return np.where(run > 0, with_run, bare)
 
-    # runs of r zeros ahead of position p, 1 <= r < p
-    p, r = np.tril_indices(n, -1)
-    p, r = p + 1, r + 1
-    sbar = sbar[p - 1]
+    # r zeros ahead of position p, 0 <= r < p
+    p, r = np.tril_indices(n)
+    p += 1
+    sbar = np.array(en.sbar)[p - 1]
     run_cost = prefix[p] - prefix[p - r - 1]
     i, j = np.nonzero(demoted < sbar[:, None])
     run_p, run_r, size = p[i], r[i], demoted[j]
-    losses.append(
-        (OP2, run_p, run_r, size, run_p - run_r, run_r + 1, run_cost[i] - lengths[run_r, size])
-    )
-    losses.append((OP3, p, r, sbar, p - r, r, run_cost - lengths[r, sbar]))
-    for kind, size, family in ((OP6A, sbar + 1, gains9), (OP6B, sbar + 2, gains10)):
-        keep = ~(escape[r, size] & en.dominance[p, r, size])
-        family.append((
-            kind, p[keep], r[keep], size[keep], p[keep], 1,
-            lengths[r[keep], size[keep]] - lengths[r[keep], sbar[keep]],
-        ))
+    losses = [(
+        kind_ranks(_DEMOTION, run_r), run_p, run_r, size, run_p - run_r, run_r + 1,
+        run_cost[i] - lengths[run_r, size],
+    )]
+    i = np.flatnonzero(r)  # a kept coefficient needs a run
+    run_p, run_r, size = p[i], r[i], sbar[i]
+    losses.append((
+        _KIND_RANK[OpKind.OP3], run_p, run_r, size, run_p - run_r, run_r,
+        run_cost[i] - lengths[run_r, size],
+    ))
+    gains = []
+    for step, kinds in _PROMOTION.items():
+        size = sbar + step
+        i = np.flatnonzero(~(escape[r, size] & en.dominance[p, r, size]))
+        run_p, run_r, size = p[i], r[i], size[i]
+        gains.append(_ordered([(
+            kind_ranks(kinds, run_r), run_p, run_r, size, run_p, 1,
+            lengths[run_r, size] - lengths[run_r, sbar[i]],
+        )]))
 
     # EOB after position p
     p = np.arange(1, n)
-    losses.append((OP4, p, 0, 0, p + 1, n - p, prefix[n] - prefix[p] - en.eob_bits))
-
-    return LossGainSets(
-        _ordered(losses), _ordered(gains9), _ordered(gains10), Refinement.BASE, census, n
+    losses.append(
+        (_KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, prefix[n] - prefix[p] - en.eob_bits)
     )
+
+    return LossGainSets(_ordered(losses), *gains, Refinement.BASE, census)
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = False):
@@ -560,7 +566,6 @@ def _capped(sets: LossGainSets, stops=None) -> LossGainSets:
         _capacity_walk(sets.gain10_rows, stop10, top),
         refinement,
         sets.census,
-        sets.n_positions,
     )
 
 
@@ -599,17 +604,11 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
         kept(sets.gain10_rows),
         Refinement.MAXCONFIG,
         sets.census,
-        sets.n_positions,
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _base_sets_cached(ref: ReferenceConfig) -> LossGainSets:
-    return enumerate_deltas(ref)
-
-
 def _level_sets(ref: ReferenceConfig, refinement: Refinement, stops=None) -> LossGainSets:
-    sets = _base_sets_cached(ref)
+    sets = _enumerator(ref).base_sets
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
@@ -693,23 +692,16 @@ def solve_limit(
 
 
 @functools.lru_cache(maxsize=256)
-def _limit_cached(
-    component: ComponentKind, q: QuantTable, refinement: Refinement
-) -> BoundResult:
-    c = pow2_table(q)
-    ref = reference_length(component, c)
-    return solve_limit(ref, refinement, sf=q.sf)
-
-
 def upper_limit(
     component: ComponentKind,
     q: QuantTable,
     refinement: Refinement = Refinement.BASE,
 ) -> BoundResult:
-    """Upper AC code-length limit for a quantization table."""
+    """Upper AC code-length limit for a quantization table, memoized."""
     if q.component is not component:
         raise ValueError("component and quantization table disagree")
-    return _limit_cached(component, q, refinement)
+    ref = reference_length(component, pow2_table(q))
+    return solve_limit(ref, refinement, sf=q.sf)
 
 
 # -- exact decomposition of a target configuration -----------------------
@@ -752,32 +744,20 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
         if S == 0:
             run += 1
             continue
-        sb = en.sbar[p - 1]
+        r, run = run, 0
         quantized = S - ref.exponents[p - 1]
-        r = run
-        run = 0
-        if r == 0:
-            if S < REFERENCE_SIZE:
-                entries.append(
-                    DeltaEntry(OpKind.OP1, p, 0, quantized, en.op1_value(p, quantized), 1)
-                )
-            elif S > REFERENCE_SIZE:
-                kind = OpKind.OP5A if S == REFERENCE_SIZE + 1 else OpKind.OP5B
-                entries.append(
-                    DeltaEntry(kind, p, 0, quantized, en.op5_value(p, quantized), 1)
-                )
-            continue
         if S < REFERENCE_SIZE:
-            entries.append(
-                DeltaEntry(OpKind.OP2, p, r, quantized, en.op2_value(p, r, quantized), r + 1)
-            )
-        else:
-            entries.append(DeltaEntry(OpKind.OP3, p, r, sb, en.op3_value(p, r), r))
-            if S > REFERENCE_SIZE:
-                kind = OpKind.OP6A if S == REFERENCE_SIZE + 1 else OpKind.OP6B
-                entries.append(
-                    DeltaEntry(kind, p, r, quantized, en.op6_value(p, r, quantized), 1)
-                )
+            entries.append(DeltaEntry(
+                _DEMOTION[r > 0], p, r, quantized, en.op2_value(p, r, quantized), r + 1
+            ))
+            continue
+        if r > 0:
+            entries.append(DeltaEntry(OpKind.OP3, p, r, en.sbar[p - 1], en.op3_value(p, r), r))
+        if S > REFERENCE_SIZE:
+            entries.append(DeltaEntry(
+                _PROMOTION[S - REFERENCE_SIZE][r > 0], p, r, quantized,
+                en.op6_value(p, r, quantized), 1,
+            ))
     return entries
 
 

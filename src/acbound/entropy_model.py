@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 MAX_RUNLENGTH = 62      # 62 zeros before the last of 63 AC coefficients
 MAX_SIZE = 10           # AC amplitudes fit in 10 bits
 AC_POSITIONS = 63
@@ -38,6 +40,8 @@ class CodeLengthTable:
     ``grid[s - 1][r]`` holds the cost of symbol ``(r, s)`` for
     ``r in 0..15`` and ``s in 1..10``.  The two size-0 symbols are kept
     separately: ``eob_bits`` is ``(0, 0)`` and ``zrl_bits`` is ``(15, 0)``.
+    ``lengths`` is the one array form of ``code_length``: the engine, the
+    block-costing path and the exact oracle all read it.
     """
 
     component: ComponentKind
@@ -60,13 +64,15 @@ class CodeLengthTable:
         return zrl_count * self.zrl_bits + self.grid[size - 1][rest]
 
     @cached_property
-    def length_rows(self) -> tuple[tuple[int, ...], ...]:
-        """``code_length`` as a grid ``[runlength][size]`` for runlength
-        0..62 and size 0..10, where size 0 costs 0."""
-        return tuple(
-            (0,) + tuple(self.code_length(r, s) for s in range(1, MAX_SIZE + 1))
+    def lengths(self) -> np.ndarray:
+        """``code_length`` as a read-only int16 array ``[runlength, size]``
+        for runlength 0..62 and size 0..10, where size 0 costs 0."""
+        lengths = np.array([
+            [0] + [self.code_length(r, s) for s in range(1, MAX_SIZE + 1)]
             for r in range(MAX_RUNLENGTH + 1)
-        )
+        ], dtype=np.int16)
+        lengths.setflags(write=False)
+        return lengths
 
     def huffman_length(self, runlength: int, size: int) -> int:
         """Length of the Huffman part alone for the residual symbol."""

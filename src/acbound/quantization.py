@@ -2,8 +2,8 @@
 
 Scaled tables are built from the example (annex K) tables by
 ``Q = max(INT(SF * Q0), 1)`` with the scale factor kept as an exact
-fraction; the rounding-free power-of-2 reduction keeps, per position, the
-largest power of two not exceeding the factor.
+fraction; the power-of-2 reduction keeps, per position, the largest
+power of two not exceeding the factor, by bit length alone.
 """
 
 from __future__ import annotations
@@ -127,12 +127,10 @@ def pow2_table(q: QuantTable) -> Pow2QuantTable:
     return Pow2QuantTable(q.component, tuple(v.bit_length() - 1 for v in q.q))
 
 
-def quantize(value, q: int, rounding: bool = False):
-    """INT(value / q), truncating toward zero (or rounding when asked)."""
+def quantize(value, q: int):
+    """INT(value / q), truncating toward zero as the paper's quantizer does."""
     if q < 1:
         raise ParameterError(f"quantization factor {q} must be >= 1")
-    if rounding:
-        return int(round(value / q))
     if isinstance(value, (int, Fraction)):
         sign = -1 if value < 0 else 1
         return sign * int(abs(value) // q)

@@ -14,7 +14,6 @@ the independent reference the test suite checks it against.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -125,14 +124,6 @@ def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
     return np.frexp(np.abs(quantized))[1]  # bit length of the integer magnitude
 
 
-@functools.lru_cache(maxsize=2)
-def _length_lut(component: ComponentKind) -> np.ndarray:
-    """Read-only code lengths indexed [runlength, size]; size 0 costs 0."""
-    lut = np.array(table_for(component).length_rows, dtype=np.int64)
-    lut.setflags(write=False)
-    return lut
-
-
 def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
     """Coded AC bits for many quantized size vectors, shape (N, 63)."""
     sizes = np.asarray(sizes)
@@ -141,9 +132,10 @@ def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarra
     prev_cols[:1] = -1
     prev_cols[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], -1)
     runs = cols - prev_cols - 1
-    bits = _length_lut(component)[runs, sizes[rows, cols]]
+    table = table_for(component)
+    bits = table.lengths[runs, sizes[rows, cols]]
     totals = np.bincount(rows, weights=bits, minlength=len(sizes)).astype(np.int64)
-    totals[sizes[:, -1] == 0] += table_for(component).eob_bits  # trailing zeros: EOB
+    totals[sizes[:, -1] == 0] += table.eob_bits  # trailing zeros: EOB
     return totals
 
 
@@ -298,8 +290,8 @@ def toy_oracle(
     ref = reference_config(component, exponents)
 
     budget = (n_positions + 1) << 14
-    lut = _length_lut(component)
-    width = n_positions * int(lut[:n_positions].max()) + 1  # totals 0..width-1
+    table = table_for(component)
+    width = n_positions * int(table.lengths[:n_positions].max()) + 1  # totals 0..width-1
     # after_nonzero[j] is the energy array of state (j, 0); (0, 0) is the empty prefix
     after_nonzero = [np.where(np.arange(width) == 0, 0, budget)]
     for k, c in enumerate(exponents):
@@ -309,10 +301,10 @@ def toy_oracle(
             if cost >= budget:
                 break
             for j, prev in enumerate(after_nonzero):
-                bits = int(lut[k - j, s])
+                bits = int(table.lengths[k - j, s])
                 np.minimum(energy[bits:], prev[:width - bits] + cost, out=energy[bits:])
         after_nonzero.append(energy)
-    eob = table_for(component).eob_bits
+    eob = table.eob_bits
     best = max(int(np.flatnonzero(energy < budget)[-1]) + (eob if j < n_positions else 0)
                for j, energy in enumerate(after_nonzero))
 

@@ -265,7 +265,7 @@ class TestRefinements:
     def test_capacity_caps_copies_per_position(self):
         ref, base = chroma_sf1_sets()
         capped = refine_capacity(base)
-        n = base.n_positions
+        n = ref.n_positions
         # the three overlapping two-position run demotions at the tail carry
         # six copies before pruning and at most four (one per position) after
         def tail_copies(sets):
@@ -473,9 +473,11 @@ def scalar_enumeration(ref):
     losses, gains9, gains10 = [], [], []
     for p in range(1, n + 1):
         sb = sbar[p - 1]
-        losses += [(en.op1_value(p, s), OpKind.OP1, p, 0, s, 1) for s in range(1, min(sb, 8))]
-        gains9.append((en.op5_value(p, sb + 1), OpKind.OP5A, p, 0, sb + 1, 1))
-        gains10.append((en.op5_value(p, sb + 2), OpKind.OP5B, p, 0, sb + 2, 1))
+        losses += [
+            (en.op2_value(p, 0, s), OpKind.OP1, p, 0, s, 1) for s in range(1, min(sb, 8))
+        ]
+        gains9.append((en.op6_value(p, 0, sb + 1), OpKind.OP5A, p, 0, sb + 1, 1))
+        gains10.append((en.op6_value(p, 0, sb + 2), OpKind.OP5B, p, 0, sb + 2, 1))
         for r in range(1, p):
             losses += [
                 (en.op2_value(p, r, s), OpKind.OP2, p, r, s, r + 1) for s in range(1, min(sb, 8))
@@ -579,7 +581,6 @@ class TestColumnarSets:
             return DeltaEntry(*args)
 
         monkeypatch.setattr(bound_engine, "DeltaEntry", counting_entry)
-        bound_engine._base_sets_cached.cache_clear()
         bound_engine._enumerator.cache_clear()
         ref = reference_config(ComponentKind.CHROMINANCE, exponents)
         for refinement in Refinement:
@@ -638,6 +639,31 @@ class TestDecompose:
                 quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
                 direct = sequence_length(table, symbolize(quantized))
                 assert recompose_length(ref, entries) == direct
+
+    def test_kinds_are_labelled_by_run(self):
+        # bare demotion, run demotion, bare size 9, run then size 10, zero tail
+        ref, _ = chroma_sf1_sets()
+        table, sbar = table_for(ref.component), ref.sbar
+        target = [7, 0, 0, 6, 9, 0, 10] + [8] * 12 + [0] * 44
+        assert ref.exponents[:7] == (4, 4, 4, 4, 4, 5, 4)
+
+        def cost(first, last):  # reference cost of positions first..last
+            return sum(table.code_length(0, s) for s in sbar[first - 1:last])
+
+        entries = decompose(target, ref)
+        assert [
+            (e.op_kind, e.position, e.runlength, e.size, e.per_position_value, e.multiplicity)
+            for e in entries
+        ] == [
+            (OpKind.OP4, 19, 0, 0, Fraction(cost(20, 63) - table.eob_bits, 44), 44),
+            (OpKind.OP1, 1, 0, 3, Fraction(cost(1, 1) - table.code_length(0, 3)), 1),
+            (OpKind.OP2, 4, 2, 2, Fraction(cost(2, 4) - table.code_length(2, 2), 3), 3),
+            (OpKind.OP5A, 5, 0, 5, Fraction(table.code_length(0, 5) - cost(5, 5)), 1),
+            (OpKind.OP3, 7, 1, 4, Fraction(cost(6, 7) - table.code_length(1, 4)), 1),
+            (OpKind.OP6B, 7, 1, 6, Fraction(table.code_length(1, 6) - table.code_length(1, 4)), 1),
+        ]
+        quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
+        assert recompose_length(ref, entries) == sequence_length(table, symbolize(quantized))
 
     def test_operation_kinds_partition_positions(self, rng):
         ref, _ = chroma_sf1_sets()

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acbound.entropy_model import (
     AC_POSITIONS,
+    MAX_RUNLENGTH,
+    MAX_SIZE,
     ComponentKind,
     ParameterError,
     chrominance_table,
@@ -32,6 +35,18 @@ class TestCodeLength:
         assert LUM.code_length(0, 7) == 15
         assert CHROMA.code_length(0, 8) == 17
         assert CHROMA.code_length(0, 7) == 14
+
+    @pytest.mark.parametrize("table", [LUM, CHROMA])
+    def test_lengths_array(self, table):
+        lengths = table.lengths
+        assert lengths.dtype == np.int16
+        assert lengths.shape == (MAX_RUNLENGTH + 1, MAX_SIZE + 1)
+        assert not lengths[:, 0].any()
+        for r in range(MAX_RUNLENGTH + 1):
+            for s in range(1, MAX_SIZE + 1):
+                assert lengths[r, s] == table.code_length(r, s)
+        with pytest.raises(ValueError):
+            lengths[0, 1] = 0
 
     def test_eob_and_zrl(self):
         assert LUM.eob_bits == 4

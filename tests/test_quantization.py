@@ -110,13 +110,10 @@ class TestQuantize:
         (127.9, 16, 7),
         (-127.9, 16, -7),
         (Fraction(99, 2), 2, 24),
+        (15, 2, 7),
     ])
     def test_truncation(self, value, q, expected):
         assert quantize(value, q) == expected
-
-    def test_rounding_mode(self):
-        assert quantize(15, 2, rounding=True) == 8
-        assert quantize(15, 2) == 7
 
     def test_rejects_bad_factor(self):
         with pytest.raises(ParameterError):
