@@ -12,7 +12,7 @@ operations:
 
 OP1 and OP5 are the empty-run (``r = 0``) cases of OP2 and OP6, a bare
 demotion or promotion costed by the same symbol length ``len(r, s)``:
-one formula computes both, and only the kind label differs.
+one builder computes both, and only the kind label differs.
 
 Each operation has an exact per-position code-length delta.  Energy
 accounting over the coefficient ball forces every promotion to be paid
@@ -33,10 +33,13 @@ entry, losses included.
 The replacement argument is decided once per reference: one boolean
 array over every (position, run, size) pattern, built with numpy and
 read by enumeration and the maxconfig level alike.  One cache holds all
-per-reference state: an enumerator with the reference prefix sums that
-decomposition also uses, and, each built on first use, the dominance
-array and the base delta sets.  Code lengths come from the component's
-one ``CodeLengthTable.lengths`` array.
+per-reference state: an enumerator with the reference sizes, the prefix
+sums of their costs and one builder per operation family, and, each
+built on first use, the dominance array and the base delta sets.
+Enumeration calls the builders on the (position, run, size) grids and
+decomposition on the operations of one target, so each delta formula is
+written once.  Code lengths come from the component's one
+``CodeLengthTable.lengths`` array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
@@ -60,7 +63,7 @@ depend on which entry of the tier carries a copy.
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
 bits, so exact values are Python ints, made only for the rows a prefix
-sums; a ``Fraction`` is built only for reported values.  ``DeltaEntry``
+sums or an entry reads; a ``Fraction`` is built only for reported values.  ``DeltaEntry``
 objects are built only when a set's entry tuples are read.
 """
 
@@ -286,25 +289,50 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
 class _Enumerator:
     """Per-reference state shared by enumeration, pruning and decomposition.
 
-    Holds the component's code lengths as nested lists ``[r][s]`` (Python
-    ints, so exact values never meet a fixed-width integer), prefix sums
-    of the reference costs and, each built on first use, the dominance
-    table and the base delta sets.
+    Holds the component's code-length table, the reference sizes and the
+    prefix sums of their costs as numpy arrays and, each built on first
+    use, the dominance table and the base delta sets.  One builder per
+    operation family turns arrays of operation instances into the row
+    columns (kind, position, run, size, start, width, bits) of their
+    entries; enumeration calls the builders on whole grids, decomposition
+    on the operations of one target.
     """
 
     def __init__(self, ref: ReferenceConfig):
         self.ref = ref
-        table = table_for(ref.component)
-        self.n = ref.n_positions
-        self.sbar = ref.sbar
-        self.lengths = table.lengths.tolist()
-        self.eob_bits = table.eob_bits
+        self.table = table_for(ref.component)
+        self.sbar = np.array(ref.sbar, dtype=np.intp)
         # prefix[i] = sum of len(0, sbar_k) for k = 1..i
-        self.prefix = list(accumulate((self.lengths[0][s] for s in self.sbar), initial=0))
+        self.prefix = np.concatenate(([0], np.cumsum(self.table.lengths[0, self.sbar])))
 
-    def run_cost(self, p: int, r: int) -> int:
-        """Reference cost of positions p-r..p as individual symbols."""
-        return self.prefix[p] - self.prefix[p - r - 1]
+    # -- one builder per operation family --------------------------------
+    # ``p`` and ``r`` are arrays of positions and runs with 0 <= r < p; a
+    # run's zeros are the positions p-r..p-1.  ``bits`` is the entry's bit
+    # total, spread over its ``width`` affected positions.
+
+    def demotions(self, p, r, s):
+        """OP1/OP2: r zeros ending in a coefficient demoted to size s."""
+        bits = self.prefix[p] - self.prefix[p - r - 1] - self.table.lengths[r, s]
+        return _kind_ranks(_DEMOTION, r), p, r, s, p - r, r + 1, bits
+
+    def kept(self, p, r):
+        """OP3: r >= 1 zeros ahead of a kept reference coefficient."""
+        size = self.sbar[p - 1]
+        bits = self.prefix[p] - self.prefix[p - r - 1] - self.table.lengths[r, size]
+        return _KIND_RANK[OpKind.OP3], p, r, size, p - r, r, bits
+
+    def promotions(self, p, r, step):
+        """OP5/OP6: r zeros ending in a coefficient promoted by ``step``
+        sizes, costed at its own position (the zeros are OP3's)."""
+        lengths, size = self.table.lengths, self.sbar[p - 1]
+        bits = lengths[r, size + step] - lengths[r, size]
+        return _kind_ranks(_PROMOTION[step], r), p, r, size + step, p, 1, bits
+
+    def eobs(self, p):
+        """OP4: EOB after position p; p = 0 zeroes the whole block."""
+        n = len(self.sbar)
+        bits = self.prefix[n] - self.prefix[p] - self.table.eob_bits
+        return _KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, bits
 
     # -- maximum-configuration replacement test --------------------------
 
@@ -322,8 +350,8 @@ class _Enumerator:
         dropped.  Sizes s <= 2 are never tested (replacement sizes could
         vanish) and patterns without a run are never dominated.
         """
-        n = self.n
-        lengths = table_for(self.ref.component).lengths
+        n = len(self.sbar)
+        lengths = self.table.lengths
         len0 = lengths[0]
         # int16 grids keep the (p, r, s) temporaries small; flat ``take``
         # gathers are much faster than broadcast fancy indexing
@@ -365,28 +393,6 @@ class _Enumerator:
     def base_sets(self) -> LossGainSets:
         return enumerate_deltas(self.ref)
 
-    # -- value helpers shared with decomposition -------------------------
-    # Each returns a bit total spread over its multiplicity, in units of
-    # 1/SCALE bits per position.  ``r = 0`` is the bare operation: OP1 for
-    # ``op2_value`` and OP5 for ``op6_value``.
-
-    def op2_value(self, p: int, r: int, s: int) -> int:
-        bits = self.run_cost(p, r) - self.lengths[r][s]
-        return bits * (SCALE // (r + 1))
-
-    def op3_value(self, p: int, r: int) -> int:
-        bits = self.run_cost(p, r) - self.lengths[r][self.sbar[p - 1]]
-        return bits * (SCALE // r)
-
-    def op4_value(self, p: int) -> int:
-        """EOB after position ``p``; ``p = 0`` zeroes the whole block."""
-        tail = self.prefix[self.n] - self.prefix[p]
-        return (tail - self.eob_bits) * (SCALE // (self.n - p))
-
-    def op6_value(self, p: int, r: int, new_size: int) -> int:
-        row = self.lengths[r]
-        return (row[new_size] - row[self.sbar[p - 1]]) * SCALE
-
 
 @functools.cache
 def _escape_grid(component: ComponentKind) -> np.ndarray:
@@ -415,11 +421,18 @@ _DEMOTION = (OpKind.OP1, OpKind.OP2)
 _PROMOTION = {1: (OpKind.OP5A, OpKind.OP6A), 2: (OpKind.OP5B, OpKind.OP6B)}
 
 
-def _ordered(families) -> np.ndarray:
-    """The rows of one set, from the columns of each family of entries
-    (kind, position, run, size, start, width, bits; scalars broadcast),
-    sorted by value, kind, position, run and size."""
-    rows = np.empty(sum(len(family[-1]) for family in families), _ROW)
+def _kind_ranks(kinds, run):
+    """uint8 kind ranks by run length, the bare kind at r = 0."""
+    bare, with_run = (np.uint8(_KIND_RANK[kind]) for kind in kinds)
+    return np.where(run > 0, with_run, bare)
+
+
+def _rows(families) -> np.ndarray:
+    """The rows of the given families of entries, in order, each family
+    given as the columns (kind, position, run, size, start, width, bits)
+    a builder returns, scalars broadcast.  Rows start zeroed, so their
+    padding bytes are too."""
+    rows = np.zeros(sum(len(family[-1]) for family in families), _ROW)
     lo = 0
     for kind, position, run, size, start, width, bits in families:
         part = rows[lo:lo + len(bits)]
@@ -427,6 +440,11 @@ def _ordered(families) -> np.ndarray:
         part["start"], part["width"], part["bits"] = start, width, bits
         part["multiplicity"] = width
         lo += len(bits)
+    return rows
+
+
+def _by_value(rows: np.ndarray) -> np.ndarray:
+    """``rows`` sorted by value, kind, position, run and size."""
     return rows[np.lexsort(
         (rows["size"], rows["run"], rows["position"], rows["kind"], rows["bits"] / rows["width"])
     )]
@@ -434,8 +452,8 @@ def _ordered(families) -> np.ndarray:
 
 def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
     return tuple(
-        DeltaEntry(_KIND_ORDER[kind], p, r, s, bits * (SCALE // width), m)
-        for kind, p, r, s, _, width, bits, m in rows.tolist()
+        DeltaEntry(_KIND_ORDER[kind], p, r, s, value, m)
+        for (kind, p, r, s, _, _, _, m), value in zip(rows.tolist(), _values(rows))
     )
 
 
@@ -455,56 +473,31 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     are at most 8, so both promoted sizes stay within 10.
     """
     en = _enumerator(ref)
-    n = en.n
+    n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
     census = {
         "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
-    lengths = table_for(ref.component).lengths
     escape = _escape_grid(ref.component)
-    prefix = np.array(en.prefix)
     demoted = np.arange(1, MAX_LOSS_SIZE + 1)
-
-    def kind_ranks(kinds, run):
-        """uint8 kind ranks by run length, the bare kind at r = 0."""
-        bare, with_run = (np.uint8(_KIND_RANK[kind]) for kind in kinds)
-        return np.where(run > 0, with_run, bare)
 
     # r zeros ahead of position p, 0 <= r < p
     p, r = np.tril_indices(n)
     p += 1
-    sbar = np.array(en.sbar)[p - 1]
-    run_cost = prefix[p] - prefix[p - r - 1]
+    sbar = en.sbar[p - 1]
     i, j = np.nonzero(demoted < sbar[:, None])
-    run_p, run_r, size = p[i], r[i], demoted[j]
-    losses = [(
-        kind_ranks(_DEMOTION, run_r), run_p, run_r, size, run_p - run_r, run_r + 1,
-        run_cost[i] - lengths[run_r, size],
-    )]
+    losses = [en.demotions(p[i], r[i], demoted[j])]
     i = np.flatnonzero(r)  # a kept coefficient needs a run
-    run_p, run_r, size = p[i], r[i], sbar[i]
-    losses.append((
-        _KIND_RANK[OpKind.OP3], run_p, run_r, size, run_p - run_r, run_r,
-        run_cost[i] - lengths[run_r, size],
-    ))
+    losses.append(en.kept(p[i], r[i]))
+    losses.append(en.eobs(np.arange(1, n)))
     gains = []
-    for step, kinds in _PROMOTION.items():
+    for step in _PROMOTION:
         size = sbar + step
         i = np.flatnonzero(~(escape[r, size] & en.dominance[p, r, size]))
-        run_p, run_r, size = p[i], r[i], size[i]
-        gains.append(_ordered([(
-            kind_ranks(kinds, run_r), run_p, run_r, size, run_p, 1,
-            lengths[run_r, size] - lengths[run_r, sbar[i]],
-        )]))
+        gains.append(_by_value(_rows([en.promotions(p[i], r[i], step)])))
 
-    # EOB after position p
-    p = np.arange(1, n)
-    losses.append(
-        (_KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, prefix[n] - prefix[p] - en.eob_bits)
-    )
-
-    return LossGainSets(_ordered(losses), *gains, Refinement.BASE, census)
+    return LossGainSets(_by_value(_rows(losses)), *gains, Refinement.BASE, census)
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = False):
@@ -729,36 +722,29 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
                 f"position {p}: nonzero unquantized size {s} quantizes to zero"
             )
 
-    entries: list[DeltaEntry] = []
-    last_nonzero = max((i + 1 for i, s in enumerate(sizes) if s > 0), default=0)
-    if last_nonzero < n:
-        entries.append(
-            DeltaEntry(
-                OpKind.OP4, last_nonzero, 0, 0, en.op4_value(last_nonzero), n - last_nonzero
-            )
-        )
-
-    run = 0
-    for p in range(1, last_nonzero + 1):
-        S = sizes[p - 1]
-        if S == 0:
-            run += 1
-            continue
-        r, run = run, 0
-        quantized = S - ref.exponents[p - 1]
-        if S < REFERENCE_SIZE:
-            entries.append(DeltaEntry(
-                _DEMOTION[r > 0], p, r, quantized, en.op2_value(p, r, quantized), r + 1
-            ))
-            continue
-        if r > 0:
-            entries.append(DeltaEntry(OpKind.OP3, p, r, en.sbar[p - 1], en.op3_value(p, r), r))
-        if S > REFERENCE_SIZE:
-            entries.append(DeltaEntry(
-                _PROMOTION[S - REFERENCE_SIZE][r > 0], p, r, quantized,
-                en.op6_value(p, r, quantized), 1,
-            ))
-    return entries
+    # the checks above bound every size to 0..10: numpy takes over
+    sizes = np.array(sizes, dtype=np.intp)
+    p = np.flatnonzero(sizes) + 1
+    r = np.diff(p, prepend=0) - 1  # zeros ahead of each nonzero position
+    S = sizes[p - 1]
+    demoted = S < REFERENCE_SIZE
+    kept = ~demoted & (r > 0)
+    quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
+    families = [
+        en.demotions(p[demoted], r[demoted], quantized[demoted]),
+        en.kept(p[kept], r[kept]),
+    ]
+    for step in _PROMOTION:
+        promoted = S == REFERENCE_SIZE + step
+        families.append(en.promotions(p[promoted], r[promoted], step))
+    last = p.max(initial=0)
+    if last < n:
+        families.append(en.eobs(np.array([last])))
+    rows = _rows(families)
+    # the EOB first, then by position; lexsort is stable, so a kept
+    # coefficient's OP3 stays ahead of its OP6
+    order = np.lexsort((rows["position"], rows["kind"] != _KIND_RANK[OpKind.OP4]))
+    return list(_delta_entries(rows[order]))
 
 
 def recompose_length(ref: ReferenceConfig, entries) -> Fraction:

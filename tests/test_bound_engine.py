@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from acbound.quantization import (
     pow2_table,
     scaled_annex_k,
 )
-from acbound.verification import random_reduced_sizes, toy_oracle
+from acbound.verification import ac_bits_from_sizes, random_reduced_sizes, toy_oracle
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 
@@ -465,29 +466,46 @@ def limit_stops(ref):
 
 
 def scalar_enumeration(ref):
-    """The base sets, one operation instance at a time from the scalar
-    value helpers ``decompose`` uses, sorted as exact tuples."""
-    en = bound_engine._enumerator(ref)
+    """The base sets, one operation instance at a time from the code-length
+    table and prefix sums of the reference costs, sorted as exact tuples."""
     table = table_for(ref.component)
-    n, sbar = ref.n_positions, ref.sbar
+    dominance = bound_engine._enumerator(ref).dominance
+    n, sbar, scale = ref.n_positions, ref.sbar, bound_engine.SCALE
+    prefix = list(accumulate((table.code_length(0, s) for s in sbar), initial=0))
+
+    def cost(first, last):  # reference cost of positions first..last
+        return prefix[last] - prefix[first - 1]
+
+    def promotion(p, r, size):  # per-position value of an OP5/OP6
+        return (table.code_length(r, size) - table.code_length(r, sbar[p - 1])) * scale
+
     losses, gains9, gains10 = [], [], []
     for p in range(1, n + 1):
         sb = sbar[p - 1]
         losses += [
-            (en.op2_value(p, 0, s), OpKind.OP1, p, 0, s, 1) for s in range(1, min(sb, 8))
+            ((cost(p, p) - table.code_length(0, s)) * scale, OpKind.OP1, p, 0, s, 1)
+            for s in range(1, min(sb, 8))
         ]
-        gains9.append((en.op6_value(p, 0, sb + 1), OpKind.OP5A, p, 0, sb + 1, 1))
-        gains10.append((en.op6_value(p, 0, sb + 2), OpKind.OP5B, p, 0, sb + 2, 1))
+        gains9.append((promotion(p, 0, sb + 1), OpKind.OP5A, p, 0, sb + 1, 1))
+        gains10.append((promotion(p, 0, sb + 2), OpKind.OP5B, p, 0, sb + 2, 1))
         for r in range(1, p):
             losses += [
-                (en.op2_value(p, r, s), OpKind.OP2, p, r, s, r + 1) for s in range(1, min(sb, 8))
+                ((cost(p - r, p) - table.code_length(r, s)) * (scale // (r + 1)),
+                 OpKind.OP2, p, r, s, r + 1)
+                for s in range(1, min(sb, 8))
             ]
-            losses.append((en.op3_value(p, r), OpKind.OP3, p, r, sb, r))
+            losses.append((
+                (cost(p - r, p) - table.code_length(r, sb)) * (scale // r),
+                OpKind.OP3, p, r, sb, r,
+            ))
             for kind, size, gains in ((OpKind.OP6A, sb + 1, gains9),
                                       (OpKind.OP6B, sb + 2, gains10)):
-                if not (table.huffman_length(r, size) >= 15 and en.dominance[p, r, size]):
-                    gains.append((en.op6_value(p, r, size), kind, p, r, size, 1))
-    losses += [(en.op4_value(p), OpKind.OP4, p, 0, 0, n - p) for p in range(1, n)]
+                if not (table.huffman_length(r, size) >= 15 and dominance[p, r, size]):
+                    gains.append((promotion(p, r, size), kind, p, r, size, 1))
+    losses += [
+        ((cost(p + 1, n) - table.eob_bits) * (scale // (n - p)), OpKind.OP4, p, 0, 0, n - p)
+        for p in range(1, n)
+    ]
 
     def entries(rows):
         rows.sort(key=lambda row: (row[0], row[1].value) + row[2:])
@@ -589,6 +607,29 @@ class TestColumnarSets:
         # the stand-in does count: reading the entry tuples builds them
         assert len(build_sets(ref, Refinement.BASE).losses) == len(built) > 0
 
+    def test_row_bytes_are_deterministic(self):
+        ref = reference_config(ComponentKind.LUMINANCE, [k // 10 for k in range(63)])
+        row_bytes = []
+        for _ in range(2):
+            bound_engine._enumerator.cache_clear()
+            levels = [build_sets(ref, refinement) for refinement in Refinement]
+            row_bytes.append([
+                rows.tobytes()
+                for sets in levels for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows)
+            ])
+        assert row_bytes[0] == row_bytes[1]
+        dtype = levels[0].loss_rows.dtype
+        used = {
+            byte for field, offset in dtype.fields.values()
+            for byte in range(offset, offset + field.itemsize)
+        }
+        padding = [byte for byte in range(dtype.itemsize) if byte not in used]
+        assert padding
+        for sets in levels:
+            for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
+                raw = np.frombuffer(rows.tobytes(), np.uint8).reshape(len(rows), dtype.itemsize)
+                assert not raw[:, padding].any()
+
 
 class TestGeneralizedInstances:
     def test_small_instance_reference(self):
@@ -639,6 +680,36 @@ class TestDecompose:
                 quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
                 direct = sequence_length(table, symbolize(quantized))
                 assert recompose_length(ref, entries) == direct
+
+    def test_entries_are_enumerated_deltas(self, component, rng):
+        # every decompose entry is an element of the base sets, except the
+        # whole-block EOB and gains the base level may drop: escape cells
+        table = table_for(component)
+        for sf in (Fraction(1, 64), Fraction(1, 8), Fraction(1)):
+            ref = reference_length(component, pow2_table(scaled_annex_k(component, sf)))
+            sets = enumerate_deltas(ref)
+            members = set(sets.losses + sets.gains9 + sets.gains10)
+            checked = 0
+            for _ in range(200):
+                for e in decompose(random_reduced_sizes(rng, ref), ref):
+                    if e.op_kind is OpKind.OP4 and e.position == 0:
+                        continue
+                    if not e.is_loss and table.huffman_length(e.runlength, e.size) >= 15:
+                        continue
+                    assert e in members, (sf, e)
+                    checked += 1
+            assert checked > 1000
+
+    def test_identity_on_short_references(self, component, rng):
+        for n in range(1, 21):
+            ref = reference_config(component, rng.integers(0, 7, size=n))
+            targets = [random_reduced_sizes(rng, ref) for _ in range(60)] + [[0] * n]
+            quantized = np.array([
+                [max(s - c, 0) for s, c in zip(target, ref.exponents)] for target in targets
+            ])
+            direct = ac_bits_from_sizes(quantized, component)
+            for target, bits in zip(targets, direct.tolist()):
+                assert recompose_length(ref, decompose(target, ref)) == bits, (ref, target)
 
     def test_kinds_are_labelled_by_run(self):
         # bare demotion, run demotion, bare size 9, run then size 10, zero tail
