@@ -252,8 +252,8 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     the promotion interdependence holds.
     """
     exponents = tuple(int(c) for c in exponents)
-    if len(exponents) > AC_POSITIONS:
-        raise UnsupportedTableError(f"at most {AC_POSITIONS} positions are supported")
+    if not 1 <= len(exponents) <= AC_POSITIONS:
+        raise UnsupportedTableError(f"1 to {AC_POSITIONS} positions are supported")
     if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
         raise UnsupportedTableError(
             f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"

@@ -9,11 +9,18 @@ harness that costs pixel blocks (``encode_block``, ``ac_bits_batch``,
 path, :func:`_ac_sizes` then :func:`ac_bits_from_sizes`; the public stage
 functions of ``transform``, ``quantization`` and ``entropy_model`` stay
 the independent reference the test suite checks it against.
+
+The hill climb is speculative: each restart draws all its moves in one
+call before it climbs, then scores the next ``CLIMB_WINDOW`` candidates,
+each one move away from the current block, in one batch and keeps the
+first that does not cost fewer bits.  It returns exactly what a climb
+scoring one candidate at a time would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -113,6 +120,14 @@ class SearchConfig:
 _AC_RASTER = np.array(transform.RASTER_OF_ZIGZAG[1:])
 
 
+@functools.lru_cache(maxsize=64)
+def _factor_row(factors: tuple[int, ...]) -> np.ndarray:
+    # keyed on the factor tuple: hashing it costs far less than rebuilding the row
+    row = np.array(factors, dtype=np.float64)
+    row.setflags(write=False)
+    return row
+
+
 def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
     """Quantized AC sizes of level-shifted pixel blocks (N, 8, 8), shape
     (N, 63) in zigzag order: DCT, zigzag, truncating quantization, then the
@@ -120,7 +135,7 @@ def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
     K = transform.DCT_MATRIX
     coeffs = K.T @ np.asarray(blocks, dtype=np.float64) @ K
     ac = coeffs.reshape(len(coeffs), 64)[:, _AC_RASTER]
-    quantized = np.trunc(ac / np.array(q.q, dtype=np.float64))
+    quantized = np.trunc(ac / _factor_row(q.q))
     return np.frexp(np.abs(quantized))[1]  # bit length of the integer magnitude
 
 
@@ -220,6 +235,41 @@ def soundness_fuzz(
 # -- adversarial search ----------------------------------------------------
 
 
+# candidates scored per ac_bits_batch call; the climb keeps the first one accepted
+CLIMB_WINDOW = 64
+
+
+def _mutations(rng: np.random.Generator, iterations: int, mutation: str):
+    """Every move of one restart, drawn in one call: flat pixel indices and
+    values, each of shape (iterations, 2); a one-pixel move repeats its pixel.
+
+    Equal to the per-move draws ``rng.integers(1, 3)`` (pixel_pair only),
+    then per pixel ``rng.integers(0, 8, size=2)`` and ``rng.integers(-128,
+    128)``: numpy draws a bounded integer over a range of 2**k as the top k
+    bits of one 32-bit word and never rejects, so each draw is one word of
+    the unbounded stream.  A pixel_pair move takes 4 or 7 words, so up to
+    3 words per move are drawn and never read: the generator must not be
+    used after this call.
+    """
+    if mutation == "single_pixel":
+        words = rng.integers(0, 1 << 32, size=3 * iterations, dtype=np.uint64)
+        first = second = np.arange(0, 3 * iterations, 3)
+    else:
+        words = rng.integers(0, 1 << 32, size=7 * iterations, dtype=np.uint64)
+        two = (words >> 31).tolist()
+        first = []
+        at = 0
+        for _ in range(iterations):
+            first.append(at + 1)
+            at += 4 + 3 * two[at]
+        first = np.array(first)
+        second = np.where(words[first - 1] >> 31 == 1, first + 3, first)
+    lines = (words >> 29).astype(np.intp)  # a row or a column, 0..7
+    values = (words >> 24).astype(np.int64) - 128
+    pixels = np.stack([first, second], axis=1)
+    return lines[pixels] * 8 + lines[pixels + 1], values[pixels + 2]
+
+
 def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     """Random-restart hill climb for long-coded blocks.
 
@@ -227,6 +277,15 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     are traversable.  The high-cost seed block starts the first restart;
     later restarts start from structured extremes and random blocks.
     Deterministic for a given config.
+
+    The climb is speculative but exact: a restart draws all its moves
+    before it climbs (:func:`_mutations`), then applies the next
+    ``CLIMB_WINDOW`` moves each to the current block and scores them in
+    one batch.  The first candidate in draw order that does not cost
+    fewer bits is accepted and the next window starts after it; the
+    candidates after it are dropped.  Each candidate is thus built from,
+    and compared with, the block a one-candidate-at-a-time climb would
+    hold, so the result is the same.
     """
     if q.component is not cfg.component:
         raise ValueError("component and quantization table disagree")
@@ -244,15 +303,22 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
         else:
             block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
         bits = ac_bits_batch(block[None], q, cfg.component)[0]
-        for _ in range(cfg.iterations):
-            candidate = block.copy()
-            n_pixels = 1 if cfg.mutation == "single_pixel" else int(rng.integers(1, 3))
-            for _ in range(n_pixels):
-                r, c = rng.integers(0, 8, size=2)
-                candidate[r, c] = rng.integers(-128, 128)
-            cand_bits = ac_bits_batch(candidate[None], q, cfg.component)[0]
-            if cand_bits >= bits:
-                block, bits = candidate, cand_bits
+        pixels, values = _mutations(rng, cfg.iterations, cfg.mutation)
+        move = 0
+        while move < cfg.iterations:
+            stop = min(move + CLIMB_WINDOW, cfg.iterations)
+            candidates = np.repeat(block.reshape(1, 64), stop - move, axis=0)
+            rows = np.arange(stop - move)
+            for j in (0, 1):
+                candidates[rows, pixels[move:stop, j]] = values[move:stop, j]
+            cand_bits = ac_bits_batch(candidates.reshape(-1, 8, 8), q, cfg.component)
+            accepted = np.flatnonzero(cand_bits >= bits)
+            if len(accepted) == 0:
+                move = stop
+                continue
+            first = int(accepted[0])
+            block, bits = candidates[first].reshape(8, 8), cand_bits[first]
+            move += first + 1
         if bits > best_bits or (
             bits == best_bits and tuple(block.ravel()) < tuple(best_block.ravel())
         ):

@@ -81,6 +81,10 @@ class TestReferenceLength:
         with pytest.raises(UnsupportedTableError):
             reference_config(ComponentKind.LUMINANCE, (0,) * 64)
 
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(UnsupportedTableError):
+            reference_config(ComponentKind.LUMINANCE, ())
+
 
 class TestAdmissiblePairs:
     def test_cardinality_and_extremes(self):

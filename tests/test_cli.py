@@ -303,6 +303,19 @@ class TestSearch:
         assert code == 0
         assert "best ac bits:" in out
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--sf", "1/64", "--restarts", "1", "--iterations", "200", "--seed", "1"],
+         "a5beecfaf547e6adfb112769a4bf3c853eca75e5638deea40c483ba8f07c7917"),
+        (["--sf", "1", "--component", "chroma", "--restarts", "9", "--iterations", "300",
+          "--mutation", "single_pixel", "--seed", "4"],
+         "92e198bae964119afa1560dc0056a53425a3726b265ecc8d37f4fe87f23975d8"),
+    ])
+    def test_json_pinned(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        code, out, _ = run(capsys, ["search"] + argv + ["--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("ACBOUND_SEED", "21")
         code, out, _ = run(capsys, [

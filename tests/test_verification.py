@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from acbound.entropy_model import ComponentKind, sequence_length, symbolize, tab
 from acbound.quantization import quantize, scaled_annex_k
 from acbound.transform import forward_dct, level_shift, zigzag_scan
 from acbound.verification import (
+    CLIMB_WINDOW,
     HIGH_COST_SEED_BLOCK,
     SearchConfig,
     ac_bits_batch,
@@ -23,6 +25,7 @@ from acbound.verification import (
     structured_extreme_blocks,
     toy_oracle,
 )
+from acbound.verification import _mutations
 
 
 class TestEncodeBlock:
@@ -148,6 +151,73 @@ class TestAdversarialSearch:
             SearchConfig(ComponentKind.LUMINANCE, iterations=0)
         with pytest.raises(ValueError):
             SearchConfig(ComponentKind.LUMINANCE, mutation="teleport")
+
+
+def reference_climb(cfg, q):
+    """The climb one candidate at a time, each move drawn when it is made."""
+    starts = [level_shift(HIGH_COST_SEED_BLOCK)] + list(structured_extreme_blocks()[3:9])
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best_bits, best_block = -1, None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(children[restart])
+        if restart < len(starts):
+            block = starts[restart].copy()
+        else:
+            block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
+        bits = ac_bits_batch(block[None], q, cfg.component)[0]
+        for _ in range(cfg.iterations):
+            candidate = block.copy()
+            n_pixels = 1 if cfg.mutation == "single_pixel" else int(rng.integers(1, 3))
+            for _ in range(n_pixels):
+                r, c = rng.integers(0, 8, size=2)
+                candidate[r, c] = rng.integers(-128, 128)
+            cand_bits = ac_bits_batch(candidate[None], q, cfg.component)[0]
+            if cand_bits >= bits:
+                block, bits = candidate, cand_bits
+        if bits > best_bits or (
+            bits == best_bits and tuple(block.ravel()) < tuple(best_block.ravel())
+        ):
+            best_bits, best_block = bits, block
+    return dataclasses.replace(encode_block(best_block, q, cfg.component), sf=cfg.sf)
+
+
+class TestSpeculativeClimb:
+    """The windowed climb against the one-candidate-at-a-time reference."""
+
+    @pytest.mark.parametrize("mutation", ["single_pixel", "pixel_pair"])
+    @pytest.mark.parametrize("sf", [Fraction(1, 64), Fraction(1, 8), Fraction(1)],
+                             ids=["sf1_64", "sf1_8", "sf1"])
+    def test_matches_reference_climb(self, component, sf, mutation):
+        q = scaled_annex_k(component, sf)
+        # 9 restarts: the seed block, 6 structured starts, then random blocks;
+        # the iteration counts sit on and around the window edges
+        for iterations in (1, CLIMB_WINDOW - 1, CLIMB_WINDOW, CLIMB_WINDOW + 1, 400):
+            cfg = SearchConfig(component, sf, iterations=iterations, restarts=9,
+                               seed=iterations, mutation=mutation)
+            assert adversarial_search(cfg, q).to_json_dict() == \
+                reference_climb(cfg, q).to_json_dict()
+
+    @pytest.mark.parametrize("mutation", ["single_pixel", "pixel_pair"])
+    def test_bulk_draws_match_per_move_draws(self, mutation):
+        # fails first if numpy ever changes how it draws bounded integers
+        for seed in range(200):
+            bulk, step = np.random.default_rng(seed), np.random.default_rng(seed)
+            for gen in (bulk, step):
+                if seed % 3 == 1:  # a random-start restart draws its block first
+                    gen.integers(-128, 128, size=(8, 8), dtype=np.int64)
+                elif seed % 3 == 2:  # half of a 64-bit word already used
+                    gen.integers(0, 8)
+            pixels, values = _mutations(bulk, 50, mutation)
+            moves = []
+            for _ in range(50):
+                n_pixels = 1 if mutation == "single_pixel" else int(step.integers(1, 3))
+                move = []
+                for _ in range(n_pixels):
+                    r, c = step.integers(0, 8, size=2)
+                    move.append((int(8 * r + c), int(step.integers(-128, 128))))
+                moves.append(move if n_pixels == 2 else move * 2)
+            assert pixels.tolist() == [[p for p, _ in move] for move in moves]
+            assert values.tolist() == [[v for _, v in move] for move in moves]
 
 
 class TestToyOracle:
