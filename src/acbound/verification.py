@@ -3,12 +3,12 @@
 Three harnesses bracket the (unknown) true maxima: a full single-block
 encoding pipeline and a random-restart hill climb over pixel blocks from
 below, and from above an exact oracle for the energy relaxation the
-engine bounds, at any number of positions up to 63.  Every
-harness that costs pixel blocks (``encode_block``, ``ac_bits_batch``,
-``soundness_fuzz`` and ``adversarial_search``) goes through one vectorized
-path, :func:`_ac_sizes` then :func:`ac_bits_from_sizes`; the public stage
-functions of ``transform``, ``quantization`` and ``entropy_model`` stay
-the independent reference the test suite checks it against.
+engine bounds, at any number of positions up to 63.  Blocks are costed
+by :func:`_ac_sizes` (also used by ``encode_block``), then densely by
+:func:`ac_bits_from_sizes`: a running maximum along each row gives every
+cell's zero run, and one flat lookup in the code-length table its bits.
+The stage functions of ``transform``, ``quantization`` and
+``entropy_model`` stay the independent reference the tests check it against.
 
 The hill climb is speculative: each restart draws all its moves in one
 call before it climbs, then scores the next ``CLIMB_WINDOW`` candidates,
@@ -36,11 +36,7 @@ from .bound_engine import (
     upper_limit,
 )
 from .entropy_model import (
-    ComponentKind,
-    SymbolSequence,
-    sequence_length,
-    symbolize,
-    table_for,
+    MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length, symbolize, table_for,
 )
 from .quantization import QuantTable
 
@@ -140,16 +136,21 @@ def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
 
 
 def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
-    """Coded AC bits for many quantized size vectors, shape (N, 63)."""
+    """Coded AC bits of many size vectors, shape (N, width) for width 1..63.
+
+    ``after[:, k]``, a running maximum, is one past the last nonzero column
+    before ``k``, so ``k - after[:, k]`` zeros run before cell ``k``, which
+    costs ``lengths[run, size]`` (0 if zero).  Sizes outside 0..MAX_SIZE
+    raise ``ParameterError``: their flat index would read another cell."""
     sizes = np.asarray(sizes)
-    rows, cols = np.nonzero(sizes)
-    prev_cols = np.empty_like(cols)
-    prev_cols[:1] = -1
-    prev_cols[1:] = np.where(rows[1:] == rows[:-1], cols[:-1], -1)
-    runs = cols - prev_cols - 1
+    if sizes.size and (sizes.min() < 0 or sizes.max() > MAX_SIZE):
+        raise ParameterError(f"sizes outside 0..{MAX_SIZE}")
+    index = np.arange(sizes.shape[1], dtype=np.int16)  # narrow: the running maximum dominates
+    after = np.zeros((len(sizes), len(index) + 1), dtype=np.int16)  # column 0: no nonzero yet
+    np.maximum.accumulate((sizes > 0) * (index + 1), axis=1, out=after[:, 1:])
+    runs = index - after[:, :-1]
     table = table_for(component)
-    bits = table.lengths[runs, sizes[rows, cols]]
-    totals = np.bincount(rows, weights=bits, minlength=len(sizes)).astype(np.int64)
+    totals = table.lengths.ravel().take(runs * (MAX_SIZE + 1) + sizes).sum(axis=1)
     totals[sizes[:, -1] == 0] += table.eob_bits  # trailing zeros: EOB
     return totals
 
@@ -239,6 +240,17 @@ def soundness_fuzz(
 CLIMB_WINDOW = 64
 
 
+@functools.cache
+def _climb_starts() -> np.ndarray:
+    """The seed block, then the checkerboards and low gratings of the structured
+    extremes: the first restarts' starts, read-only, built on first use (at
+    import they would raise every importer's peak memory)."""
+    starts = np.stack([transform.level_shift(HIGH_COST_SEED_BLOCK),
+                       *structured_extreme_blocks()[3:9]])
+    starts.setflags(write=False)
+    return starts
+
+
 def _mutations(rng: np.random.Generator, iterations: int, mutation: str):
     """Every move of one restart, drawn in one call: flat pixel indices and
     values, each of shape (iterations, 2); a one-pixel move repeats its pixel.
@@ -289,17 +301,15 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     """
     if q.component is not cfg.component:
         raise ValueError("component and quantization table disagree")
-    starts = [transform.level_shift(HIGH_COST_SEED_BLOCK)]
-    starts.extend(structured_extreme_blocks()[3:9])  # checkerboards and low gratings
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.restarts)
+    starts = _climb_starts()
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
     best_bits = -1
     best_block = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(children[restart])
         if restart < len(starts):
-            block = starts[restart].copy()
+            block = starts[restart]  # read-only: the climb only reads it
         else:
             block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
         bits = ac_bits_batch(block[None], q, cfg.component)[0]

@@ -214,6 +214,15 @@ class TestVerify:
         assert code == 0
         assert "min_slack" in out
 
+    def test_fuzz_json_pinned(self, capsys, monkeypatch):
+        # all 14 paper cells; at coarse scale factors most sizes are zero
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        code, out, _ = run(capsys, ["verify", "fuzz", "--trials", "20000", "--seed", "1", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d3abd8dc2e1e3788bde2341af773d6d09109ff14cd07076229625468de24c556"
+        )
+
     def test_json_reporting(self, capsys):
         code, out, _ = run(capsys, ["verify", "toy", "--n", "2", "--json"])
         assert code == 0

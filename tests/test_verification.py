@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acbound import verification
-from acbound.entropy_model import ComponentKind, sequence_length, symbolize, table_for
+from acbound.entropy_model import (
+    MAX_SIZE, ComponentKind, SymbolSequence, sequence_length, symbolize, table_for,
+)
 from acbound.quantization import quantize, scaled_annex_k
 from acbound.transform import forward_dct, level_shift, zigzag_scan
 from acbound.verification import (
@@ -121,6 +123,62 @@ class TestBatchAgreement:
         assert report.sf == Fraction(1, 6)
 
 
+def scalar_bits(row, component) -> int:
+    """Coded bits of one size row of any width through the scalar reference:
+    zero-padded to 63 for ``symbolize``, with an EOB only if the row ends in 0."""
+    symbols = symbolize(list(row) + [0] * (63 - len(row))).symbols
+    return sequence_length(table_for(component), SymbolSequence(symbols, row[-1] == 0))
+
+
+@st.composite
+def size_matrices(draw):
+    """A width in 1..63 and rows built from (zero run, size) symbols: runs of
+    16 or more (ZRL), an all-zero row, and rows that end nonzero (no EOB)."""
+    width = draw(st.integers(1, 63))
+    rows = [[0] * width]
+    for _ in range(draw(st.integers(0, 6))):
+        symbols = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, MAX_SIZE)),
+                                max_size=width))
+        row = list(itertools.chain.from_iterable([0] * run + [s] for run, s in symbols))
+        row = (row + [0] * width)[:width]
+        if draw(st.booleans()):
+            row[-1] = draw(st.integers(1, MAX_SIZE))
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+class TestDenseKernel:
+    """``ac_bits_from_sizes`` against the scalar symbol path at every width."""
+
+    @given(size_matrices(), st.sampled_from(list(ComponentKind)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, rows, component):
+        bits = ac_bits_from_sizes(np.array(rows), component)
+        assert bits.tolist() == [scalar_bits(row, component) for row in rows]
+
+    def test_every_width(self, component):
+        for width in range(1, 64):
+            rows = [[0] * width, [0] * (width - 1) + [MAX_SIZE], [1] * width,
+                    ([0] * 17 + [3]) * 4, [5] + [0] * 62]
+            rows = [row[:width] for row in rows]
+            bits = ac_bits_from_sizes(np.array(rows), component)
+            assert bits.tolist() == [scalar_bits(row, component) for row in rows]
+            empty = ac_bits_from_sizes(np.zeros((0, width), dtype=np.int64), component)
+            assert empty.shape == (0,) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [MAX_SIZE + 1, -1])
+    @pytest.mark.parametrize("column", [0, 30, 62])
+    def test_rejects_sizes_out_of_range(self, component, bad, column):
+        # without the check a flat lookup of 11 reads the next run's cell
+        # and one of -1 the previous run's size-10 cell, silently
+        sizes = np.zeros((3, 63), dtype=np.int64)
+        sizes[1, column] = bad
+        with pytest.raises(ValueError, match="outside 0..10"):
+            ac_bits_from_sizes(sizes, component)
+        with pytest.raises(ValueError, match="outside 0..10"):  # the bad cell last
+            ac_bits_from_sizes(sizes[1:2, :column + 1], component)
+
+
 class TestAdversarialSearch:
     def test_seeded_search_reaches_seed_block_cost(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64))
@@ -138,6 +196,26 @@ class TestAdversarialSearch:
         second = adversarial_search(cfg, q)
         assert first.ac_bits == second.ac_bits
         assert (first.block == second.block).all()
+
+    def test_start_blocks_are_built_once_and_read_only(self):
+        starts = verification._climb_starts()
+        assert starts is verification._climb_starts()
+        assert not starts.flags.writeable
+        with pytest.raises(ValueError):
+            starts[0, 0, 0] = 0
+        expected = [level_shift(HIGH_COST_SEED_BLOCK)] + list(structured_extreme_blocks()[3:9])
+        assert starts.tolist() == np.stack(expected).tolist()
+
+    @pytest.mark.parametrize("iterations", [1, 100])
+    def test_repeated_calls_give_identical_reports(self, component, iterations):
+        # 9 restarts: every cached start block, then two random ones
+        q = scaled_annex_k(component, Fraction(1, 64))
+        cfg = SearchConfig(component, Fraction(1, 64), iterations=iterations, restarts=9, seed=2)
+        first = adversarial_search(cfg, q)
+        payload = first.to_json_dict()
+        first.block[...] = 0  # a caller's edit must not reach the next call's starts
+        assert adversarial_search(cfg, q).to_json_dict() == payload
+        assert verification._climb_starts()[0].tolist() == level_shift(HIGH_COST_SEED_BLOCK).tolist()
 
     def test_stays_under_limit(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
