@@ -30,12 +30,15 @@ level additionally caps equal-valued delta copies at one per position.
 The final level applies the replacement argument to every run-generating
 entry, losses included.
 
-The replacement argument is decided once per reference: one boolean
-array over every (position, run, size) pattern, built with numpy and
-read by enumeration and the maxconfig level alike.  One cache holds all
-per-reference state: an enumerator with the reference sizes, the prefix
-sums of their costs and one builder per operation family, and, each
-built on first use, the dominance array and the base delta sets.
+The replacement argument is decided once per reference: one read-only
+boolean array over every (position, run, size) pattern, read by
+enumeration and the maxconfig level alike.  Only patterns with a run
+and a size above 2 can be dominated, so the test is computed for those
+alone, from exponent-free terms cached per component and length, and
+scattered into the array.  One cache holds all per-reference state: an
+enumerator with the reference sizes, the prefix sums of their costs and
+one builder per operation family, and, each built on first use, the
+dominance array and the base delta sets.
 Enumeration calls the builders on the (position, run, size) grids and
 decomposition on the operations of one target, so each delta formula is
 written once.  Code lengths come from the component's one
@@ -44,12 +47,10 @@ written once.  Code lengths come from the component's one
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
 total and its copy count.  Enumeration fills the rows over the
-(position, run, size) grids and orders each set once with ``np.lexsort``
-on (bits / width, kind, position, run, size).  The float64 key orders
-exactly: two distinct fractions with denominators of at most 63 differ
-by at least 1/3906, far more than one ulp below 2**11, and equal
-fractions round to the same double because IEEE division is correctly
-rounded.  The key also names the value tier in the capacity walk.
+(position, run, size) grids and orders each set once by one int64 key:
+the exact value tier ``(bits << 12) // width`` above the packed kind,
+position, run and size.  The same tier names a value in the capacity
+walk.
 
 The maxconfig level is one boolean mask over the rows.  The capacity
 level walks a set keeping, per value tier, an integer bitmask of the
@@ -196,9 +197,8 @@ class LossGainSets:
     position, runlength, size) order, which the refinements keep.  The
     ``losses``, ``gains9`` and ``gains10`` tuples hold the same rows as
     ``DeltaEntry`` objects, in the same order; each is built on first
-    read, so the limit path never builds one.  The order key is the
-    float64 ``bits / width``, which is exact: see the module docstring.
-    Compared by identity.
+    read, so the limit path never builds one.  The value order is exact:
+    see ``_tiers``.  Compared by identity.
     """
 
     loss_rows: np.ndarray
@@ -338,9 +338,9 @@ class _Enumerator:
 
     @functools.cached_property
     def dominance(self) -> np.ndarray:
-        """Replacement test for every pattern, a boolean array ``[p, r, s]``:
-        True when the pattern (r zeros, quantized size s at p) provably
-        cannot occur in a maximum code-length configuration.
+        """Replacement test for every pattern, a read-only boolean array
+        ``[p, r, s]``: True when the pattern (r zeros, quantized size s at
+        p) provably cannot occur in a maximum code-length configuration.
 
         The pattern's coefficient (unquantized size S) is demoted to
         S - 1 and j = 1..3 of the run's zeros, at its end or at its start,
@@ -348,45 +348,32 @@ class _Enumerator:
         some such replacement is strictly longer, any configuration
         containing the pattern is beaten, so the pattern's deltas can be
         dropped.  Sizes s <= 2 are never tested (replacement sizes could
-        vanish) and patterns without a run are never dominated.
+        vanish) and patterns without a run are never dominated, so the
+        test runs over the patterns with 1 <= r < p and s = 3..10 alone,
+        one row of eight sizes per (p, r) pair, and is scattered into the
+        array.  Every term that does not depend on the exponents comes
+        from ``_replacement_terms``.
         """
         n = len(self.sbar)
-        lengths = self.table.lengths
-        len0 = lengths[0]
-        # int16 grids keep the (p, r, s) temporaries small; flat ``take``
-        # gathers are much faster than broadcast fancy indexing
-        C = np.array(self.ref.exponents, dtype=np.int16)
-        p = np.arange(n + 1, dtype=np.int16)[:, None, None]
-        r = np.arange(n, dtype=np.int16)[None, :, None]
-        s = np.arange(MAX_SIZE + 1, dtype=np.int16)
-        target = lengths[r, s]
-        top = s + C[p - 1] - 1  # S - 1, the size every replacement takes
-
-        def raised(positions):
-            """Validity and cost of a zero at ``positions`` raised to S - 1."""
-            t = top - C[np.clip(positions, 1, n) - 1]
-            return (t >= 1) & (t <= MAX_SIZE), np.clip(t, 0, MAX_SIZE)
-
-        dominated = np.zeros((n + 1, n, MAX_SIZE + 1), dtype=bool)
-        end_ok = start_ok = True
+        terms = _replacement_terms(self.ref.component, n)
+        sbar = self.sbar
+        shift = _DIFF - sbar[terms.at]  # a zero at q reads window row sbar[q] + shift
+        hit = np.zeros(terms.target.shape, dtype=bool)
         end_cost = start_cost = 0
-        for j in range(1, MAX_REPLACED_ZEROS + 1):
-            rest = np.maximum(r - j, 0)  # zeros left in the run
-            # raised zeros at the end of the run, positions p-j..p-1: the
+        for (end_at, end_row), (start_at, start_rest) in zip(terms.end, terms.start):
+            # j zeros raised at the end of the run, positions p-j..p-1: the
             # rest of the run now precedes the one at p-j
-            ok, t = raised(p - j)
-            end_ok = end_ok & ok
-            length = end_cost + lengths.take(rest * (MAX_SIZE + 1) + t) + len0[s - 1]
-            dominated |= (r >= j) & end_ok & (length > target)
-            end_cost = end_cost + len0.take(t)
-            # raised zeros at the start of the run, positions p-r..p-r+j-1:
+            d = sbar[end_at] + shift
+            hit |= end_cost + terms.tail.take(end_row + d, axis=0) > terms.target
+            end_cost = end_cost + terms.alone.take(d, axis=0)
+            # j zeros raised at the start of the run, positions p-r..p-r+j-1:
             # the rest of the run now precedes the demoted coefficient
-            ok, t = raised(p - r + j - 1)
-            start_ok = start_ok & ok
-            start_cost = start_cost + len0.take(t)
-            length = start_cost + lengths[rest, s - 1]
-            dominated |= (r >= j) & start_ok & (length > target)
-        dominated &= (r < p) & (s > 2)
+            start_cost = start_cost + terms.alone.take(sbar[start_at] + shift, axis=0)
+            hit |= start_cost + start_rest > terms.target
+        dominated = np.zeros(((n + 1) * n, MAX_SIZE + 1), dtype=bool)
+        dominated[terms.cells, _TESTED] = hit
+        dominated = dominated.reshape(n + 1, n, MAX_SIZE + 1)
+        dominated.setflags(write=False)
         return dominated
 
     @functools.cached_property
@@ -404,6 +391,79 @@ def _escape_grid(component: ComponentKind) -> np.ndarray:
         ]
         for r in range(MAX_RUNLENGTH + 1)
     ])
+
+
+# The replacement test covers the sizes s = 3..10.  A zero at q raised to
+# S - 1 takes size t = s - 1 + sbar[q] - sbar[p], and reference sizes lie
+# in 2..8, so the difference is at most _DIFF either way.  _INVALID is the
+# length of a replacement that cannot be made (t outside 1..10, or a run
+# shorter than j): a test sums at most four code lengths of at most 59
+# bits, so any sum holding _INVALID stays below every target.
+_TESTED = slice(3, MAX_SIZE + 1)
+_DIFF = REFERENCE_SIZE - 2
+_INVALID = -1024
+
+
+@dataclass(frozen=True, eq=False)
+class _ReplacementTerms:
+    """The exponent-free terms of the replacement test for n positions.
+
+    One row per pattern pair 1 <= r < p <= n, in ``np.tril_indices``
+    order, and one column per size s = 3..10:
+
+    * ``cells``: the pair's row ``p * n + r`` in the ``[p, r]`` plane;
+    * ``at``: its position, p - 1 from 0;
+    * ``target``: the pattern's own length ``len(r, s)``;
+    * ``alone``: row ``sbar[q] - sbar[p] + _DIFF`` is ``len(0, t)`` for a
+      lone zero raised at q;
+    * ``tail``: that row plus ``k * (2 * _DIFF + 1)`` is ``len(k, t)``
+      after k zeros, plus the demoted coefficient's ``len(0, s - 1)``;
+    * ``end[j - 1]``: the position of the zero raised at p - j and the
+      ``tail`` offset of the r - j zeros before it;
+    * ``start[j - 1]``: the position of the zero raised at p - r + j - 1
+      and the length ``len(r - j, s - 1)`` of the demoted coefficient
+      after the rest of the run.
+    """
+
+    cells: np.ndarray
+    at: np.ndarray
+    target: np.ndarray
+    alone: np.ndarray
+    tail: np.ndarray
+    end: tuple
+    start: tuple
+
+
+@functools.cache
+def _replacement_terms(component: ComponentKind, n: int) -> _ReplacementTerms:
+    lengths = table_for(component).lengths
+    p, r = np.tril_indices(n, -1)
+    p, r = p + 1, r + 1  # 1 <= r < p <= n
+    demoted = lengths[:, 2:MAX_SIZE]  # len(k, s - 1) for s = 3..10
+    t = np.arange(-_DIFF, _DIFF + 1)[:, None] + np.arange(2, MAX_SIZE)
+    valid = (t >= 1) & (t <= MAX_SIZE)
+    t = np.clip(t, 0, MAX_SIZE)
+    alone = np.where(valid, lengths[0, t], _INVALID).astype(np.int16)
+    # one more block of rows, all invalid, for runs shorter than j
+    tail = np.full((MAX_RUNLENGTH + 2,) + t.shape, _INVALID, dtype=np.int16)
+    tail[:-1] = np.where(valid, lengths[:, t] + demoted[0], _INVALID)
+    end, start = [], []
+    for j in range(1, MAX_REPLACED_ZEROS + 1):
+        short = r < j
+        rest = np.where(short, MAX_RUNLENGTH + 1, r - j)
+        end.append((np.maximum(p - j - 1, 0), rest * len(t)))
+        start.append((
+            np.minimum(p - r + j - 2, p - 1),
+            np.where(short[:, None], _INVALID, demoted[np.maximum(r - j, 0)]).astype(np.int16),
+        ))
+    terms = _ReplacementTerms(
+        p * n + r, p - 1, lengths[r, _TESTED], alone, tail.reshape(-1, t.shape[1]),
+        tuple(end), tuple(start),
+    )
+    for array in (terms.cells, terms.at, terms.target, terms.alone, terms.tail,
+                  *chain.from_iterable(terms.end + terms.start)):
+        array.setflags(write=False)
+    return terms
 
 
 @functools.lru_cache(maxsize=128)
@@ -443,11 +503,31 @@ def _rows(families) -> np.ndarray:
     return rows
 
 
+def _tiers(rows: np.ndarray) -> np.ndarray:
+    """The exact value tier ``(bits << 12) // width`` of each row, int64:
+    rows share a tier exactly when they share a value (see ``_by_value``)."""
+    return (rows["bits"].astype(np.int64) << 12) // rows["width"]
+
+
 def _by_value(rows: np.ndarray) -> np.ndarray:
-    """``rows`` sorted by value, kind, position, run and size."""
-    return rows[np.lexsort(
-        (rows["size"], rows["run"], rows["position"], rows["kind"], rows["bits"] / rows["width"])
-    )]
+    """``rows`` sorted by value, kind, position, run and size.
+
+    One ``np.argsort`` on one int64 key: the value tier above 19 low bits
+    that pack kind (3 bits), position (6), run (6) and size (4).  The tier
+    is exact: two distinct fractions with widths of at most 63 differ by
+    at least 1/(63 * 62) = 1/3906, so times 4096 > 3906 they differ by
+    more than 1 and their floors differ in the same order; equal
+    fractions have equal floors.  int16 bits keep the tier below 2**27 in
+    magnitude, so the key stays below 2**47.  No two rows of a set share
+    kind, position, run and size, so the key is unique and the order
+    does not depend on the sort algorithm.
+    """
+    key = _tiers(rows) << 19
+    key |= rows["kind"].astype(np.int64) << 16
+    key |= rows["position"].astype(np.int64) << 10
+    key |= rows["run"].astype(np.int64) << 4
+    key |= rows["size"]
+    return rows[np.argsort(key)]
 
 
 def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
@@ -509,7 +589,7 @@ def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = Fa
     are held.  Returns the kept rows in ascending order.
     """
     walk = rows[::-1] if from_top else rows
-    covered: dict[float, int] = {}
+    covered: dict[int, int] = {}
     kept: list[int] = []
     copies: list[int] = []
     held = 0
@@ -534,9 +614,7 @@ def _walk_columns(rows: np.ndarray):
     a time: a stopping walk reads only the first few hundred."""
     for lo in range(0, len(rows), 256):
         part = rows[lo:lo + 256]
-        yield from zip(
-            (part["bits"] / part["width"]).tolist(), part["start"].tolist(), part["width"].tolist()
-        )
+        yield from zip(_tiers(part).tolist(), part["start"].tolist(), part["width"].tolist())
 
 
 def _capped(sets: LossGainSets, stops=None) -> LossGainSets:

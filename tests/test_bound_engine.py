@@ -30,7 +30,13 @@ from acbound.bound_engine import (
     solve_limit,
     upper_limit,
 )
-from acbound.entropy_model import ComponentKind, sequence_length, symbolize, table_for
+from acbound.entropy_model import (
+    AC_POSITIONS,
+    ComponentKind,
+    sequence_length,
+    symbolize,
+    table_for,
+)
 from acbound.quantization import (
     QuantTable,
     UnsupportedTableError,
@@ -396,7 +402,14 @@ def oracle_references(rng):
 
 class TestDominanceTable:
     def test_table_matches_scalar_replacement_test(self, rng):
-        for ref in oracle_references(rng):
+        # all-6 and alternating 0/6 vectors put replacement sizes at the
+        # edges of their validity window
+        edges = [
+            reference_config(component, vector)
+            for component in ComponentKind
+            for vector in ([6] * 63, [0, 6] * 31 + [0])
+        ]
+        for ref in oracle_references(rng) + edges:
             en = bound_engine._enumerator(ref)
             n = ref.n_positions
             count = 0
@@ -409,6 +422,8 @@ class TestDominanceTable:
                         count += expected
             # nothing is marked outside the 0 <= r < p patterns
             assert en.dominance.sum() == count
+            assert en.dominance.shape == (n + 1, n, 11)
+            assert not en.dominance.flags.writeable
 
     def test_escape_gains_dropped_exactly_when_dominated(self, component, rng):
         table = table_for(component)
@@ -518,6 +533,62 @@ def scalar_enumeration(ref):
     return entries(losses), entries(gains9), entries(gains10)
 
 
+class TestValueKey:
+    def test_tier_orders_like_the_exact_fraction(self):
+        # every bit total a builder can produce: at most the cost of 63
+        # reference coefficients, at least minus one code length
+        lengths = np.stack([table_for(component).lengths for component in ComponentKind])
+        lo, hi = -int(lengths.max()), AC_POSITIONS * int(lengths[:, 0].max())
+        for component in ComponentKind:
+            for sf in SF_GRID:
+                ref = reference_length(component, pow2_table(scaled_annex_k(component, sf)))
+                sets = enumerate_deltas(ref)
+                for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
+                    assert lo <= rows["bits"].min() and rows["bits"].max() <= hi
+        bits, width = np.meshgrid(np.arange(lo, hi + 1), np.arange(1, AC_POSITIONS + 1))
+        rows = np.zeros(bits.size, bound_engine._ROW)
+        rows["bits"], rows["width"] = bits.ravel(), width.ravel()
+        tiers = bound_engine._tiers(rows)
+        order = np.argsort(tiers)
+        tiers = tiers[order].tolist()
+        values = [Fraction(b, w) for b, w in zip(rows["bits"][order].tolist(),
+                                                 rows["width"][order].tolist())]
+        for k in range(1, len(values)):
+            if tiers[k - 1] == tiers[k]:
+                assert values[k - 1] == values[k], (values[k - 1], values[k])
+            else:
+                assert values[k - 1] < values[k], (values[k - 1], values[k])
+
+    def test_ties_break_by_kind_position_run_and_size(self, rng):
+        # field extremes under few values, so most rows tie on value
+        fields = np.array([
+            (kind, p, r, size)
+            for kind in range(8) for p in (0, 1, 62, 63) for r in (0, 1, 61, 62)
+            for size in (0, 1, 9, 10)
+        ])
+        rows = np.zeros(len(fields), bound_engine._ROW)
+        for k, name in enumerate(("kind", "position", "run", "size")):
+            rows[name] = fields[:, k]
+        rows["width"] = rng.choice([1, 2, 62, 63], size=len(rows))
+        rows["bits"] = rng.integers(-3, 4, size=len(rows))
+        exact = sorted(
+            (Fraction(bits, width), kind, p, r, size)
+            for kind, p, r, size, _, width, bits, _ in rows.tolist()
+        )
+        assert [
+            (Fraction(bits, width), kind, p, r, size)
+            for kind, p, r, size, _, width, bits, _ in bound_engine._by_value(rows).tolist()
+        ] == exact
+
+    def test_sort_ignores_the_input_order(self, rng):
+        # a shuffled set sorts back to the same bytes: the key is unique
+        for ref in oracle_references(rng)[::4]:
+            sets = enumerate_deltas(ref)
+            for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
+                for order in (rng.permutation(len(rows)), np.arange(len(rows))[::-1]):
+                    assert bound_engine._by_value(rows[order]).tobytes() == rows.tobytes()
+
+
 class TestColumnarSets:
     def test_enumeration_matches_the_scalar_loop(self, rng):
         for ref in oracle_references(rng):
@@ -546,7 +617,7 @@ class TestColumnarSets:
     @settings(max_examples=15, deadline=None)
     @columnar_examples
     def test_entries_follow_the_exact_value_order(self, exponents, component):
-        # the float64 sort key must agree with exact (value, kind, p, r, s) order
+        # the integer sort key must agree with exact (value, kind, p, r, s) order
         ref = reference_config(component, exponents)
         for refinement in Refinement:
             sets = build_sets(ref, refinement)
