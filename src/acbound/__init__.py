@@ -18,7 +18,6 @@ from .entropy_model import (
     symbolize,
     sequence_length,
     crude_bound,
-    max_dc_diff_amplitude,
 )
 from .quantization import (
     QuantTable,
@@ -53,7 +52,6 @@ __all__ = [
     "symbolize",
     "sequence_length",
     "crude_bound",
-    "max_dc_diff_amplitude",
     "QuantTable",
     "Pow2QuantTable",
     "annex_k_table",

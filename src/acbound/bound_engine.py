@@ -66,12 +66,18 @@ The engine computes exactly in integer units of ``1/SCALE`` bits, where
 bits, so exact values are Python ints, made only for the rows a prefix
 sums or an entry reads; a ``Fraction`` is built only for reported values.  ``DeltaEntry``
 objects are built only when a set's entry tuples are read.
+
+``decompose`` returns the same rows for the operations of one target,
+each carrying all its copies, so a row's copies sum to its ``bits``
+total and ``recompose_length`` is an integer sum: the reference length
+minus the loss bits plus the gain bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -109,9 +115,6 @@ class OpKind(Enum):
     OP6B = "OP6B"
 
 
-LOSS_KINDS = frozenset({OpKind.OP1, OpKind.OP2, OpKind.OP3, OpKind.OP4})
-
-
 class Refinement(Enum):
     BASE = "base"
     CAPACITY = "capacity_pruned"
@@ -128,10 +131,10 @@ class ConstraintError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class DeltaEntry:
-    """One local code-length change with its position footprint.
+    """One row of a delta set as a plain record, for a reader.
 
     ``value`` is the exact change per affected position in units of
-    ``1/SCALE`` bits; ``multiplicity`` is the number of affected positions.
+    ``1/SCALE`` bits; ``multiplicity`` is the number of copies it carries.
     """
 
     op_kind: OpKind
@@ -140,25 +143,6 @@ class DeltaEntry:
     size: int
     value: int
     multiplicity: int
-
-    @property
-    def per_position_value(self) -> Fraction:
-        """The change in bits per affected position."""
-        return Fraction(self.value, SCALE)
-
-    @property
-    def is_loss(self) -> bool:
-        return self.op_kind in LOSS_KINDS
-
-    def footprint(self, n_positions: int) -> range:
-        """Positions the entry assigns copies to (1-indexed, inclusive)."""
-        if self.op_kind is OpKind.OP2:
-            return range(self.position - self.runlength, self.position + 1)
-        if self.op_kind is OpKind.OP3:
-            return range(self.position - self.runlength, self.position)
-        if self.op_kind is OpKind.OP4:
-            return range(self.position + 1, n_positions + 1)
-        return range(self.position, self.position + 1)
 
 
 @dataclass(frozen=True)
@@ -194,11 +178,12 @@ class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
     Each multiset is a ``_ROW`` record array in ascending (value, kind,
-    position, runlength, size) order, which the refinements keep.  The
-    ``losses``, ``gains9`` and ``gains10`` tuples hold the same rows as
-    ``DeltaEntry`` objects, in the same order; each is built on first
-    read, so the limit path never builds one.  The value order is exact:
-    see ``_tiers``.  Compared by identity.
+    position, runlength, size) order, which the refinements keep; the
+    engine reads only the rows.  The ``losses``, ``gains9`` and
+    ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
+    records, in the same order; each is built on first read, so the limit
+    path never builds one.  The value order is exact: see ``_tiers``.
+    Compared by identity.
     """
 
     loss_rows: np.ndarray
@@ -479,6 +464,14 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_ORDER)}
 # promotion by its size step S - 8.
 _DEMOTION = (OpKind.OP1, OpKind.OP2)
 _PROMOTION = {1: (OpKind.OP5A, OpKind.OP6A), 2: (OpKind.OP5B, OpKind.OP6B)}
+
+
+# The sign of a row's bits in the coded length, by kind rank: OP1-OP4
+# rows are losses, OP5 and OP6 rows gains.
+_SIGN = np.array([
+    -1 if kind in (OpKind.OP1, OpKind.OP2, OpKind.OP3, OpKind.OP4) else 1
+    for kind in _KIND_ORDER
+])
 
 
 def _kind_ranks(kinds, run):
@@ -778,17 +771,27 @@ def upper_limit(
 # -- exact decomposition of a target configuration -----------------------
 
 
-def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
-    """Unique operation list transforming the reference into ``target``.
+def decompose(target, ref: ReferenceConfig) -> np.ndarray:
+    """Unique operation rows transforming the reference into ``target``.
 
-    ``target`` holds unquantized sizes of a reduced configuration (zero
-    exactly where the quantized size is zero).  The signed per-position
-    deltas times multiplicities, added to the reference length, reproduce
-    the coded length of the target exactly.
+    ``target`` holds unquantized sizes of a reduced configuration: one
+    integer in 0..10 per position, zero exactly where the quantized size
+    is zero.  Returns ``_ROW`` rows, the EOB first, then by position, a
+    kept coefficient's OP3 ahead of its OP6; each row carries all its
+    copies (``multiplicity == width``).  ``recompose_length`` sums them
+    back to the coded length of the target exactly.
     """
     en = _enumerator(ref)
     n = ref.n_positions
-    sizes = [int(s) for s in target]
+    sizes = []
+    for p, s in enumerate(target, start=1):
+        try:
+            size = operator.index(s)  # refuses a float, even an integral one
+        except TypeError:
+            size = -1
+        if not 0 <= size <= MAX_SIZE:
+            raise ConstraintError(f"position {p}: size {s} is not an integer in 0..{MAX_SIZE}")
+        sizes.append(size)
     if len(sizes) != n:
         raise ConstraintError(f"expected {n} sizes, got {len(sizes)}")
     energy = sum(1 << (2 * s - 2) for s in sizes if s > 0)
@@ -800,7 +803,6 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
                 f"position {p}: nonzero unquantized size {s} quantizes to zero"
             )
 
-    # the checks above bound every size to 0..10: numpy takes over
     sizes = np.array(sizes, dtype=np.intp)
     p = np.flatnonzero(sizes) + 1
     r = np.diff(p, prepend=0) - 1  # zeros ahead of each nonzero position
@@ -821,14 +823,10 @@ def decompose(target, ref: ReferenceConfig) -> list[DeltaEntry]:
     rows = _rows(families)
     # the EOB first, then by position; lexsort is stable, so a kept
     # coefficient's OP3 stays ahead of its OP6
-    order = np.lexsort((rows["position"], rows["kind"] != _KIND_RANK[OpKind.OP4]))
-    return list(_delta_entries(rows[order]))
+    return rows[np.lexsort((rows["position"], rows["kind"] != _KIND_RANK[OpKind.OP4]))]
 
 
-def recompose_length(ref: ReferenceConfig, entries) -> Fraction:
-    """Reference length plus the signed sum of all entry deltas."""
-    total = ref.ref_len * SCALE
-    for e in entries:
-        contribution = e.value * e.multiplicity
-        total += -contribution if e.is_loss else contribution
-    return Fraction(total, SCALE)
+def recompose_length(ref: ReferenceConfig, rows: np.ndarray) -> int:
+    """The coded length of a target from its ``decompose`` rows: the
+    reference length minus the loss bits plus the gain bits."""
+    return ref.ref_len + int(_SIGN[rows["kind"]] @ rows["bits"])

@@ -82,7 +82,12 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("ACBOUND_SEED")
-    return int(env) if env is not None else 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"ACBOUND_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(lines: list[str], manifest: dict) -> None:

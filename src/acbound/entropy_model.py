@@ -78,18 +78,6 @@ class CodeLengthTable:
         """Length of the Huffman part alone for the residual symbol."""
         return self.grid[size - 1][runlength % 16] - size
 
-    def to_csv(self) -> str:
-        """Render the table as CSV, one row per size 0..10, columns r=0..15."""
-        header = "size," + ",".join(str(r) for r in range(16))
-        rows = [header]
-        size0 = [""] * 16
-        size0[0] = str(self.eob_bits)
-        size0[15] = str(self.zrl_bits)
-        rows.append("0," + ",".join(size0))
-        for s in range(1, MAX_SIZE + 1):
-            rows.append(f"{s}," + ",".join(str(v) for v in self.grid[s - 1]))
-        return "\n".join(rows) + "\n"
-
 
 # Typical AC tables of the JPEG specification (annex K), expressed as total
 # per-symbol costs len(Huff(r, s)) + s.  Transcribed cell for cell.
@@ -171,18 +159,6 @@ def symbolize(sizes) -> SymbolSequence:
     return SymbolSequence(tuple(symbols), has_eob=run > 0)
 
 
-def desymbolize(seq: SymbolSequence, total: int = AC_POSITIONS) -> list[int]:
-    """Expand a symbol sequence back into a size vector of length ``total``."""
-    sizes: list[int] = []
-    for r, s in seq.symbols:
-        sizes.extend([0] * r)
-        sizes.append(s)
-    if len(sizes) > total or (len(sizes) == total and seq.has_eob):
-        raise ParameterError("symbol sequence does not fit the block")
-    sizes.extend([0] * (total - len(sizes)))
-    return sizes
-
-
 def sequence_length(table: CodeLengthTable, seq: SymbolSequence) -> int:
     """Total AC bits of a symbol sequence, including the EOB if present."""
     total = sum(table.code_length(r, s) for r, s in seq.symbols)
@@ -199,9 +175,3 @@ def crude_bound() -> int:
     """
     return AC_POSITIONS * (16 + MAX_SIZE) + 4
 
-
-def max_dc_diff_amplitude(q00: int) -> int:
-    """Largest possible difference between two quantized DC coefficients."""
-    if q00 < 1:
-        raise ParameterError(f"DC quantization factor {q00} must be >= 1")
-    return (2 * 2**10) // q00

@@ -84,9 +84,6 @@ class Pow2QuantTable:
     component: ComponentKind
     c: tuple[int, ...]
 
-    def exponent(self, k: int) -> int:
-        return self.c[k - 1]
-
 
 def annex_k_raster(component: ComponentKind) -> tuple[int, ...]:
     return K1_LUMINANCE if component is ComponentKind.LUMINANCE else K2_CHROMINANCE
@@ -153,24 +150,9 @@ def quantized_sizes(unquantized, c: Pow2QuantTable) -> list[int]:
     return [max(s - e, 0) for s, e in zip(sizes, c.c)]
 
 
-def save_quant_table(path, table: QuantTable, order: str = "zigzag") -> None:
-    """Write a table as plain text: a header line, then 64 integers."""
-    if order not in ("raster", "zigzag"):
-        raise ParameterError("order must be 'raster' or 'zigzag'")
-    values = [table.q00, *table.q]
-    if order == "raster":
-        zig = values
-        values = [0] * 64
-        for raster_index, k in zip(RASTER_OF_ZIGZAG, range(64)):
-            values[raster_index] = zig[k]
-    lines = [f"order: {order}"]
-    for row in range(8):
-        lines.append(" ".join(str(v) for v in values[row * 8:(row + 1) * 8]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_quant_table(path, component: ComponentKind) -> QuantTable:
-    """Read a table written by :func:`save_quant_table`."""
+    """Read a table file: an ``order: raster`` or ``order: zigzag``
+    header line, then 64 integers, the DC factor first."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("order:"):

@@ -1,11 +1,9 @@
-"""8x8 DCT as a 64-dimensional orthogonal map, zigzag order, and
-membership predicates for the geometry the bound derivation assumes.
+"""8x8 DCT as a 64-dimensional orthogonal map, and zigzag order.
 
 The forward transform of a level-shifted pixel block always lands inside
 the ball of radius 2**10 around the origin, and its AC energy is strictly
-below 2**20.  Neither the DCT output nor the predicates feed the bound
-engine: the transform serves the encoding pipeline and the verification
-harnesses, and the predicates let the tests check that geometry.
+below 2**20.  The DCT output does not feed the bound engine: the
+transform serves the encoding pipeline and the verification harnesses.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 BLOCK_SIZE = 8
 PIXEL_MIN = -128
 PIXEL_MAX = 127
-AC_ENERGY_BUDGET = float(2**20)
 
 # K[x, u] = 0.5 * C(u) * cos((2x + 1) u pi / 16), C(0) = 1/sqrt(2), else 1.
 _x = np.arange(BLOCK_SIZE).reshape(-1, 1)
@@ -80,38 +77,3 @@ def zigzag_scan(grid) -> np.ndarray:
     """Flatten an 8x8 grid into the 64-entry zigzag sequence."""
     flat = np.asarray(grid).reshape(64)
     return flat[list(RASTER_OF_ZIGZAG)]
-
-
-def zigzag_unscan(sequence) -> np.ndarray:
-    """Inverse of :func:`zigzag_scan`."""
-    seq = np.asarray(sequence).reshape(64)
-    return seq[list(ZIGZAG_OF_RASTER)].reshape(BLOCK_SIZE, BLOCK_SIZE)
-
-
-def ac_energy(coeffs) -> float:
-    F = np.asarray(coeffs, dtype=np.float64)
-    return float((F * F).sum() - F[0, 0] ** 2)
-
-
-def ac_ball_condition(coeffs) -> bool:
-    """True iff the AC energy is strictly below 2**20."""
-    return ac_energy(coeffs) < AC_ENERGY_BUDGET
-
-
-def cube_condition(coeffs, tol: float = 1e-9) -> bool:
-    """True iff the inverse transform stays within [-2**7, 2**7].
-
-    Both endpoints are inclusive; the upper endpoint deliberately admits
-    +128 even though level-shifted pixels top out at +127 (the published
-    inequality is asymmetric versus the pixel cube, and is kept as is).
-    """
-    f = inverse_dct(coeffs)
-    return bool((f >= PIXEL_MIN - tol).all() and (f <= 128 + tol).all())
-
-
-def integer_condition(coeffs, tol: float) -> bool:
-    """True iff every inverse-transform entry is within ``tol`` of an integer."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    f = inverse_dct(coeffs)
-    return bool((np.abs(f - np.round(f)) <= tol).all())

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import transform
 from .bound_engine import (
-    REFERENCE_SIZE,
     Refinement,
     reference_config,
     solve_limit,
@@ -390,34 +389,3 @@ def toy_oracle(
     if not tight <= capped <= base:
         raise AssertionError(f"refinement ordering violated: {base}, {capped}, {tight}")
     return best, tight
-
-
-# -- random reduced configurations -----------------------------------------
-
-
-def random_reduced_sizes(rng: np.random.Generator, ref) -> list[int]:
-    """One random unquantized size vector of a valid reduced configuration.
-
-    Positions are filled in random order with sizes the remaining ball
-    budget admits; a position stays zero when no size fits or by chance.
-    """
-    n = ref.n_positions
-    budget = (n + 1) << (2 * REFERENCE_SIZE - 2)
-    used = 0
-    sizes = [0] * n
-    order = rng.permutation(n).tolist()
-    skips = (rng.random(n) < 0.25).tolist()
-    picks = rng.random(n).tolist()
-    for idx, skip, u in zip(order, skips, picks):
-        if skip:
-            continue
-        low = ref.exponents[idx] + 1
-        # the feasible sizes are low..high, high the largest s <= 10 with
-        # used + 4**(s - 1) < budget
-        high = min(10, (budget - used - 1).bit_length() + 1 >> 1)
-        if high < low:
-            continue
-        s = low + int(u * (high - low + 1))
-        sizes[idx] = s
-        used += 1 << (2 * s - 2)
-    return sizes

@@ -1,0 +1,89 @@
+"""Reference helpers the tests compare the package against.
+
+None of these feed the package: they state the geometry the bound
+derivation assumes, invert the zigzag scan and symbolization, and draw
+random reduced configurations for the decomposition identity.
+"""
+
+import numpy as np
+
+from acbound.bound_engine import REFERENCE_SIZE
+from acbound.entropy_model import AC_POSITIONS, ParameterError, SymbolSequence
+from acbound.transform import BLOCK_SIZE, PIXEL_MIN, ZIGZAG_OF_RASTER, inverse_dct
+
+AC_ENERGY_BUDGET = float(2**20)
+
+
+def zigzag_unscan(sequence) -> np.ndarray:
+    """Inverse of ``zigzag_scan``."""
+    seq = np.asarray(sequence).reshape(64)
+    return seq[list(ZIGZAG_OF_RASTER)].reshape(BLOCK_SIZE, BLOCK_SIZE)
+
+
+def ac_energy(coeffs) -> float:
+    F = np.asarray(coeffs, dtype=np.float64)
+    return float((F * F).sum() - F[0, 0] ** 2)
+
+
+def ac_ball_condition(coeffs) -> bool:
+    """True iff the AC energy is strictly below 2**20."""
+    return ac_energy(coeffs) < AC_ENERGY_BUDGET
+
+
+def cube_condition(coeffs, tol: float = 1e-9) -> bool:
+    """True iff the inverse transform stays within [-2**7, 2**7].
+
+    Both endpoints are inclusive; the upper endpoint deliberately admits
+    +128 even though level-shifted pixels top out at +127 (the published
+    inequality is asymmetric versus the pixel cube, and is kept as is).
+    """
+    f = inverse_dct(coeffs)
+    return bool((f >= PIXEL_MIN - tol).all() and (f <= 128 + tol).all())
+
+
+def integer_condition(coeffs, tol: float) -> bool:
+    """True iff every inverse-transform entry is within ``tol`` of an integer."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    f = inverse_dct(coeffs)
+    return bool((np.abs(f - np.round(f)) <= tol).all())
+
+
+def desymbolize(seq: SymbolSequence, total: int = AC_POSITIONS) -> list[int]:
+    """Expand a symbol sequence back into a size vector of length ``total``."""
+    sizes: list[int] = []
+    for r, s in seq.symbols:
+        sizes.extend([0] * r)
+        sizes.append(s)
+    if len(sizes) > total or (len(sizes) == total and seq.has_eob):
+        raise ParameterError("symbol sequence does not fit the block")
+    sizes.extend([0] * (total - len(sizes)))
+    return sizes
+
+
+def random_reduced_sizes(rng: np.random.Generator, ref) -> list[int]:
+    """One random unquantized size vector of a valid reduced configuration.
+
+    Positions are filled in random order with sizes the remaining ball
+    budget admits; a position stays zero when no size fits or by chance.
+    """
+    n = ref.n_positions
+    budget = (n + 1) << (2 * REFERENCE_SIZE - 2)
+    used = 0
+    sizes = [0] * n
+    order = rng.permutation(n).tolist()
+    skips = (rng.random(n) < 0.25).tolist()
+    picks = rng.random(n).tolist()
+    for idx, skip, u in zip(order, skips, picks):
+        if skip:
+            continue
+        low = ref.exponents[idx] + 1
+        # the feasible sizes are low..high, high the largest s <= 10 with
+        # used + 4**(s - 1) < budget
+        high = min(10, (budget - used - 1).bit_length() + 1 >> 1)
+        if high < low:
+            continue
+        s = low + int(u * (high - low + 1))
+        sizes[idx] = s
+        used += 1 << (2 * s - 2)
+    return sizes

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from acbound import bound_engine
 from acbound.bound_engine import (
+    SCALE,
     ConstraintError,
     DeltaEntry,
     LossSetExhaustedError,
@@ -43,15 +44,31 @@ from acbound.quantization import (
     pow2_table,
     scaled_annex_k,
 )
-from acbound.verification import ac_bits_from_sizes, random_reduced_sizes, toy_oracle
+from acbound.verification import ac_bits_from_sizes, toy_oracle
+from references import random_reduced_sizes
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
+KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)  # kind rank -> kind
+GAIN_KINDS = frozenset({OpKind.OP5A, OpKind.OP5B, OpKind.OP6A, OpKind.OP6B})
 
 
 def chroma_sf1_sets(refinement=Refinement.BASE):
     q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
     ref = reference_length(ComponentKind.CHROMINANCE, pow2_table(q))
     return ref, build_sets(ref, refinement)
+
+
+def footprint(kind, position, run, n):
+    """Positions an operation assigns copies to (1-indexed, inclusive):
+    a run demotion its zeros and coefficient, a kept coefficient its
+    zeros, an EOB the tail behind it, any other kind its own position."""
+    if kind is OpKind.OP2:
+        return range(position - run, position + 1)
+    if kind is OpKind.OP3:
+        return range(position - run, position)
+    if kind is OpKind.OP4:
+        return range(position + 1, n + 1)
+    return range(position, position + 1)
 
 
 def find(entries, op_kind, position, runlength=None, size=None):
@@ -111,31 +128,31 @@ class TestWorkedExampleDeltas:
         for p in range(1, 64):
             entry = find(sets.losses, OpKind.OP1, p, size=ref.sbar[p - 1] - 1)
             assert len(entry) == 1
-            assert entry[0].per_position_value == 2
+            assert Fraction(entry[0].value, SCALE) == 2
 
     def test_run_keep_loss_at_twelve(self):
         _, sets = chroma_sf1_sets()
         (entry,) = find(sets.losses, OpKind.OP3, 12, runlength=1)
-        assert entry.per_position_value == 1
+        assert Fraction(entry.value, SCALE) == 1
         assert entry.multiplicity == 1
 
     def test_run_demotion_half_losses(self):
         _, sets = chroma_sf1_sets()
         (entry,) = find(sets.losses, OpKind.OP2, 63, runlength=1, size=1)
-        assert entry.per_position_value == Fraction(5, 2)
+        assert Fraction(entry.value, SCALE) == Fraction(5, 2)
         assert entry.multiplicity == 2
         (entry,) = find(sets.losses, OpKind.OP2, 7, runlength=1, size=3)
-        assert entry.per_position_value == Fraction(5, 2)
+        assert Fraction(entry.value, SCALE) == Fraction(5, 2)
 
     def test_run_promotion_gain_at_sixteen(self):
         _, sets = chroma_sf1_sets()
         (entry,) = find(sets.gains9, OpKind.OP6A, 16, runlength=2)
-        assert entry.per_position_value == 13 - 10 == 3
+        assert Fraction(entry.value, SCALE) == 13 - 10 == 3
 
     def test_tail_eob_loss(self):
         _, sets = chroma_sf1_sets()
         (entry,) = find(sets.losses, OpKind.OP4, 62)
-        assert entry.per_position_value == 3
+        assert Fraction(entry.value, SCALE) == 3
         assert entry.multiplicity == 1
 
     def test_loss_function_values(self):
@@ -175,11 +192,11 @@ class TestSignStructure:
             sets = enumerate_deltas(ref)
             for e in sets.losses:
                 if e.op_kind in (OpKind.OP1, OpKind.OP2):
-                    assert e.per_position_value > 0, e
+                    assert Fraction(e.value, SCALE) > 0, e
                 else:
-                    assert e.per_position_value >= 0, e
+                    assert Fraction(e.value, SCALE) >= 0, e
             for e in sets.gains9 + sets.gains10:
-                assert e.per_position_value > 0, e
+                assert Fraction(e.value, SCALE) > 0, e
 
     def test_promotion_sizes_capped(self, component):
         for sf in SF_GRID:
@@ -241,7 +258,7 @@ class TestUpperLimit:
     def test_objective_matches_fraction_recount(self, component, rng):
         # recount every objective cell in Fraction arithmetic off the paper table
         def per_position(e):
-            return e.per_position_value
+            return Fraction(e.value, SCALE)
 
         for _ in range(10):
             ref = reference_config(component, rng.integers(0, 7, size=63))
@@ -292,9 +309,9 @@ class TestRefinements:
         copies = {}
         covered = {}
         for e in capped.losses:
-            v = e.per_position_value
+            v = Fraction(e.value, SCALE)
             copies[v] = copies.get(v, 0) + e.multiplicity
-            covered.setdefault(v, set()).update(e.footprint(n))
+            covered.setdefault(v, set()).update(footprint(e.op_kind, e.position, e.runlength, n))
         for v, count in copies.items():
             assert count <= len(covered[v])
             assert count <= n
@@ -368,7 +385,9 @@ def set_dedup_losses(entries, n):
     out = []
     for e in entries:
         positions = covered.setdefault(e.value, set())
-        fresh = [q for q in e.footprint(n) if q not in positions]
+        fresh = [
+            q for q in footprint(e.op_kind, e.position, e.runlength, n) if q not in positions
+        ]
         if fresh:
             positions.update(fresh)
             out.append(dataclasses.replace(e, multiplicity=len(fresh)))
@@ -463,7 +482,6 @@ class TestCapacityBitmask:
 
 
 EXPONENT_VECTORS = st.lists(st.integers(0, 6), min_size=1, max_size=63)
-KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)
 
 
 def columnar_examples(test):
@@ -631,7 +649,7 @@ class TestColumnarSets:
                     for kind, p, r, s, _, width, bits, m in rows.tolist()
                 )
                 assert [
-                    (e.per_position_value, KIND_ORDER.index(e.op_kind), e.position,
+                    (Fraction(e.value, SCALE), KIND_ORDER.index(e.op_kind), e.position,
                      e.runlength, e.size, e.multiplicity)
                     for e in entries
                 ] == exact
@@ -648,7 +666,7 @@ class TestColumnarSets:
             sets = build_sets(ref, refinement)
             copies = sum(e.multiplicity for e in sets.losses)
             assert loss_function(sets, copies) == sum(
-                e.per_position_value * e.multiplicity for e in sets.losses
+                Fraction(e.value, SCALE) * e.multiplicity for e in sets.losses
             )
             with pytest.raises(LossSetExhaustedError):
                 loss_function(sets, copies + 1)
@@ -723,14 +741,24 @@ class TestGeneralizedInstances:
 class TestDecompose:
     def test_reference_target_is_identity(self):
         ref, _ = chroma_sf1_sets()
-        assert decompose([8] * 63, ref) == []
+        rows = decompose([8] * 63, ref)
+        assert len(rows) == 0
+        assert recompose_length(ref, rows) == ref.ref_len
 
     def test_all_zero_target(self):
         ref, _ = chroma_sf1_sets()
-        entries = decompose([0] * 63, ref)
-        assert len(entries) == 1
-        assert entries[0].op_kind is OpKind.OP4
-        assert recompose_length(ref, entries) == table_for(ref.component).eob_bits
+        rows = decompose([0] * 63, ref)
+        assert len(rows) == 1
+        assert KIND_ORDER[rows["kind"][0]] is OpKind.OP4
+        assert recompose_length(ref, rows) == table_for(ref.component).eob_bits
+
+    def test_returns_rows_carrying_all_their_copies(self, rng):
+        ref, _ = chroma_sf1_sets()
+        for _ in range(50):
+            rows = decompose(random_reduced_sizes(rng, ref), ref)
+            assert rows.dtype == bound_engine._ROW
+            assert (rows["multiplicity"] == rows["width"]).all()
+            assert type(recompose_length(ref, rows)) is int
 
     def test_rejects_ball_violation(self):
         ref, _ = chroma_sf1_sets()
@@ -744,6 +772,20 @@ class TestDecompose:
         with pytest.raises(ConstraintError):
             decompose(target, ref)
 
+    def test_rejects_a_fractional_size(self):
+        ref, _ = chroma_sf1_sets()
+        target = [0] * 63
+        target[20] = 7.9  # would truncate to a valid 7
+        with pytest.raises(ConstraintError, match="position 21: size 7.9 is not an integer"):
+            decompose(target, ref)
+
+    def test_rejects_a_negative_size(self):
+        ref, _ = chroma_sf1_sets()
+        target = [0] * 63
+        target[20] = -1
+        with pytest.raises(ConstraintError, match="position 21: size -1 is not an integer"):
+            decompose(target, ref)
+
     def test_identity_on_random_targets(self, component, rng):
         for sf in (Fraction(1, 64), Fraction(1)):
             q = scaled_annex_k(component, sf)
@@ -751,27 +793,32 @@ class TestDecompose:
             table = table_for(component)
             for _ in range(300):
                 target = random_reduced_sizes(rng, ref)
-                entries = decompose(target, ref)
+                rows = decompose(target, ref)
                 quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
                 direct = sequence_length(table, symbolize(quantized))
-                assert recompose_length(ref, entries) == direct
+                assert recompose_length(ref, rows) == direct
 
     def test_entries_are_enumerated_deltas(self, component, rng):
-        # every decompose entry is an element of the base sets, except the
-        # whole-block EOB and gains the base level may drop: escape cells
+        # every decompose row is a row of the base set of its sign, except
+        # the whole-block EOB and gains the base level may drop: escape cells
         table = table_for(component)
         for sf in (Fraction(1, 64), Fraction(1, 8), Fraction(1)):
             ref = reference_length(component, pow2_table(scaled_annex_k(component, sf)))
             sets = enumerate_deltas(ref)
-            members = set(sets.losses + sets.gains9 + sets.gains10)
+            losses = set(sets.loss_rows.tolist())
+            gains = set(sets.gain9_rows.tolist() + sets.gain10_rows.tolist())
             checked = 0
             for _ in range(200):
-                for e in decompose(random_reduced_sizes(rng, ref), ref):
-                    if e.op_kind is OpKind.OP4 and e.position == 0:
+                for row in decompose(random_reduced_sizes(rng, ref), ref).tolist():
+                    kind, position, run, size = KIND_ORDER[row[0]], *row[1:4]
+                    if kind is OpKind.OP4 and position == 0:
                         continue
-                    if not e.is_loss and table.huffman_length(e.runlength, e.size) >= 15:
+                    if kind not in GAIN_KINDS:
+                        assert row in losses, (sf, kind, row)
+                    elif table.huffman_length(run, size) < 15:
+                        assert row in gains, (sf, kind, row)
+                    else:
                         continue
-                    assert e in members, (sf, e)
                     checked += 1
             assert checked > 1000
 
@@ -796,39 +843,38 @@ class TestDecompose:
         def cost(first, last):  # reference cost of positions first..last
             return sum(table.code_length(0, s) for s in sbar[first - 1:last])
 
-        entries = decompose(target, ref)
+        rows = decompose(target, ref)
         assert [
-            (e.op_kind, e.position, e.runlength, e.size, e.per_position_value, e.multiplicity)
-            for e in entries
+            (KIND_ORDER[kind], p, r, s, start, Fraction(bits, width), m)
+            for kind, p, r, s, start, width, bits, m in rows.tolist()
         ] == [
-            (OpKind.OP4, 19, 0, 0, Fraction(cost(20, 63) - table.eob_bits, 44), 44),
-            (OpKind.OP1, 1, 0, 3, Fraction(cost(1, 1) - table.code_length(0, 3)), 1),
-            (OpKind.OP2, 4, 2, 2, Fraction(cost(2, 4) - table.code_length(2, 2), 3), 3),
-            (OpKind.OP5A, 5, 0, 5, Fraction(table.code_length(0, 5) - cost(5, 5)), 1),
-            (OpKind.OP3, 7, 1, 4, Fraction(cost(6, 7) - table.code_length(1, 4)), 1),
-            (OpKind.OP6B, 7, 1, 6, Fraction(table.code_length(1, 6) - table.code_length(1, 4)), 1),
+            (OpKind.OP4, 19, 0, 0, 20, Fraction(cost(20, 63) - table.eob_bits, 44), 44),
+            (OpKind.OP1, 1, 0, 3, 1, Fraction(cost(1, 1) - table.code_length(0, 3)), 1),
+            (OpKind.OP2, 4, 2, 2, 2, Fraction(cost(2, 4) - table.code_length(2, 2), 3), 3),
+            (OpKind.OP5A, 5, 0, 5, 5, Fraction(table.code_length(0, 5) - cost(5, 5)), 1),
+            (OpKind.OP3, 7, 1, 4, 6, Fraction(cost(6, 7) - table.code_length(1, 4)), 1),
+            (OpKind.OP6B, 7, 1, 6, 7,
+             Fraction(table.code_length(1, 6) - table.code_length(1, 4)), 1),
         ]
         quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
-        assert recompose_length(ref, entries) == sequence_length(table, symbolize(quantized))
+        assert recompose_length(ref, rows) == sequence_length(table, symbolize(quantized))
 
     def test_operation_kinds_partition_positions(self, rng):
         ref, _ = chroma_sf1_sets()
         for _ in range(100):
             target = random_reduced_sizes(rng, ref)
-            entries = decompose(target, ref)
+            rows = decompose(target, ref).tolist()
             covered = []
-            for e in entries:
-                if e.op_kind in (OpKind.OP6A, OpKind.OP6B):
+            for kind, position, run, *_ in rows:
+                if KIND_ORDER[kind] in (OpKind.OP6A, OpKind.OP6B):
                     continue  # shares its run with the preceding OP3
-                covered.extend(e.footprint(63))
+                covered.extend(footprint(KIND_ORDER[kind], position, run, 63))
             changed = [
                 p for p in range(1, 64)
                 if target[p - 1] != 8
             ]
             assert sorted(covered) == sorted(set(covered))
-            assert set(changed) <= set(covered) | {
-                e.position for e in entries
-            }
+            assert set(changed) <= set(covered) | {position for _, position, *_ in rows}
 
 
 class TestSoundnessAgainstDirectEnumeration:

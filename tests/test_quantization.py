@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from acbound.entropy_model import ComponentKind, ParameterError
@@ -13,11 +14,11 @@ from acbound.quantization import (
     pow2_table,
     quantize,
     quantized_sizes,
-    save_quant_table,
     scale_table,
     scaled_annex_k,
     QuantTable,
 )
+from references import zigzag_unscan
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 
@@ -57,11 +58,11 @@ class TestPow2Table:
         c = pow2_table(q)
         for k in range(1, 64):
             if k in (1, 2, 3, 4, 5, 7, 8):
-                assert c.exponent(k) == 4
+                assert c.c[k - 1] == 4
             elif k in (6, 9, 12):
-                assert c.exponent(k) == 5
+                assert c.c[k - 1] == 5
             else:
-                assert c.exponent(k) == 6
+                assert c.c[k - 1] == 6
 
     def test_all_ones(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64))
@@ -100,7 +101,7 @@ class TestInterdependenceRelations:
             for k in range(2, 64):
                 for l in range(1, k):
                     assert q.factor(l) <= 2 * q.factor(k) + 1, (sf, l, k)
-                    assert c.exponent(l) <= c.exponent(k) + 1, (sf, l, k)
+                    assert c.c[l - 1] <= c.c[k - 1] + 1, (sf, l, k)
 
 
 class TestQuantize:
@@ -163,16 +164,23 @@ class TestReducedConstruction:
                 k = int(rng.integers(1, 64))
                 s = int(rng.integers(1, 11))
                 coeff = q.factor(k) * 2 ** (s - 1)
-                scaled = Fraction(2 ** c.exponent(k), q.factor(k)) * coeff
-                assert quantize(coeff, q.factor(k)) == quantize(scaled, 2 ** c.exponent(k))
+                scaled = Fraction(2 ** c.c[k - 1], q.factor(k)) * coeff
+                assert quantize(coeff, q.factor(k)) == quantize(scaled, 2 ** c.c[k - 1])
+
+
+def table_text(order, values):
+    """A table file: the order header, then the 64 integers 8 per line."""
+    rows = np.reshape(values, (8, 8)).tolist()
+    return "\n".join([f"order: {order}"] + [" ".join(map(str, row)) for row in rows]) + "\n"
 
 
 class TestTableFiles:
     def test_round_trip_both_orders(self, tmp_path, component):
         q = scaled_annex_k(component, Fraction(1, 2))
-        for order in ("zigzag", "raster"):
+        zigzag = [q.q00, *q.q]
+        for order, values in (("zigzag", zigzag), ("raster", zigzag_unscan(zigzag))):
             path = tmp_path / f"table-{order}.txt"
-            save_quant_table(path, q, order=order)
+            path.write_text(table_text(order, values))
             loaded = load_quant_table(path, component)
             assert loaded.q == q.q
             assert loaded.q00 == q.q00
@@ -186,7 +194,8 @@ class TestTableFiles:
     def test_annex_k_raster_matches_source(self, tmp_path):
         q = annex_k_table(ComponentKind.LUMINANCE)
         path = tmp_path / "k1.txt"
-        save_quant_table(path, q, order="raster")
-        body = path.read_text().splitlines()[1:]
-        values = [int(t) for ln in body for t in ln.split()]
-        assert tuple(values) == K1_LUMINANCE
+        path.write_text(table_text("raster", K1_LUMINANCE))
+        loaded = load_quant_table(path, ComponentKind.LUMINANCE)
+        assert (loaded.q00, loaded.q) == (q.q00, q.q)
+        # the zigzag walk of the source's top-left corner
+        assert loaded.q[:9] == (11, 12, 14, 12, 10, 16, 14, 13, 14)

@@ -4,15 +4,17 @@ import pytest
 from acbound import transform
 from acbound.transform import (
     DCT_MATRIX,
-    ac_ball_condition,
-    ac_energy,
-    cube_condition,
     forward_dct,
-    integer_condition,
     inverse_dct,
     level_shift,
     validate_pixel_block,
     zigzag_scan,
+)
+from references import (
+    ac_ball_condition,
+    ac_energy,
+    cube_condition,
+    integer_condition,
     zigzag_unscan,
 )
 

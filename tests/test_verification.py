@@ -22,12 +22,12 @@ from acbound.verification import (
     ac_bits_from_sizes,
     adversarial_search,
     encode_block,
-    random_reduced_sizes,
     soundness_fuzz,
     structured_extreme_blocks,
     toy_oracle,
 )
 from acbound.verification import _mutations
+from references import random_reduced_sizes
 
 
 class TestEncodeBlock:
