@@ -13,15 +13,12 @@ from .entropy_model import (
     ComponentKind,
     CodeLengthTable,
     SymbolSequence,
-    chrominance_table,
-    luminance_table,
     symbolize,
     sequence_length,
     crude_bound,
 )
 from .quantization import (
     QuantTable,
-    Pow2QuantTable,
     annex_k_table,
     scale_table,
     pow2_table,
@@ -47,13 +44,10 @@ __all__ = [
     "ComponentKind",
     "CodeLengthTable",
     "SymbolSequence",
-    "chrominance_table",
-    "luminance_table",
     "symbolize",
     "sequence_length",
     "crude_bound",
     "QuantTable",
-    "Pow2QuantTable",
     "annex_k_table",
     "scale_table",
     "pow2_table",

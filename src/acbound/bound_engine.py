@@ -35,14 +35,14 @@ boolean array over every (position, run, size) pattern, read by
 enumeration and the maxconfig level alike.  Only patterns with a run
 and a size above 2 can be dominated, so the test is computed for those
 alone, from exponent-free terms cached per component and length, and
-scattered into the array.  One cache holds all per-reference state: an
-enumerator with the reference sizes, the prefix sums of their costs and
-one builder per operation family, and, each built on first use, the
-dominance array and the base delta sets.
-Enumeration calls the builders on the (position, run, size) grids and
-decomposition on the operations of one target, so each delta formula is
-written once.  Code lengths come from the component's one
-``CodeLengthTable.lengths`` array.
+scattered into the array.  A ``ReferenceConfig`` holds all state derived
+from it, each part built on first use and freed with the reference: the
+reference sizes and the prefix sums of their costs as numpy arrays, the
+dominance array and the base delta sets.  One builder per operation
+family reads them; enumeration calls the builders on the (position,
+run, size) grids and decomposition on the operations of one target, so
+each delta formula is written once.  Code lengths come from the
+component's one ``CodeLengthTable.lengths`` array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
@@ -86,12 +86,7 @@ from itertools import accumulate, chain, islice, repeat
 import numpy as np
 
 from .entropy_model import AC_POSITIONS, MAX_RUNLENGTH, MAX_SIZE, ComponentKind, table_for
-from .quantization import (
-    Pow2QuantTable,
-    QuantTable,
-    UnsupportedTableError,
-    pow2_table,
-)
+from .quantization import QuantTable, UnsupportedTableError, pow2_table
 
 REFERENCE_SIZE = 8          # unquantized size of every reference coefficient
 PROMOTION_COST_9 = 3        # forced demotions per size-9 promotion
@@ -147,7 +142,13 @@ class DeltaEntry:
 
 @dataclass(frozen=True)
 class ReferenceConfig:
-    """Reference sizes, their total code length, and the instance shape."""
+    """Reference sizes, their total code length, and the instance shape.
+
+    Also holds the state enumeration, pruning and decomposition derive
+    from the reference, each part built on first use and freed with the
+    reference: the sizes and the prefix sums of their costs as numpy
+    arrays, the dominance array and the base delta sets.
+    """
 
     component: ComponentKind
     exponents: tuple[int, ...]
@@ -157,6 +158,61 @@ class ReferenceConfig:
     @property
     def n_positions(self) -> int:
         return len(self.sbar)
+
+    @functools.cached_property
+    def sbar_array(self) -> np.ndarray:
+        return np.array(self.sbar, dtype=np.intp)
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        """prefix[i] = sum of len(0, sbar_k) for k = 1..i."""
+        lengths = table_for(self.component).lengths
+        return np.concatenate(([0], np.cumsum(lengths[0, self.sbar_array])))
+
+    @functools.cached_property
+    def dominance(self) -> np.ndarray:
+        """Replacement test for every pattern, a read-only boolean array
+        ``[p, r, s]``: True when the pattern (r zeros, quantized size s at
+        p) provably cannot occur in a maximum code-length configuration.
+
+        The pattern's coefficient (unquantized size S) is demoted to
+        S - 1 and j = 1..3 of the run's zeros, at its end or at its start,
+        are raised to S - 1; the exchange never increases ball energy.  If
+        some such replacement is strictly longer, any configuration
+        containing the pattern is beaten, so the pattern's deltas can be
+        dropped.  Sizes s <= 2 are never tested (replacement sizes could
+        vanish) and patterns without a run are never dominated, so the
+        test runs over the patterns with 1 <= r < p and s = 3..10 alone,
+        one row of eight sizes per (p, r) pair, and is scattered into the
+        array.  Every term that does not depend on the exponents comes
+        from ``_replacement_terms``.
+        """
+        n = self.n_positions
+        terms = _replacement_terms(self.component, n)
+        sbar = self.sbar_array
+        shift = _DIFF - sbar[terms.at]  # a zero at q reads window row sbar[q] + shift
+        hit = np.zeros(terms.target.shape, dtype=bool)
+        end_cost = start_cost = 0
+        for (end_at, end_row), (start_at, start_rest) in zip(terms.end, terms.start):
+            # j zeros raised at the end of the run, positions p-j..p-1: the
+            # rest of the run now precedes the one at p-j
+            d = sbar[end_at] + shift
+            hit |= end_cost + terms.tail.take(end_row + d, axis=0) > terms.target
+            end_cost = end_cost + terms.alone.take(d, axis=0)
+            # j zeros raised at the start of the run, positions p-r..p-r+j-1:
+            # the rest of the run now precedes the demoted coefficient
+            start_cost = start_cost + terms.alone.take(sbar[start_at] + shift, axis=0)
+            hit |= start_cost + start_rest > terms.target
+        dominated = np.zeros(((n + 1) * n, MAX_SIZE + 1), dtype=bool)
+        dominated[terms.cells, _TESTED] = hit
+        dominated = dominated.reshape(n + 1, n, MAX_SIZE + 1)
+        dominated.setflags(write=False)
+        return dominated
+
+    @functools.cached_property
+    def base_sets(self) -> LossGainSets:
+        """The base-level delta sets, the start of every refinement."""
+        return enumerate_deltas(self)
 
 
 # One row of a delta set.  ``start`` and ``width`` give the footprint,
@@ -249,11 +305,12 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     return ReferenceConfig(component, exponents, sbar, ref_len)
 
 
-def reference_length(component: ComponentKind, c: Pow2QuantTable) -> ReferenceConfig:
-    """Reference configuration for a full 63-position power-of-2 table."""
-    if len(c.c) != AC_POSITIONS:
-        raise UnsupportedTableError(f"expected {AC_POSITIONS} exponents, got {len(c.c)}")
-    return reference_config(component, c.c)
+def reference_length(component: ComponentKind, exponents) -> ReferenceConfig:
+    """Reference configuration for the exponents of a full 63-position
+    power-of-2 table."""
+    if len(exponents) != AC_POSITIONS:
+        raise UnsupportedTableError(f"expected {AC_POSITIONS} exponents, got {len(exponents)}")
+    return reference_config(component, exponents)
 
 
 def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
@@ -271,99 +328,41 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-class _Enumerator:
-    """Per-reference state shared by enumeration, pruning and decomposition.
+# -- one builder per operation family ------------------------------------
+# Each turns arrays of operation instances of ``ref`` into the row columns
+# (kind, position, run, size, start, width, bits) of their entries.  ``p``
+# and ``r`` are arrays of positions and runs with 0 <= r < p; a run's zeros
+# are the positions p-r..p-1.  ``bits`` is the entry's bit total, spread
+# over its ``width`` affected positions.
 
-    Holds the component's code-length table, the reference sizes and the
-    prefix sums of their costs as numpy arrays and, each built on first
-    use, the dominance table and the base delta sets.  One builder per
-    operation family turns arrays of operation instances into the row
-    columns (kind, position, run, size, start, width, bits) of their
-    entries; enumeration calls the builders on whole grids, decomposition
-    on the operations of one target.
-    """
 
-    def __init__(self, ref: ReferenceConfig):
-        self.ref = ref
-        self.table = table_for(ref.component)
-        self.sbar = np.array(ref.sbar, dtype=np.intp)
-        # prefix[i] = sum of len(0, sbar_k) for k = 1..i
-        self.prefix = np.concatenate(([0], np.cumsum(self.table.lengths[0, self.sbar])))
+def _demotions(ref: ReferenceConfig, p, r, s):
+    """OP1/OP2: r zeros ending in a coefficient demoted to size s."""
+    lengths = table_for(ref.component).lengths
+    bits = ref.prefix[p] - ref.prefix[p - r - 1] - lengths[r, s]
+    return _kind_ranks(_DEMOTION, r), p, r, s, p - r, r + 1, bits
 
-    # -- one builder per operation family --------------------------------
-    # ``p`` and ``r`` are arrays of positions and runs with 0 <= r < p; a
-    # run's zeros are the positions p-r..p-1.  ``bits`` is the entry's bit
-    # total, spread over its ``width`` affected positions.
 
-    def demotions(self, p, r, s):
-        """OP1/OP2: r zeros ending in a coefficient demoted to size s."""
-        bits = self.prefix[p] - self.prefix[p - r - 1] - self.table.lengths[r, s]
-        return _kind_ranks(_DEMOTION, r), p, r, s, p - r, r + 1, bits
+def _kept(ref: ReferenceConfig, p, r):
+    """OP3: r >= 1 zeros ahead of a kept reference coefficient."""
+    lengths, size = table_for(ref.component).lengths, ref.sbar_array[p - 1]
+    bits = ref.prefix[p] - ref.prefix[p - r - 1] - lengths[r, size]
+    return _KIND_RANK[OpKind.OP3], p, r, size, p - r, r, bits
 
-    def kept(self, p, r):
-        """OP3: r >= 1 zeros ahead of a kept reference coefficient."""
-        size = self.sbar[p - 1]
-        bits = self.prefix[p] - self.prefix[p - r - 1] - self.table.lengths[r, size]
-        return _KIND_RANK[OpKind.OP3], p, r, size, p - r, r, bits
 
-    def promotions(self, p, r, step):
-        """OP5/OP6: r zeros ending in a coefficient promoted by ``step``
-        sizes, costed at its own position (the zeros are OP3's)."""
-        lengths, size = self.table.lengths, self.sbar[p - 1]
-        bits = lengths[r, size + step] - lengths[r, size]
-        return _kind_ranks(_PROMOTION[step], r), p, r, size + step, p, 1, bits
+def _promotions(ref: ReferenceConfig, p, r, step):
+    """OP5/OP6: r zeros ending in a coefficient promoted by ``step``
+    sizes, costed at its own position (the zeros are OP3's)."""
+    lengths, size = table_for(ref.component).lengths, ref.sbar_array[p - 1]
+    bits = lengths[r, size + step] - lengths[r, size]
+    return _kind_ranks(_PROMOTION[step], r), p, r, size + step, p, 1, bits
 
-    def eobs(self, p):
-        """OP4: EOB after position p; p = 0 zeroes the whole block."""
-        n = len(self.sbar)
-        bits = self.prefix[n] - self.prefix[p] - self.table.eob_bits
-        return _KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, bits
 
-    # -- maximum-configuration replacement test --------------------------
-
-    @functools.cached_property
-    def dominance(self) -> np.ndarray:
-        """Replacement test for every pattern, a read-only boolean array
-        ``[p, r, s]``: True when the pattern (r zeros, quantized size s at
-        p) provably cannot occur in a maximum code-length configuration.
-
-        The pattern's coefficient (unquantized size S) is demoted to
-        S - 1 and j = 1..3 of the run's zeros, at its end or at its start,
-        are raised to S - 1; the exchange never increases ball energy.  If
-        some such replacement is strictly longer, any configuration
-        containing the pattern is beaten, so the pattern's deltas can be
-        dropped.  Sizes s <= 2 are never tested (replacement sizes could
-        vanish) and patterns without a run are never dominated, so the
-        test runs over the patterns with 1 <= r < p and s = 3..10 alone,
-        one row of eight sizes per (p, r) pair, and is scattered into the
-        array.  Every term that does not depend on the exponents comes
-        from ``_replacement_terms``.
-        """
-        n = len(self.sbar)
-        terms = _replacement_terms(self.ref.component, n)
-        sbar = self.sbar
-        shift = _DIFF - sbar[terms.at]  # a zero at q reads window row sbar[q] + shift
-        hit = np.zeros(terms.target.shape, dtype=bool)
-        end_cost = start_cost = 0
-        for (end_at, end_row), (start_at, start_rest) in zip(terms.end, terms.start):
-            # j zeros raised at the end of the run, positions p-j..p-1: the
-            # rest of the run now precedes the one at p-j
-            d = sbar[end_at] + shift
-            hit |= end_cost + terms.tail.take(end_row + d, axis=0) > terms.target
-            end_cost = end_cost + terms.alone.take(d, axis=0)
-            # j zeros raised at the start of the run, positions p-r..p-r+j-1:
-            # the rest of the run now precedes the demoted coefficient
-            start_cost = start_cost + terms.alone.take(sbar[start_at] + shift, axis=0)
-            hit |= start_cost + start_rest > terms.target
-        dominated = np.zeros(((n + 1) * n, MAX_SIZE + 1), dtype=bool)
-        dominated[terms.cells, _TESTED] = hit
-        dominated = dominated.reshape(n + 1, n, MAX_SIZE + 1)
-        dominated.setflags(write=False)
-        return dominated
-
-    @functools.cached_property
-    def base_sets(self) -> LossGainSets:
-        return enumerate_deltas(self.ref)
+def _eobs(ref: ReferenceConfig, p):
+    """OP4: EOB after position p; p = 0 zeroes the whole block."""
+    n = ref.n_positions
+    bits = ref.prefix[n] - ref.prefix[p] - table_for(ref.component).eob_bits
+    return _KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, bits
 
 
 @functools.cache
@@ -449,11 +448,6 @@ def _replacement_terms(component: ComponentKind, n: int) -> _ReplacementTerms:
                   *chain.from_iterable(terms.end + terms.start)):
         array.setflags(write=False)
     return terms
-
-
-@functools.lru_cache(maxsize=128)
-def _enumerator(ref: ReferenceConfig) -> _Enumerator:
-    return _Enumerator(ref)
 
 
 # Entry order inside each set: value, then kind name, position, run, size.
@@ -545,7 +539,6 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     sorted once, by value, kind, position, run and size.  Reference sizes
     are at most 8, so both promoted sizes stay within 10.
     """
-    en = _enumerator(ref)
     n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
     census = {
@@ -558,17 +551,17 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     # r zeros ahead of position p, 0 <= r < p
     p, r = np.tril_indices(n)
     p += 1
-    sbar = en.sbar[p - 1]
+    sbar = ref.sbar_array[p - 1]
     i, j = np.nonzero(demoted < sbar[:, None])
-    losses = [en.demotions(p[i], r[i], demoted[j])]
+    losses = [_demotions(ref, p[i], r[i], demoted[j])]
     i = np.flatnonzero(r)  # a kept coefficient needs a run
-    losses.append(en.kept(p[i], r[i]))
-    losses.append(en.eobs(np.arange(1, n)))
+    losses.append(_kept(ref, p[i], r[i]))
+    losses.append(_eobs(ref, np.arange(1, n)))
     gains = []
     for step in _PROMOTION:
         size = sbar + step
-        i = np.flatnonzero(~(escape[r, size] & en.dominance[p, r, size]))
-        gains.append(_by_value(_rows([en.promotions(p[i], r[i], step)])))
+        i = np.flatnonzero(~(escape[r, size] & ref.dominance[p, r, size]))
+        gains.append(_by_value(_rows([_promotions(ref, p[i], r[i], step)])))
 
     return LossGainSets(_by_value(_rows(losses)), *gains, Refinement.BASE, census)
 
@@ -657,7 +650,7 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     survives unless a strictly longer replacement exists for its exact
     positions, so removal is always provable.
     """
-    dominance = _enumerator(ref).dominance
+    dominance = ref.dominance
 
     def kept(rows):
         return rows[np.flatnonzero(~dominance[rows["position"], rows["run"], rows["size"]])]
@@ -672,7 +665,7 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
 
 
 def _level_sets(ref: ReferenceConfig, refinement: Refinement, stops=None) -> LossGainSets:
-    sets = _enumerator(ref).base_sets
+    sets = ref.base_sets
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
@@ -764,8 +757,15 @@ def upper_limit(
     """Upper AC code-length limit for a quantization table, memoized."""
     if q.component is not component:
         raise ValueError("component and quantization table disagree")
-    ref = reference_length(component, pow2_table(q))
-    return solve_limit(ref, refinement, sf=q.sf)
+    return solve_limit(_cell_reference(component, pow2_table(q)), refinement, sf=q.sf)
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_reference(component: ComponentKind, exponents: tuple[int, ...]) -> ReferenceConfig:
+    """The reference of the cell ``upper_limit`` is computing.  Its callers
+    ask for one cell's levels back to back, so the levels share one
+    enumeration and a cell's state is freed once the next cell starts."""
+    return reference_length(component, exponents)
 
 
 # -- exact decomposition of a target configuration -----------------------
@@ -781,7 +781,6 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     copies (``multiplicity == width``).  ``recompose_length`` sums them
     back to the coded length of the target exactly.
     """
-    en = _enumerator(ref)
     n = ref.n_positions
     sizes = []
     for p, s in enumerate(target, start=1):
@@ -811,15 +810,15 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     kept = ~demoted & (r > 0)
     quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
     families = [
-        en.demotions(p[demoted], r[demoted], quantized[demoted]),
-        en.kept(p[kept], r[kept]),
+        _demotions(ref, p[demoted], r[demoted], quantized[demoted]),
+        _kept(ref, p[kept], r[kept]),
     ]
     for step in _PROMOTION:
         promoted = S == REFERENCE_SIZE + step
-        families.append(en.promotions(p[promoted], r[promoted], step))
+        families.append(_promotions(ref, p[promoted], r[promoted], step))
     last = p.max(initial=0)
     if last < n:
-        families.append(en.eobs(np.array([last])))
+        families.append(_eobs(ref, np.array([last])))
     rows = _rows(families)
     # the EOB first, then by position; lexsort is stable, so a kept
     # coefficient's OP3 stays ahead of its OP6

@@ -18,6 +18,7 @@ from .bound_engine import (
     gain_functions,
     loss_function,
     reference_length,
+    solve_limit,
     upper_limit,
 )
 from .entropy_model import ComponentKind, crude_bound
@@ -223,7 +224,7 @@ def _verify_deltas(args, checks: list[dict]) -> None:
     q = scaled_annex_k(component, sf)
     ref = reference_length(component, pow2_table(q))
     sets = build_sets(ref, Refinement.BASE)
-    result = upper_limit(component, q, Refinement.BASE)
+    result = solve_limit(ref, Refinement.BASE, sf=sf)
     _check(checks, "reference length", ref.ref_len == result.ref_len, f"len={ref.ref_len}")
     _check(checks, "objective zero at the origin", result.objective[(0, 0)] == 0)
     _check(checks, "limit covers reference", result.limit >= ref.ref_len,

@@ -112,14 +112,6 @@ _LUMINANCE = CodeLengthTable(ComponentKind.LUMINANCE, _LUMINANCE_GRID, eob_bits=
 _CHROMINANCE = CodeLengthTable(ComponentKind.CHROMINANCE, _CHROMINANCE_GRID, eob_bits=2, zrl_bits=10)
 
 
-def luminance_table() -> CodeLengthTable:
-    return _LUMINANCE
-
-
-def chrominance_table() -> CodeLengthTable:
-    return _CHROMINANCE
-
-
 def table_for(component: ComponentKind) -> CodeLengthTable:
     return _LUMINANCE if component is ComponentKind.LUMINANCE else _CHROMINANCE
 

@@ -77,14 +77,6 @@ class QuantTable:
         return self.q[k - 1]
 
 
-@dataclass(frozen=True)
-class Pow2QuantTable:
-    """Per-position exponents of the power-of-2 reduced table."""
-
-    component: ComponentKind
-    c: tuple[int, ...]
-
-
 def annex_k_raster(component: ComponentKind) -> tuple[int, ...]:
     return K1_LUMINANCE if component is ComponentKind.LUMINANCE else K2_CHROMINANCE
 
@@ -115,13 +107,14 @@ def scaled_annex_k(component: ComponentKind, sf) -> QuantTable:
     return scale_table(annex_k_table(component), sf)
 
 
-def pow2_table(q: QuantTable) -> Pow2QuantTable:
-    """Exponents C(k) with 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length."""
+def pow2_table(q: QuantTable) -> tuple[int, ...]:
+    """Exponents C(k) of the power-of-2 reduced table, one per AC
+    position: 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length."""
     if any(v > MAX_SUPPORTED_FACTOR for v in q.q):
         raise UnsupportedTableError(
             f"factors above {MAX_SUPPORTED_FACTOR} are outside the supported regime"
         )
-    return Pow2QuantTable(q.component, tuple(v.bit_length() - 1 for v in q.q))
+    return tuple(v.bit_length() - 1 for v in q.q)
 
 
 def quantize(value, q: int):
@@ -142,12 +135,12 @@ def coefficient_size(amplitude: int) -> int:
     return a.bit_length()
 
 
-def quantized_sizes(unquantized, c: Pow2QuantTable) -> list[int]:
+def quantized_sizes(unquantized, exponents) -> list[int]:
     """Per-position max(S(k) - C(k), 0) for a vector of unquantized sizes."""
     sizes = list(unquantized)
-    if len(sizes) != len(c.c):
+    if len(sizes) != len(exponents):
         raise ParameterError("size vector and exponent vector lengths differ")
-    return [max(s - e, 0) for s, e in zip(sizes, c.c)]
+    return [max(s - e, 0) for s, e in zip(sizes, exponents)]
 
 
 def load_quant_table(path, component: ComponentKind) -> QuantTable:

@@ -35,9 +35,10 @@ from .bound_engine import (
     upper_limit,
 )
 from .entropy_model import (
-    MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length, symbolize, table_for,
+    AC_POSITIONS, MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length,
+    symbolize, table_for,
 )
-from .quantization import QuantTable
+from .quantization import QuantTable, UnsupportedTableError
 
 # Sample block whose unit-quantized AC coefficients all stay nonzero with
 # sizes 7 and 8; near-worst-case at the finest scale factor and the default
@@ -355,8 +356,8 @@ def toy_oracle(
     (k, r) holds the array of (k - r, 0), so only the run-0 arrays are
     stored.  The engine limit (tightest refinement) must dominate it.
     """
-    if n_positions < 1:
-        raise ValueError("toy instances need at least one position")
+    if not 1 <= n_positions <= AC_POSITIONS:
+        raise UnsupportedTableError(f"1 to {AC_POSITIONS} positions are supported")
     if exponents is None:
         exponents = (0,) * n_positions
     exponents = tuple(int(c) for c in exponents)

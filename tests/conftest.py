@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acbound.entropy_model import ComponentKind, chrominance_table, luminance_table
+from acbound.entropy_model import ComponentKind, table_for
 
 
 @pytest.fixture(params=[ComponentKind.LUMINANCE, ComponentKind.CHROMINANCE],
@@ -12,12 +12,12 @@ def component(request):
 
 @pytest.fixture
 def chroma():
-    return chrominance_table()
+    return table_for(ComponentKind.CHROMINANCE)
 
 
 @pytest.fixture
 def lum():
-    return luminance_table()
+    return table_for(ComponentKind.LUMINANCE)
 
 
 @pytest.fixture

@@ -290,7 +290,7 @@ def test_criterion_9_toy_oracle():
     above = set()
     for component in ComponentKind:
         for sf in SF_SET:
-            exponents = pow2_table(scaled_annex_k(component, Fraction(sf))).c
+            exponents = pow2_table(scaled_annex_k(component, Fraction(sf)))
             exact, limit = toy_oracle(63, component, exponents)
             assert exact == EXACT_MAXIMA[component][sf]
             assert limit >= exact

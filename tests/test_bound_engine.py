@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import heapq
 import math
+import weakref
 from fractions import Fraction
 from itertools import accumulate
 
@@ -107,6 +109,15 @@ class TestReferenceLength:
     def test_rejects_an_empty_vector(self):
         with pytest.raises(UnsupportedTableError):
             reference_config(ComponentKind.LUMINANCE, ())
+
+    def test_state_is_freed_with_the_reference(self):
+        ref = reference_config(ComponentKind.LUMINANCE, [k // 10 for k in range(63)])
+        for refinement in Refinement:
+            solve_limit(ref, refinement)
+        alive = weakref.ref(ref)
+        del ref
+        gc.collect()
+        assert alive() is None
 
 
 class TestAdmissiblePairs:
@@ -238,6 +249,21 @@ class TestUpperLimit:
             capped = upper_limit(component, q, Refinement.CAPACITY).limit
             tight = upper_limit(component, q, Refinement.MAXCONFIG).limit
             assert tight <= capped <= base
+
+    def test_levels_of_one_cell_enumerate_once(self, monkeypatch):
+        calls = []
+
+        def counting_enumeration(ref):
+            calls.append(ref)
+            return enumerate_deltas(ref)
+
+        monkeypatch.setattr(bound_engine, "enumerate_deltas", counting_enumeration)
+        upper_limit.cache_clear()
+        bound_engine._cell_reference.cache_clear()
+        q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 8))
+        for refinement in Refinement:
+            upper_limit(ComponentKind.LUMINANCE, q, refinement)
+        assert len(calls) == 1
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
@@ -429,20 +455,19 @@ class TestDominanceTable:
             for vector in ([6] * 63, [0, 6] * 31 + [0])
         ]
         for ref in oracle_references(rng) + edges:
-            en = bound_engine._enumerator(ref)
             n = ref.n_positions
             count = 0
             for p in range(1, n + 1):
                 for r in range(p):
                     for s in range(11):
                         expected = scalar_dominated(ref, p, r, s)
-                        cell = en.dominance[p, r, s]
+                        cell = ref.dominance[p, r, s]
                         assert cell == expected, (ref.exponents, p, r, s)
                         count += expected
             # nothing is marked outside the 0 <= r < p patterns
-            assert en.dominance.sum() == count
-            assert en.dominance.shape == (n + 1, n, 11)
-            assert not en.dominance.flags.writeable
+            assert ref.dominance.sum() == count
+            assert ref.dominance.shape == (n + 1, n, 11)
+            assert not ref.dominance.flags.writeable
 
     def test_escape_gains_dropped_exactly_when_dominated(self, component, rng):
         table = table_for(component)
@@ -506,7 +531,7 @@ def scalar_enumeration(ref):
     """The base sets, one operation instance at a time from the code-length
     table and prefix sums of the reference costs, sorted as exact tuples."""
     table = table_for(ref.component)
-    dominance = bound_engine._enumerator(ref).dominance
+    dominance = ref.dominance
     n, sbar, scale = ref.n_positions, ref.sbar, bound_engine.SCALE
     prefix = list(accumulate((table.code_length(0, s) for s in sbar), initial=0))
 
@@ -692,7 +717,6 @@ class TestColumnarSets:
             return DeltaEntry(*args)
 
         monkeypatch.setattr(bound_engine, "DeltaEntry", counting_entry)
-        bound_engine._enumerator.cache_clear()
         ref = reference_config(ComponentKind.CHROMINANCE, exponents)
         for refinement in Refinement:
             solve_limit(ref, refinement)
@@ -701,10 +725,9 @@ class TestColumnarSets:
         assert len(build_sets(ref, Refinement.BASE).losses) == len(built) > 0
 
     def test_row_bytes_are_deterministic(self):
-        ref = reference_config(ComponentKind.LUMINANCE, [k // 10 for k in range(63)])
         row_bytes = []
         for _ in range(2):
-            bound_engine._enumerator.cache_clear()
+            ref = reference_config(ComponentKind.LUMINANCE, [k // 10 for k in range(63)])
             levels = [build_sets(ref, refinement) for refinement in Refinement]
             row_bytes.append([
                 rows.tobytes()

@@ -121,6 +121,7 @@ class TestLimits:
     ["limits", "--json", "--csv"],
     ["limits", "--sf-set", "paper", "--sf", "1"],
     ["verify", "toy", "--n", "64"],
+    ["verify", "toy", "--n", "1000000000000"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, argv)

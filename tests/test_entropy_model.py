@@ -9,17 +9,15 @@ from acbound.entropy_model import (
     MAX_SIZE,
     ComponentKind,
     ParameterError,
-    chrominance_table,
     crude_bound,
-    luminance_table,
     sequence_length,
     symbolize,
     table_for,
 )
 from references import desymbolize
 
-CHROMA = chrominance_table()
-LUM = luminance_table()
+CHROMA = table_for(ComponentKind.CHROMINANCE)
+LUM = table_for(ComponentKind.LUMINANCE)
 
 
 class TestCodeLength:

@@ -58,31 +58,31 @@ class TestPow2Table:
         c = pow2_table(q)
         for k in range(1, 64):
             if k in (1, 2, 3, 4, 5, 7, 8):
-                assert c.c[k - 1] == 4
+                assert c[k - 1] == 4
             elif k in (6, 9, 12):
-                assert c.c[k - 1] == 5
+                assert c[k - 1] == 5
             else:
-                assert c.c[k - 1] == 6
+                assert c[k - 1] == 6
 
     def test_all_ones(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64))
-        assert set(pow2_table(q).c) == {0}
+        assert set(pow2_table(q)) == {0}
 
     def test_no_float_log_boundaries(self):
         # every exact power of two must map to its own exponent
         for e in range(7):
             table = QuantTable(ComponentKind.LUMINANCE, (2**e,) * 63, q00=1)
-            assert set(pow2_table(table).c) == {e}
+            assert set(pow2_table(table)) == {e}
 
     def test_121_maps_to_6(self):
         table = QuantTable(ComponentKind.LUMINANCE, (121,) * 63, q00=1)
-        assert set(pow2_table(table).c) == {6}
+        assert set(pow2_table(table)) == {6}
 
     def test_pow2_never_exceeds_factor(self, component):
         for sf in SF_GRID:
             q = scaled_annex_k(component, sf)
             c = pow2_table(q)
-            assert all(2 ** e <= v for e, v in zip(c.c, q.q))
+            assert all(2 ** e <= v for e, v in zip(c, q.q))
 
     def test_rejects_large_factors(self):
         table = QuantTable(ComponentKind.LUMINANCE, (122,) * 63, q00=1)
@@ -101,7 +101,7 @@ class TestInterdependenceRelations:
             for k in range(2, 64):
                 for l in range(1, k):
                     assert q.factor(l) <= 2 * q.factor(k) + 1, (sf, l, k)
-                    assert c.c[l - 1] <= c.c[k - 1] + 1, (sf, l, k)
+                    assert c[l - 1] <= c[k - 1] + 1, (sf, l, k)
 
 
 class TestQuantize:
@@ -164,8 +164,8 @@ class TestReducedConstruction:
                 k = int(rng.integers(1, 64))
                 s = int(rng.integers(1, 11))
                 coeff = q.factor(k) * 2 ** (s - 1)
-                scaled = Fraction(2 ** c.c[k - 1], q.factor(k)) * coeff
-                assert quantize(coeff, q.factor(k)) == quantize(scaled, 2 ** c.c[k - 1])
+                scaled = Fraction(2 ** c[k - 1], q.factor(k)) * coeff
+                assert quantize(coeff, q.factor(k)) == quantize(scaled, 2 ** c[k - 1])
 
 
 def table_text(order, values):
