@@ -38,19 +38,33 @@ alone, from exponent-free terms cached per component and length, and
 scattered into the array.  A ``ReferenceConfig`` holds all state derived
 from it, each part built on first use and freed with the reference: the
 reference sizes and the prefix sums of their costs as numpy arrays, the
-dominance array and the base delta sets.  One builder per operation
-family reads them; enumeration calls the builders on the (position,
-run, size) grids and decomposition on the operations of one target, so
-each delta formula is written once.  Code lengths come from the
-component's one ``CodeLengthTable.lengths`` array.
+dominance array, the head of the base delta sets a limit reads and, for
+readers of whole sets, the full base sets.  One builder per operation
+family turns operation instances into rows.  The loss builders do not
+read the exponents: they end in the terms of the bits, which one
+function evaluates against a reference's prefix sums.  Enumeration calls
+them once per component and length, for a loss template, and
+decomposition on the operations of one target, so each delta formula is
+written once.  Code lengths come from the component's one
+``CodeLengthTable.lengths`` array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
-total and its copy count.  Enumeration fills the rows over the
-(position, run, size) grids and orders each set once by one int64 key:
-the exact value tier ``(bits << 12) // width`` above the packed kind,
+total and its copy count.  A set is ordered by one unique int64 key: the
+exact value tier ``(bits << 12) // width`` above the packed kind,
 position, run and size.  The same tier names a value in the capacity
-walk.
+walk.  The loss template holds every loss row some reference of that
+length can hold, with the columns that do not depend on the exponents,
+in blocks a reference picks by its size at each position; a reference
+computes only the bits and keys of the rows it holds.
+
+A limit reads at most a few dozen loss rows, so the limit path orders
+only the head of the loss set: one ``np.argpartition`` picks the
+``_LOSS_HEAD`` smallest keys, and only those rows are sorted and built.
+Keys are unique, so the head is the start of the full order.  If a walk
+runs out of a cut-short head before it holds its copies, the level is
+made again from the full order.  ``build_sets``, ``refine_capacity``
+and ``enumerate_deltas`` see the full sets.
 
 The maxconfig level is one boolean mask over the rows.  The capacity
 level walks a set keeping, per value tier, an integer bitmask of the
@@ -64,8 +78,9 @@ depend on which entry of the tier carries a copy.
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
 bits, so exact values are Python ints, made only for the rows a prefix
-sums or an entry reads; a ``Fraction`` is built only for reported values.  ``DeltaEntry``
-objects are built only when a set's entry tuples are read.
+sums or an entry reads.  A limit keeps its objective in those units and
+builds ``Fraction`` values only when the objective is read.
+``DeltaEntry`` objects are built only when a set's entry tuples are read.
 
 ``decompose`` returns the same rows for the operations of one target,
 each carrying all its copies, so a row's copies sum to its ``bits``
@@ -85,7 +100,14 @@ from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
-from .entropy_model import AC_POSITIONS, MAX_RUNLENGTH, MAX_SIZE, ComponentKind, table_for
+from .entropy_model import (
+    AC_POSITIONS,
+    MAX_RUNLENGTH,
+    MAX_SIZE,
+    CodeLengthTable,
+    ComponentKind,
+    table_for,
+)
 from .quantization import QuantTable, UnsupportedTableError, pow2_table
 
 REFERENCE_SIZE = 8          # unquantized size of every reference coefficient
@@ -97,6 +119,7 @@ ESCAPE_HUFFMAN_BITS = 15    # huffman lengths >= this form the escape region
 MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size copies
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
 SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
+_LOSS_HEAD = 256            # loss rows a limit orders (see ``_limit_sets``)
 
 
 class OpKind(Enum):
@@ -147,7 +170,8 @@ class ReferenceConfig:
     Also holds the state enumeration, pruning and decomposition derive
     from the reference, each part built on first use and freed with the
     reference: the sizes and the prefix sums of their costs as numpy
-    arrays, the dominance array and the base delta sets.
+    arrays, the dominance array, the head of the base delta sets a limit
+    reads and the full base sets.
     """
 
     component: ComponentKind
@@ -211,8 +235,15 @@ class ReferenceConfig:
 
     @functools.cached_property
     def base_sets(self) -> LossGainSets:
-        """The base-level delta sets, the start of every refinement."""
+        """The full base-level delta sets, the start of every refinement
+        ``build_sets`` returns."""
         return enumerate_deltas(self)
+
+    @functools.cached_property
+    def head_sets(self) -> LossGainSets:
+        """The base-level sets a limit starts from: every gain, and only
+        the ``_LOSS_HEAD`` smallest losses."""
+        return _enumerate(self, _LOSS_HEAD)
 
 
 # One row of a delta set.  ``start`` and ``width`` give the footprint,
@@ -238,8 +269,9 @@ class LossGainSets:
     engine reads only the rows.  The ``losses``, ``gains9`` and
     ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
     records, in the same order; each is built on first read, so the limit
-    path never builds one.  The value order is exact: see ``_tiers``.
-    Compared by identity.
+    path never builds one.  The value order is exact: see ``_by_value``.
+    The sets a limit reads may hold only the head of the loss order (see
+    ``_limit_sets``).  Compared by identity.
     """
 
     loss_rows: np.ndarray
@@ -263,13 +295,22 @@ class LossGainSets:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """A limit and the objective it maximizes: ``scaled_objective`` maps
+    each admissible pair to gains minus losses in units of ``1/SCALE``
+    bits, and ``objective`` shows the same values as ``Fraction`` bits,
+    built on first read."""
+
     component: ComponentKind
     sf: Fraction | None
     refinement: Refinement
     ref_len: int
-    objective: dict[tuple[int, int], Fraction]
+    scaled_objective: dict[tuple[int, int], int]
     argmax: tuple[int, int]
     limit: int
+
+    @functools.cached_property
+    def objective(self) -> dict[tuple[int, int], Fraction]:
+        return {pair: Fraction(v, SCALE) for pair, v in self.scaled_objective.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,9 +340,8 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
         raise UnsupportedTableError(
             f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"
         )
-    table = table_for(component)
     sbar = tuple(REFERENCE_SIZE - c for c in exponents)
-    ref_len = sum(table.code_length(0, s) for s in sbar)
+    ref_len = int(table_for(component).lengths[0, list(sbar)].sum())
     return ReferenceConfig(component, exponents, sbar, ref_len)
 
 
@@ -320,34 +360,60 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
     the ``n + 1`` available energy units; for the 63-position block this
     reduces to a + 4b < 16, exactly 40 pairs.
     """
-    pairs = []
-    for b in range(0, n_positions // ENERGY_UNITS_10 + 1):
-        for a in range(0, n_positions // ENERGY_UNITS_9 + 1):
-            if ENERGY_UNITS_9 * a + ENERGY_UNITS_10 * b <= n_positions:
-                pairs.append((a, b))
-    return sorted(pairs)
+    return list(_admissible(n_positions)[0])
+
+
+@functools.cache
+def _admissible(n_positions: int):
+    """The admissible pairs, the loss copies ``3a + 15b`` each is charged,
+    and the stops (loss copies, size-9 gains, size-10 gains) a limit reads."""
+    pairs = tuple(sorted(
+        (a, b)
+        for b in range(0, n_positions // ENERGY_UNITS_10 + 1)
+        for a in range(0, n_positions // ENERGY_UNITS_9 + 1)
+        if ENERGY_UNITS_9 * a + ENERGY_UNITS_10 * b <= n_positions
+    ))
+    charged = tuple(PROMOTION_COST_9 * a + PROMOTION_COST_10 * b for a, b in pairs)
+    stops = (max(charged), max(a for a, _ in pairs), max(b for _, b in pairs))
+    return pairs, charged, stops
 
 
 # -- one builder per operation family ------------------------------------
-# Each turns arrays of operation instances of ``ref`` into the row columns
-# (kind, position, run, size, start, width, bits) of their entries.  ``p``
-# and ``r`` are arrays of positions and runs with 0 <= r < p; a run's zeros
-# are the positions p-r..p-1.  ``bits`` is the entry's bit total, spread
-# over its ``width`` affected positions.
+# Each turns arrays of operation instances into the row columns (kind,
+# position, run, size, start, width) of their entries, then their bits.
+# ``p`` and ``r`` are arrays of positions and runs with 0 <= r < p; a run's
+# zeros are the positions p-r..p-1.  ``bits`` is the entry's bit total,
+# spread over its ``width`` affected positions.  The loss builders do not
+# read the exponents: they end in the terms (hi, lo, sub) of the bits
+# ``prefix[hi] - prefix[lo] - sub`` (``_loss_bits``), the reference cost of
+# positions lo+1..hi less the code that replaces them.
 
 
-def _demotions(ref: ReferenceConfig, p, r, s):
+def _demotions(table: CodeLengthTable, p, r, s):
     """OP1/OP2: r zeros ending in a coefficient demoted to size s."""
-    lengths = table_for(ref.component).lengths
-    bits = ref.prefix[p] - ref.prefix[p - r - 1] - lengths[r, s]
-    return _kind_ranks(_DEMOTION, r), p, r, s, p - r, r + 1, bits
+    return _kind_ranks(_DEMOTION, r), p, r, s, p - r, r + 1, p, p - r - 1, table.lengths[r, s]
 
 
-def _kept(ref: ReferenceConfig, p, r):
-    """OP3: r >= 1 zeros ahead of a kept reference coefficient."""
-    lengths, size = table_for(ref.component).lengths, ref.sbar_array[p - 1]
-    bits = ref.prefix[p] - ref.prefix[p - r - 1] - lengths[r, size]
-    return _KIND_RANK[OpKind.OP3], p, r, size, p - r, r, bits
+def _kept(table: CodeLengthTable, p, r, size):
+    """OP3: r >= 1 zeros ahead of a kept reference coefficient of ``size``."""
+    return _KIND_RANK[OpKind.OP3], p, r, size, p - r, r, p, p - r - 1, table.lengths[r, size]
+
+
+def _eobs(table: CodeLengthTable, n: int, p):
+    """OP4: EOB after position p of n; p = 0 zeroes the whole block."""
+    return _KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, n, p, table.eob_bits
+
+
+def _loss_bits(prefix: np.ndarray, hi, lo, sub):
+    """The bits of loss rows from their builder terms and a reference's
+    ``prefix``."""
+    return prefix.take(hi) - prefix.take(lo) - sub
+
+
+def _costed(ref: ReferenceConfig, family):
+    """A loss builder's columns with the terms replaced by ``ref``'s bits."""
+    *columns, hi, lo, sub = family
+    return (*columns, _loss_bits(ref.prefix, hi, lo, sub))
 
 
 def _promotions(ref: ReferenceConfig, p, r, step):
@@ -356,13 +422,6 @@ def _promotions(ref: ReferenceConfig, p, r, step):
     lengths, size = table_for(ref.component).lengths, ref.sbar_array[p - 1]
     bits = lengths[r, size + step] - lengths[r, size]
     return _kind_ranks(_PROMOTION[step], r), p, r, size + step, p, 1, bits
-
-
-def _eobs(ref: ReferenceConfig, p):
-    """OP4: EOB after position p; p = 0 zeroes the whole block."""
-    n = ref.n_positions
-    bits = ref.prefix[n] - ref.prefix[p] - table_for(ref.component).eob_bits
-    return _KIND_RANK[OpKind.OP4], p, 0, 0, p + 1, n - p, bits
 
 
 @functools.cache
@@ -490,31 +549,50 @@ def _rows(families) -> np.ndarray:
     return rows
 
 
+def _tier(bits, width) -> np.ndarray:
+    """The exact value tier ``(bits << 12) // width``, int64: rows share a
+    tier exactly when they share a value (see ``_by_value``)."""
+    return (np.asarray(bits, dtype=np.int64) << 12) // width
+
+
 def _tiers(rows: np.ndarray) -> np.ndarray:
-    """The exact value tier ``(bits << 12) // width`` of each row, int64:
-    rows share a tier exactly when they share a value (see ``_by_value``)."""
-    return (rows["bits"].astype(np.int64) << 12) // rows["width"]
+    return _tier(rows["bits"], rows["width"])
+
+
+def _low_key(kind, position, run, size) -> np.ndarray:
+    """The 19 low bits of the sort key: kind (3 bits), position (6), run
+    (6) and size (4)."""
+    low = np.asarray(kind, dtype=np.int32) << 16
+    low |= np.asarray(position, dtype=np.int32) << 10
+    low |= np.asarray(run, dtype=np.int32) << 4
+    low |= size
+    return low
+
+
+def _smallest(key: np.ndarray, head: int | None = None) -> np.ndarray:
+    """Indices of the ``head`` smallest keys, or of all without ``head``,
+    in ascending key order.  Keys are unique, so the head is the start of
+    the full order."""
+    if head is None or head >= len(key):
+        return np.argsort(key)
+    part = np.argpartition(key, head - 1)[:head]
+    return part[np.argsort(key[part])]
 
 
 def _by_value(rows: np.ndarray) -> np.ndarray:
     """``rows`` sorted by value, kind, position, run and size.
 
-    One ``np.argsort`` on one int64 key: the value tier above 19 low bits
-    that pack kind (3 bits), position (6), run (6) and size (4).  The tier
-    is exact: two distinct fractions with widths of at most 63 differ by
-    at least 1/(63 * 62) = 1/3906, so times 4096 > 3906 they differ by
-    more than 1 and their floors differ in the same order; equal
-    fractions have equal floors.  int16 bits keep the tier below 2**27 in
-    magnitude, so the key stays below 2**47.  No two rows of a set share
-    kind, position, run and size, so the key is unique and the order
-    does not depend on the sort algorithm.
+    One ``np.argsort`` on one int64 key: the value tier above the 19 low
+    bits of ``_low_key``.  The tier is exact: two distinct fractions with
+    widths of at most 63 differ by at least 1/(63 * 62) = 1/3906, so times
+    4096 > 3906 they differ by more than 1 and their floors differ in the
+    same order; equal fractions have equal floors.  int16 bits keep the
+    tier below 2**27 in magnitude, so the key stays below 2**47.  No two
+    rows of a set share kind, position, run and size, so the key is unique
+    and the order does not depend on the sort algorithm.
     """
-    key = _tiers(rows) << 19
-    key |= rows["kind"].astype(np.int64) << 16
-    key |= rows["position"].astype(np.int64) << 10
-    key |= rows["run"].astype(np.int64) << 4
-    key |= rows["size"]
-    return rows[np.argsort(key)]
+    low = _low_key(rows["kind"], rows["position"], rows["run"], rows["size"])
+    return rows[_smallest(_tiers(rows) << 19 | low)]
 
 
 def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
@@ -522,6 +600,95 @@ def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
         DeltaEntry(_KIND_ORDER[kind], p, r, s, value, m)
         for (kind, p, r, s, _, _, _, m), value in zip(rows.tolist(), _values(rows))
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _LossTemplate:
+    """Every loss row some reference of n positions can hold, with each
+    column that does not depend on the exponents, as read-only arrays of
+    8 or 16 bits: the row columns and the builders' bit terms ``hi``,
+    ``lo`` and ``sub``; and ``low``, the 19 low bits of the sort key.
+
+    The rows come in blocks a reference picks by its size v at each
+    position p.  The OP1/OP2 demotions of p, from row ``demotions_at[p -
+    1]``, run over s = 1..7 and within each s over r = 0..p-1, so the
+    first p * (v - 1) are those with s < v.  The OP3 kept coefficients of
+    p, from row ``kept_at[p - 1]``, run over v = 2..8 and within each v
+    over r = 1..p-1.  The n - 1 OP4 EOBs close the template.
+    """
+
+    kind: np.ndarray
+    position: np.ndarray
+    run: np.ndarray
+    size: np.ndarray
+    start: np.ndarray
+    width: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    sub: np.ndarray
+    low: np.ndarray
+    demotions_at: np.ndarray
+    kept_at: np.ndarray
+
+
+_MIN_SBAR = REFERENCE_SIZE - 6  # the smallest reference size, at exponent 6
+_SBAR_COUNT = REFERENCE_SIZE + 1 - _MIN_SBAR
+
+
+@functools.cache
+def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
+    table = table_for(component)
+    p = np.arange(1, n + 1, dtype=np.int16)  # int16 columns keep the build small
+    demoted_rows, kept_rows = MAX_LOSS_SIZE * p, _SBAR_COUNT * (p - 1)  # per position
+    demotions_at = np.cumsum(demoted_rows) - demoted_rows
+    kept_at = demoted_rows.sum() + np.cumsum(kept_rows) - kept_rows
+    # q is the position of each row and k its index in the position's block
+    q, k = p.repeat(demoted_rows), _ranges(np.zeros_like(p), demoted_rows).astype(np.int16)
+    s, r = np.divmod(k, q)
+    demotions = _demotions(table, q, r, s + 1)
+    q, k = p.repeat(kept_rows), _ranges(np.zeros_like(p), kept_rows).astype(np.int16)
+    s, r = np.divmod(k, q - 1)
+    kept = _kept(table, q, r + 1, s + _MIN_SBAR)
+    families = (demotions, kept, _eobs(table, n, np.arange(1, n)))
+    total = sum(len(family[1]) for family in families)
+    columns = [np.empty(total, np.uint8) for _ in range(8)] + [np.empty(total, np.int16)]
+    at = 0
+    for family in families:
+        rows = len(family[1])
+        for column, values in zip(columns, family):
+            column[at:at + rows] = values
+        at += rows
+    template = _LossTemplate(*columns, _low_key(*columns[:4]), demotions_at, kept_at)
+    for array in vars(template).values():
+        array.setflags(write=False)
+    return template
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``start..start + count - 1`` of each range, in order."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
+def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
+    """``ref``'s loss rows in value order, or only the ``head`` smallest.
+
+    From the template, a reference computes only what its exponents fix:
+    which rows it holds, their bits and their tier; rows are made only
+    for the indices it keeps."""
+    n = ref.n_positions
+    t = _loss_template(ref.component, n)
+    p, v = np.arange(1, n + 1), ref.sbar_array
+    # per position its demotions below v and its kept coefficients at v,
+    # then the n - 1 EOBs
+    kept_at = t.kept_at + (v - _MIN_SBAR) * (p - 1)
+    i = _ranges(np.concatenate((t.demotions_at, kept_at, [len(t.kind) - (n - 1)])),
+                np.concatenate((p * (v - 1), p - 1, [n - 1])))
+    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
+    order = _smallest(_tier(bits, t.width.take(i)) << 19 | t.low.take(i), head)
+    j = i.take(order)
+    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
+    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
 
 
 def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
@@ -536,9 +703,15 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     cells, and dropping never costs soundness.  Demotions and promotions
     are built over the (position, run, size) grid with runs 0 <= r < p,
     the kind label naming the bare (r = 0) or run case; each set is
-    sorted once, by value, kind, position, run and size.  Reference sizes
-    are at most 8, so both promoted sizes stay within 10.
+    sorted by value, kind, position, run and size.  Reference sizes are
+    at most 8, so both promoted sizes stay within 10.
     """
+    return _enumerate(ref)
+
+
+def _enumerate(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
+    """The base delta sets of ``enumerate_deltas``; with ``head``, the
+    loss rows are only the ``head`` smallest."""
     n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
     census = {
@@ -546,24 +719,15 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
     escape = _escape_grid(ref.component)
-    demoted = np.arange(1, MAX_LOSS_SIZE + 1)
-
-    # r zeros ahead of position p, 0 <= r < p
     p, r = np.tril_indices(n)
-    p += 1
+    p += 1  # r zeros ahead of position p, 0 <= r < p
     sbar = ref.sbar_array[p - 1]
-    i, j = np.nonzero(demoted < sbar[:, None])
-    losses = [_demotions(ref, p[i], r[i], demoted[j])]
-    i = np.flatnonzero(r)  # a kept coefficient needs a run
-    losses.append(_kept(ref, p[i], r[i]))
-    losses.append(_eobs(ref, np.arange(1, n)))
     gains = []
     for step in _PROMOTION:
         size = sbar + step
         i = np.flatnonzero(~(escape[r, size] & ref.dominance[p, r, size]))
         gains.append(_by_value(_rows([_promotions(ref, p[i], r[i], step)])))
-
-    return LossGainSets(_by_value(_rows(losses)), *gains, Refinement.BASE, census)
+    return LossGainSets(_loss_rows(ref, head), *gains, Refinement.BASE, census)
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = False):
@@ -664,8 +828,9 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     )
 
 
-def _level_sets(ref: ReferenceConfig, refinement: Refinement, stops=None) -> LossGainSets:
-    sets = ref.base_sets
+def _refined(sets: LossGainSets, ref: ReferenceConfig, refinement: Refinement,
+             stops=None) -> LossGainSets:
+    """``refinement`` applied to the base-level ``sets`` of ``ref``."""
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
@@ -675,7 +840,24 @@ def _level_sets(ref: ReferenceConfig, refinement: Refinement, stops=None) -> Los
 
 def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
     """Delta sets at the requested refinement level."""
-    return _level_sets(ref, refinement)
+    return _refined(ref.base_sets, ref, refinement)
+
+
+def _limit_sets(ref: ReferenceConfig, refinement: Refinement, stops) -> LossGainSets:
+    """The sets a limit reads: ``refinement`` applied to ``ref.head_sets``,
+    the walks stopping once they hold ``stops``.
+
+    The head rows are the first rows of the full order, and maxconfig
+    keeps their order, so a walk that reaches its stop inside the head
+    is the full walk.  A head of ``_LOSS_HEAD`` rows may have been cut
+    short: if its loss rows run out first, the level is made again from
+    the full base sets.
+    """
+    sets = _refined(ref.head_sets, ref, refinement, stops)
+    if (len(ref.head_sets.loss_rows) >= _LOSS_HEAD
+            and int(sets.loss_rows["multiplicity"].sum()) < stops[0]):
+        sets = _refined(ref.base_sets, ref, refinement, stops)
+    return sets
 
 
 def _values(rows: np.ndarray) -> list[int]:
@@ -721,15 +903,14 @@ def solve_limit(
 ) -> BoundResult:
     """Maximize gains minus forced losses over the admissible pairs.
 
-    Without ``sets``, the capacity walk stops once it holds the loss
-    copies and gains the pairs read.
+    Without ``sets``, the limit reads only the loss head and the walks
+    stop once they hold the loss copies and gains the pairs read (see
+    ``_limit_sets``).
     """
-    pairs = admissible_pairs(ref.n_positions)
-    max_a = max(a for a, _ in pairs)
-    max_b = max(b for _, b in pairs)
-    max_n = max(PROMOTION_COST_9 * a + PROMOTION_COST_10 * b for a, b in pairs)
+    pairs, charged, stops = _admissible(ref.n_positions)
     if sets is None:
-        sets = _level_sets(ref, refinement, (max_n, max_a, max_b))
+        sets = _limit_sets(ref, refinement, stops)
+    max_n, max_a, max_b = stops
     losses = _loss_prefix(sets.loss_rows, max_n)
     gains9 = _gain_prefix(sets.gain9_rows, max_a)
     gains10 = _gain_prefix(sets.gain10_rows, max_b)
@@ -738,14 +919,10 @@ def solve_limit(
     if len(gains9) <= max_a or len(gains10) <= max_b:
         raise LossSetExhaustedError("gain sets too small for the admissible pairs")
 
-    scaled = {
-        (a, b): gains9[a] + gains10[b] - losses[PROMOTION_COST_9 * a + PROMOTION_COST_10 * b]
-        for a, b in pairs
-    }
+    scaled = {(a, b): gains9[a] + gains10[b] - losses[c] for (a, b), c in zip(pairs, charged)}
     argmax = max(scaled, key=scaled.__getitem__)
     limit = ref.ref_len - (-scaled[argmax] // SCALE)
-    objective = {pair: Fraction(v, SCALE) for pair, v in scaled.items()}
-    return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, objective, argmax, limit)
+    return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, scaled, argmax, limit)
 
 
 @functools.lru_cache(maxsize=256)
@@ -809,16 +986,17 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     demoted = S < REFERENCE_SIZE
     kept = ~demoted & (r > 0)
     quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
+    table = table_for(ref.component)
     families = [
-        _demotions(ref, p[demoted], r[demoted], quantized[demoted]),
-        _kept(ref, p[kept], r[kept]),
+        _costed(ref, _demotions(table, p[demoted], r[demoted], quantized[demoted])),
+        _costed(ref, _kept(table, p[kept], r[kept], ref.sbar_array[p[kept] - 1])),
     ]
     for step in _PROMOTION:
         promoted = S == REFERENCE_SIZE + step
         families.append(_promotions(ref, p[promoted], r[promoted], step))
     last = p.max(initial=0)
     if last < n:
-        families.append(_eobs(ref, np.array([last])))
+        families.append(_costed(ref, _eobs(table, n, np.array([last]))))
     rows = _rows(families)
     # the EOB first, then by position; lexsort is stable, so a kept
     # coefficient's OP3 stays ahead of its OP6

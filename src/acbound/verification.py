@@ -93,6 +93,13 @@ class EncodeReport:
         }
 
 
+# Upper bounds on a search, checked before anything is allocated: a
+# restart draws up to 7 words per iteration at once, and the seed sequence
+# spawns one child per restart.
+MAX_ITERATIONS = 1_000_000
+MAX_RESTARTS = 100_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     component: ComponentKind
@@ -105,6 +112,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.iterations <= 0 or self.restarts <= 0:
             raise ValueError("iterations and restarts must be positive")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValueError(f"at most {MAX_ITERATIONS} iterations are supported")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"at most {MAX_RESTARTS} restarts are supported")
         if self.mutation not in ("single_pixel", "pixel_pair"):
             raise ValueError(f"unknown mutation kind {self.mutation!r}")
 

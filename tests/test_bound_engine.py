@@ -132,6 +132,10 @@ class TestAdmissiblePairs:
         pairs = admissible_pairs(6)
         assert pairs == [(0, 0), (1, 0)]
 
+    def test_each_call_returns_its_own_list(self):
+        admissible_pairs().append((99, 99))
+        assert len(admissible_pairs()) == 40
+
 
 class TestWorkedExampleDeltas:
     def test_single_demotion_one_step_is_two_bits(self):
@@ -251,19 +255,21 @@ class TestUpperLimit:
             assert tight <= capped <= base
 
     def test_levels_of_one_cell_enumerate_once(self, monkeypatch):
+        # the three levels share one head enumeration and never need the full sets
         calls = []
+        enumerate_head = bound_engine._enumerate
 
-        def counting_enumeration(ref):
-            calls.append(ref)
-            return enumerate_deltas(ref)
+        def counting_enumeration(ref, head=None):
+            calls.append(head)
+            return enumerate_head(ref, head)
 
-        monkeypatch.setattr(bound_engine, "enumerate_deltas", counting_enumeration)
+        monkeypatch.setattr(bound_engine, "_enumerate", counting_enumeration)
         upper_limit.cache_clear()
         bound_engine._cell_reference.cache_clear()
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 8))
         for refinement in Refinement:
             upper_limit(ComponentKind.LUMINANCE, q, refinement)
-        assert len(calls) == 1
+        assert calls == [bound_engine._LOSS_HEAD]
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
@@ -646,7 +652,7 @@ class TestColumnarSets:
         stops = limit_stops(ref)
         for refinement in Refinement:
             full = build_sets(ref, refinement)
-            stopped = bound_engine._level_sets(ref, refinement, stops)
+            stopped = bound_engine._limit_sets(ref, refinement, stops)
             assert stopped.refinement is full.refinement
             for rows, count, prefix in (
                 ("loss_rows", stops[0], bound_engine._loss_prefix),
@@ -724,6 +730,25 @@ class TestColumnarSets:
         # the stand-in does count: reading the entry tuples builds them
         assert len(build_sets(ref, Refinement.BASE).losses) == len(built) > 0
 
+    @pytest.mark.parametrize("exponents", [[0] * 63, [6] * 63, [k // 10 for k in range(63)]])
+    def test_limit_path_builds_no_fraction_and_no_full_sets(self, monkeypatch, exponents):
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(bound_engine, "Fraction", counting_fraction)
+        ref = reference_config(ComponentKind.LUMINANCE, exponents)
+        results = [solve_limit(ref, refinement) for refinement in Refinement]
+        assert built == []
+        assert "base_sets" not in ref.__dict__
+        # the stand-in does count: reading an objective builds its Fractions
+        assert len(results[0].objective) == len(built) == 40
+        assert results[0].objective == {
+            pair: Fraction(v, SCALE) for pair, v in results[0].scaled_objective.items()
+        }
+
     def test_row_bytes_are_deterministic(self):
         row_bytes = []
         for _ in range(2):
@@ -745,6 +770,101 @@ class TestColumnarSets:
             for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
                 raw = np.frombuffer(rows.tobytes(), np.uint8).reshape(len(rows), dtype.itemsize)
                 assert not raw[:, padding].any()
+
+
+PAPER_LEVEL_LIMITS = {
+    ComponentKind.LUMINANCE: dict(zip(SF_GRID, (1134, 956, 812, 715, 654, 517, 447))),
+    ComponentKind.CHROMINANCE: dict(zip(SF_GRID, (1071, 797, 666, 603, 593, 468, 349))),
+}
+
+
+def limit_or_exhaustion(ref, refinement, sets=None):
+    try:
+        return solve_limit(ref, refinement, sets=sets).to_json_dict()
+    except LossSetExhaustedError as exc:
+        return str(exc)
+
+
+class TestLossHead:
+    """A limit orders only the smallest ``_LOSS_HEAD`` loss rows and falls
+    back to the full order when a walk runs past them; tiny heads force
+    that fallback."""
+
+    @pytest.mark.parametrize("head", [1, 8])
+    def test_small_heads_keep_the_paper_limits(self, monkeypatch, head):
+        monkeypatch.setattr(bound_engine, "_LOSS_HEAD", head)
+        for component, limits in PAPER_LEVEL_LIMITS.items():
+            for sf, limit in limits.items():
+                exponents = pow2_table(scaled_annex_k(component, sf))
+                ref = reference_length(component, exponents)
+                for refinement in Refinement:
+                    result = solve_limit(ref, refinement)
+                    assert result.limit == limit, (component, sf, refinement)
+                    assert result == solve_limit(reference_length(component, exponents),
+                                                 refinement, sets=build_sets(ref, refinement))
+
+    @pytest.mark.parametrize("head", [1, 8, None])
+    def test_random_vectors_match_the_full_sets(self, monkeypatch, rng, head):
+        if head is not None:
+            monkeypatch.setattr(bound_engine, "_LOSS_HEAD", head)
+        fell_back = 0
+        for k in range(12):
+            exponents = rng.integers(0, 7, size=63)
+            ref = reference_config(list(ComponentKind)[k % 2], exponents)
+            for refinement in Refinement:
+                full = reference_config(ref.component, exponents)
+                expected = solve_limit(full, refinement, sets=build_sets(full, refinement))
+                assert solve_limit(ref, refinement) == expected
+            fell_back += "base_sets" in ref.__dict__
+        # a head of 1 or 8 rows is too short for the capacity walks, 256 is not
+        assert fell_back == (0 if head is None else 12)
+
+    @pytest.mark.parametrize("head", [1, 8, None])
+    def test_short_instances_exhaust_where_the_full_sets_do(self, monkeypatch, rng, head):
+        if head is not None:
+            monkeypatch.setattr(bound_engine, "_LOSS_HEAD", head)
+        for n in range(1, 21):
+            for component in ComponentKind:
+                exponents = rng.integers(0, 7, size=n)
+                for refinement in Refinement:
+                    full = reference_config(component, exponents)
+                    expected = limit_or_exhaustion(full, refinement, build_sets(full, refinement))
+                    ref = reference_config(component, exponents)
+                    assert limit_or_exhaustion(ref, refinement) == expected, (exponents, refinement)
+
+    @pytest.mark.parametrize("head", [1, 8, None])
+    def test_head_is_the_start_of_the_full_order(self, monkeypatch, rng, head):
+        if head is not None:
+            monkeypatch.setattr(bound_engine, "_LOSS_HEAD", head)
+        vectors = [
+            (component, pow2_table(scaled_annex_k(component, sf)))
+            for component in ComponentKind for sf in SF_GRID
+        ] + [(list(ComponentKind)[k % 2], rng.integers(0, 7, size=63)) for k in range(10)]
+        for component, exponents in vectors:
+            ref = reference_config(component, exponents)
+            head_sets, full = ref.head_sets, build_sets(ref, Refinement.BASE)
+            assert len(head_sets.loss_rows) == min(bound_engine._LOSS_HEAD, len(full.loss_rows))
+            assert head_sets.loss_rows.tobytes() == (
+                full.loss_rows[:len(head_sets.loss_rows)].tobytes()
+            )
+            for rows in ("gain9_rows", "gain10_rows"):
+                assert getattr(head_sets, rows).tobytes() == getattr(full, rows).tobytes()
+            assert head_sets.census == full.census
+
+    def test_template_is_cached_read_only_and_narrow(self):
+        n = 63
+        template = bound_engine._loss_template(ComponentKind.LUMINANCE, n)
+        assert bound_engine._loss_template(ComponentKind.LUMINANCE, n) is template
+        rows = 7 * n * (n + 1) // 2 + 7 * n * (n - 1) // 2 + n - 1
+        for name, array in vars(template).items():
+            assert not array.flags.writeable, name
+            if name in ("demotions_at", "kept_at"):
+                assert array.shape == (n,)
+            else:
+                assert array.shape == (rows,), name
+                # only the packed key bits need 32 bits; the rest fit 8 or 16
+                allowed = (np.int32,) if name == "low" else (np.uint8, np.int16)
+                assert array.dtype.type in allowed, name
 
 
 class TestGeneralizedInstances:

@@ -122,6 +122,8 @@ class TestLimits:
     ["limits", "--sf-set", "paper", "--sf", "1"],
     ["verify", "toy", "--n", "64"],
     ["verify", "toy", "--n", "1000000000000"],
+    ["search", "--sf", "1", "--iterations", "1000000000000"],
+    ["search", "--sf", "1", "--restarts", "1000000000000"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, argv)

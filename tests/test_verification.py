@@ -17,6 +17,8 @@ from acbound.transform import forward_dct, level_shift, zigzag_scan
 from acbound.verification import (
     CLIMB_WINDOW,
     HIGH_COST_SEED_BLOCK,
+    MAX_ITERATIONS,
+    MAX_RESTARTS,
     SearchConfig,
     ac_bits_batch,
     ac_bits_from_sizes,
@@ -229,6 +231,15 @@ class TestAdversarialSearch:
             SearchConfig(ComponentKind.LUMINANCE, iterations=0)
         with pytest.raises(ValueError):
             SearchConfig(ComponentKind.LUMINANCE, mutation="teleport")
+
+    def test_config_bounds_sizes_before_allocating(self):
+        SearchConfig(ComponentKind.LUMINANCE, iterations=MAX_ITERATIONS, restarts=MAX_RESTARTS)
+        for huge in (MAX_ITERATIONS + 1, 10**12):
+            with pytest.raises(ValueError, match="iterations"):
+                SearchConfig(ComponentKind.LUMINANCE, iterations=huge)
+        for huge in (MAX_RESTARTS + 1, 10**12):
+            with pytest.raises(ValueError, match="restarts"):
+                SearchConfig(ComponentKind.LUMINANCE, restarts=huge)
 
 
 def reference_climb(cfg, q):
