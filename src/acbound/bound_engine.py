@@ -67,13 +67,14 @@ made again from the full order.  ``build_sets``, ``refine_capacity``
 and ``enumerate_deltas`` see the full sets.
 
 The maxconfig level is one boolean mask over the rows.  The capacity
-level walks a set keeping, per value tier, an integer bitmask of the
-positions already covered; an entry keeps as many copies as its
-footprint adds to that mask.  A limit reads only the smallest
-``max(3a + 15b)`` loss copies and the largest ``a`` and ``b`` gains, so
-on the limit path the walk stops once it holds them, taking gains from
-the top.  Stopping is exact: prefix sums within a value tier do not
-depend on which entry of the tier carries a copy.
+level walks a loss set keeping, per value tier, an integer bitmask of
+the positions already covered; an entry keeps as many copies as its
+footprint adds to that mask.  A gain covers only its own position, so a
+gain set keeps the first row of each (value tier, position) pair, one
+``np.unique``.  A limit reads only the smallest ``max(3a + 15b)`` loss
+copies, so on the limit path the loss walk stops once it holds them.
+Every limit thus reads a prefix of what ``build_sets`` returns: the same
+gain rows, and the first of its loss rows.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
@@ -366,7 +367,7 @@ def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
 @functools.cache
 def _admissible(n_positions: int):
     """The admissible pairs, the loss copies ``3a + 15b`` each is charged,
-    and the stops (loss copies, size-9 gains, size-10 gains) a limit reads."""
+    and the counts (loss copies, size-9 gains, size-10 gains) a limit reads."""
     pairs = tuple(sorted(
         (a, b)
         for b in range(0, n_positions // ENERGY_UNITS_10 + 1)
@@ -374,8 +375,8 @@ def _admissible(n_positions: int):
         if ENERGY_UNITS_9 * a + ENERGY_UNITS_10 * b <= n_positions
     ))
     charged = tuple(PROMOTION_COST_9 * a + PROMOTION_COST_10 * b for a, b in pairs)
-    stops = (max(charged), max(a for a, _ in pairs), max(b for _, b in pairs))
-    return pairs, charged, stops
+    counts = (max(charged), max(a for a, _ in pairs), max(b for _, b in pairs))
+    return pairs, charged, counts
 
 
 # -- one builder per operation family ------------------------------------
@@ -730,20 +731,19 @@ def _enumerate(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
     return LossGainSets(_loss_rows(ref, head), *gains, Refinement.BASE, census)
 
 
-def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = False):
-    """The rows the capacity rule keeps, with their copy counts.
+def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
+    """The loss rows the capacity rule keeps, with their copy counts.
 
-    Walks ``rows`` in ascending order, or from the top, keeping per value
-    tier a bitmask of the positions already covered; an entry keeps the
-    copies its footprint adds to that mask.  Stops once ``stop`` copies
-    are held.  Returns the kept rows in ascending order.
+    Walks ``rows`` in ascending order, keeping per value tier a bitmask of
+    the positions already covered; an entry keeps the copies its footprint
+    adds to that mask.  Stops once ``stop`` copies are held.
     """
-    walk = rows[::-1] if from_top else rows
     covered: dict[int, int] = {}
     kept: list[int] = []
     copies: list[int] = []
     held = 0
-    for i, (tier, start, width) in enumerate(_walk_columns(walk)):
+    columns = zip(_tiers(rows).tolist(), rows["start"].tolist(), rows["width"].tolist())
+    for i, (tier, start, width) in enumerate(columns):
         if held >= stop:
             break
         footprint = ((1 << width) - 1) << start
@@ -754,28 +754,23 @@ def _capacity_walk(rows: np.ndarray, stop: float = math.inf, from_top: bool = Fa
             kept.append(i)
             copies.append(fresh)
             held += fresh
-    out = walk[kept]
+    out = rows[kept]
     out["multiplicity"] = copies
-    return out[::-1] if from_top else out
+    return out
 
 
-def _walk_columns(rows: np.ndarray):
-    """(value tier, footprint start, width) per row, converted 256 rows at
-    a time: a stopping walk reads only the first few hundred."""
-    for lo in range(0, len(rows), 256):
-        part = rows[lo:lo + 256]
-        yield from zip(_tiers(part).tolist(), part["start"].tolist(), part["width"].tolist())
+def _one_gain_per_position(rows: np.ndarray) -> np.ndarray:
+    """The capacity rule for a gain set: a gain is one copy at its own
+    position, so each (value tier, position) pair keeps its first row.
+    ``return_index`` gives first occurrences; integer indices keep the
+    rows' zeroed padding bytes."""
+    _, first = np.unique(_tiers(rows) << 6 | rows["position"], return_index=True)
+    return rows[np.sort(first)]
 
 
-def _capped(sets: LossGainSets, stops=None) -> LossGainSets:
-    """The capacity level of ``sets``.
-
-    With ``stops = (losses, gains9, gains10)`` the walks stop once they
-    hold that many copies, gains taken from the top: the result then holds
-    only the smallest loss copies and the largest gains a limit reads.
-    """
-    loss_stop, stop9, stop10 = stops or (math.inf,) * 3
-    top = stops is not None
+def _capped(sets: LossGainSets, loss_stop: float = math.inf) -> LossGainSets:
+    """The capacity level of ``sets``; the loss walk stops once it holds
+    ``loss_stop`` copies, so the result may hold only the smallest ones."""
     refinement = (
         Refinement.MAXCONFIG
         if sets.refinement is Refinement.MAXCONFIG
@@ -783,8 +778,8 @@ def _capped(sets: LossGainSets, stops=None) -> LossGainSets:
     )
     return LossGainSets(
         _capacity_walk(sets.loss_rows, loss_stop),
-        _capacity_walk(sets.gain9_rows, stop9, top),
-        _capacity_walk(sets.gain10_rows, stop10, top),
+        _one_gain_per_position(sets.gain9_rows),
+        _one_gain_per_position(sets.gain10_rows),
         refinement,
         sets.census,
     )
@@ -796,12 +791,12 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     A position is affected by exactly one operation in any single
     configuration, so it can carry at most one copy of a given delta
     value; surplus copies within a value tier are dropped by reducing
-    entry multiplicities in deterministic entry order.  Each tier keeps
-    a bitmask of the positions it already covers, and an entry keeps the
-    copies its footprint adds to that mask.  A gain is one copy at its
-    own position, so the same rule keeps one gain per position and value.
-    Footprints of reduced entries keep their original extent; only the
-    copy counts feed the loss and gain functions.
+    entry multiplicities in deterministic entry order.  Each loss tier
+    keeps a bitmask of the positions it already covers, and an entry keeps
+    the copies its footprint adds to that mask.  A gain is one copy at its
+    own position, so a gain set keeps the first row of each value and
+    position.  Footprints of reduced entries keep their original extent;
+    only the copy counts feed the loss and gain functions.
     """
     return _capped(sets)
 
@@ -829,13 +824,13 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
 
 
 def _refined(sets: LossGainSets, ref: ReferenceConfig, refinement: Refinement,
-             stops=None) -> LossGainSets:
+             loss_stop: float = math.inf) -> LossGainSets:
     """``refinement`` applied to the base-level ``sets`` of ``ref``."""
     if refinement is Refinement.BASE:
         return sets
     if refinement is Refinement.MAXCONFIG:
         sets = refine_maxconfig(sets, ref)
-    return _capped(sets, stops)
+    return _capped(sets, loss_stop)
 
 
 def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
@@ -843,20 +838,21 @@ def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
     return _refined(ref.base_sets, ref, refinement)
 
 
-def _limit_sets(ref: ReferenceConfig, refinement: Refinement, stops) -> LossGainSets:
+def _limit_sets(ref: ReferenceConfig, refinement: Refinement, loss_stop: int) -> LossGainSets:
     """The sets a limit reads: ``refinement`` applied to ``ref.head_sets``,
-    the walks stopping once they hold ``stops``.
+    the loss walk stopping once it holds ``loss_stop`` copies.
 
-    The head rows are the first rows of the full order, and maxconfig
-    keeps their order, so a walk that reaches its stop inside the head
-    is the full walk.  A head of ``_LOSS_HEAD`` rows may have been cut
-    short: if its loss rows run out first, the level is made again from
-    the full base sets.
+    The gain sets are those of ``build_sets``, and the loss rows a prefix
+    of its loss rows: the head rows are the first rows of the full order,
+    and maxconfig keeps their order, so a walk that reaches its stop
+    inside the head is the full walk.  A head of ``_LOSS_HEAD`` rows may
+    have been cut short: if its loss rows run out first, the level is made
+    again from the full base sets.
     """
-    sets = _refined(ref.head_sets, ref, refinement, stops)
+    sets = _refined(ref.head_sets, ref, refinement, loss_stop)
     if (len(ref.head_sets.loss_rows) >= _LOSS_HEAD
-            and int(sets.loss_rows["multiplicity"].sum()) < stops[0]):
-        sets = _refined(ref.base_sets, ref, refinement, stops)
+            and int(sets.loss_rows["multiplicity"].sum()) < loss_stop):
+        sets = _refined(ref.base_sets, ref, refinement, loss_stop)
     return sets
 
 
@@ -903,14 +899,12 @@ def solve_limit(
 ) -> BoundResult:
     """Maximize gains minus forced losses over the admissible pairs.
 
-    Without ``sets``, the limit reads only the loss head and the walks
-    stop once they hold the loss copies and gains the pairs read (see
-    ``_limit_sets``).
+    Without ``sets``, the limit reads only the loss head and the loss walk
+    stops once it holds the copies the pairs read (see ``_limit_sets``).
     """
-    pairs, charged, stops = _admissible(ref.n_positions)
+    pairs, charged, (max_n, max_a, max_b) = _admissible(ref.n_positions)
     if sets is None:
-        sets = _limit_sets(ref, refinement, stops)
-    max_n, max_a, max_b = stops
+        sets = _limit_sets(ref, refinement, max_n)
     losses = _loss_prefix(sets.loss_rows, max_n)
     gains9 = _gain_prefix(sets.gain9_rows, max_a)
     gains10 = _gain_prefix(sets.gain10_rows, max_b)

@@ -152,8 +152,12 @@ def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarra
     ``after[:, k]``, a running maximum, is one past the last nonzero column
     before ``k``, so ``k - after[:, k]`` zeros run before cell ``k``, which
     costs ``lengths[run, size]`` (0 if zero).  Sizes outside 0..MAX_SIZE
-    raise ``ParameterError``: their flat index would read another cell."""
+    raise ``ParameterError``: their flat index would read another cell.  So
+    does any shape but (N, 1..63): a 64th column would read past the last
+    run."""
     sizes = np.asarray(sizes)
+    if sizes.ndim != 2 or not 1 <= sizes.shape[1] <= AC_POSITIONS:
+        raise ParameterError(f"sizes must have shape (N, 1..{AC_POSITIONS}), not {sizes.shape}")
     if sizes.size and (sizes.min() < 0 or sizes.max() > MAX_SIZE):
         raise ParameterError(f"sizes outside 0..{MAX_SIZE}")
     index = np.arange(sizes.shape[1], dtype=np.int16)  # narrow: the running maximum dominates

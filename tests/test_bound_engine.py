@@ -533,6 +533,22 @@ def limit_stops(ref):
     )
 
 
+def assert_limit_reads_a_prefix(ref):
+    """At every level, a limit's sets are a prefix of ``build_sets``: the
+    same gain rows and the first of its loss rows, byte for byte."""
+    loss_stop = limit_stops(ref)[0]
+    for refinement in Refinement:
+        full = build_sets(ref, refinement)
+        stopped = bound_engine._limit_sets(ref, refinement, loss_stop)
+        assert stopped.refinement is full.refinement
+        for rows in ("gain9_rows", "gain10_rows"):
+            assert getattr(stopped, rows).tobytes() == getattr(full, rows).tobytes(), refinement
+        loss = stopped.loss_rows.tobytes()
+        assert full.loss_rows.tobytes()[:len(loss)] == loss, (ref.exponents, refinement)
+        copies = int(stopped.loss_rows["multiplicity"].sum())
+        assert copies >= loss_stop or len(stopped.loss_rows) == len(full.loss_rows)
+
+
 def scalar_enumeration(ref):
     """The base sets, one operation instance at a time from the code-length
     table and prefix sums of the reference costs, sorted as exact tuples."""
@@ -648,19 +664,16 @@ class TestColumnarSets:
     @settings(max_examples=25, deadline=None)
     @columnar_examples
     def test_stopping_walk_reads_the_full_walk_prefixes(self, exponents, component):
-        ref = reference_config(component, exponents)
-        stops = limit_stops(ref)
-        for refinement in Refinement:
-            full = build_sets(ref, refinement)
-            stopped = bound_engine._limit_sets(ref, refinement, stops)
-            assert stopped.refinement is full.refinement
-            for rows, count, prefix in (
-                ("loss_rows", stops[0], bound_engine._loss_prefix),
-                ("gain9_rows", stops[1], bound_engine._gain_prefix),
-                ("gain10_rows", stops[2], bound_engine._gain_prefix),
-            ):
-                expected = prefix(getattr(full, rows), count)
-                assert prefix(getattr(stopped, rows), count) == expected, (refinement, rows)
+        assert_limit_reads_a_prefix(reference_config(component, exponents))
+
+    def test_limit_sets_are_prefixes_of_build_sets(self, rng):
+        # the paper cells, 50 random 63-vectors and short instances
+        refs = oracle_references(rng) + [
+            reference_config(list(ComponentKind)[k % 2], rng.integers(0, 7, size=63))
+            for k in range(38)
+        ]
+        for ref in refs:
+            assert_limit_reads_a_prefix(ref)
 
     @given(EXPONENT_VECTORS, st.sampled_from(list(ComponentKind)))
     @settings(max_examples=15, deadline=None)

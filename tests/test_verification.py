@@ -180,6 +180,18 @@ class TestDenseKernel:
         with pytest.raises(ValueError, match="outside 0..10"):  # the bad cell last
             ac_bits_from_sizes(sizes[1:2, :column + 1], component)
 
+    @pytest.mark.parametrize("sizes", [
+        np.zeros((1, 0), dtype=np.int64),
+        np.zeros(63, dtype=np.int64),
+        np.zeros((1, 64), dtype=np.int64),
+        np.ones((1, 64), dtype=np.int64),
+    ], ids=["no-columns", "one-dimensional", "zeros-64", "ones-64"])
+    def test_rejects_shapes_outside_the_contract(self, component, sizes):
+        # a 64th column has no run in the table: all zeros index past its
+        # end, and all ones were costed as 192 bits without an error
+        with pytest.raises(ValueError, match=r"shape \(N, 1..63\)"):
+            ac_bits_from_sizes(sizes, component)
+
 
 class TestAdversarialSearch:
     def test_seeded_search_reaches_seed_block_cost(self):
