@@ -79,8 +79,10 @@ gain rows, and the first of its loss rows.
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
 bits, so exact values are Python ints, made only for the rows a prefix
-sums or an entry reads.  A limit keeps its objective in those units and
-builds ``Fraction`` values only when the objective is read.
+sums or an entry reads.  A limit keeps the loss and gain prefix sums it
+maximizes over, and its objective, in those units, so a reader audits
+the numbers the limit read; it builds ``Fraction`` values only when its
+objective is read.
 ``DeltaEntry`` objects are built only when a set's entry tuples are read.
 
 ``decompose`` returns the same rows for the operations of one target,
@@ -296,10 +298,16 @@ class LossGainSets:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A limit and the objective it maximizes: ``scaled_objective`` maps
-    each admissible pair to gains minus losses in units of ``1/SCALE``
-    bits, and ``objective`` shows the same values as ``Fraction`` bits,
-    built on first read."""
+    """A limit, the objective it maximizes and the prefix sums it read.
+
+    ``scaled_objective`` maps each admissible pair (a, b) to
+    ``gain9_prefix[a] + gain10_prefix[b] - loss_prefix[3a + 15b]``.  All
+    are exact ints in units of ``1/SCALE`` bits: ``loss_prefix[n]`` sums
+    the n smallest loss copies, ``gain9_prefix[a]`` and
+    ``gain10_prefix[b]`` the a largest size-9 and b largest size-10 gains,
+    each up to the largest count a pair reads.  ``objective`` shows the
+    objective as ``Fraction`` bits, built on first read.
+    """
 
     component: ComponentKind
     sf: Fraction | None
@@ -308,6 +316,9 @@ class BoundResult:
     scaled_objective: dict[tuple[int, int], int]
     argmax: tuple[int, int]
     limit: int
+    loss_prefix: tuple[int, ...]
+    gain9_prefix: tuple[int, ...]
+    gain10_prefix: tuple[int, ...]
 
     @functools.cached_property
     def objective(self) -> dict[tuple[int, int], Fraction]:
@@ -796,7 +807,7 @@ def refine_capacity(sets: LossGainSets) -> LossGainSets:
     the copies its footprint adds to that mask.  A gain is one copy at its
     own position, so a gain set keeps the first row of each value and
     position.  Footprints of reduced entries keep their original extent;
-    only the copy counts feed the loss and gain functions.
+    only the copy counts feed a limit's prefix sums.
     """
     return _capped(sets)
 
@@ -862,33 +873,16 @@ def _values(rows: np.ndarray) -> list[int]:
     return [bits * (SCALE // width) for bits, width in columns]
 
 
-def _loss_prefix(rows: np.ndarray, count: int) -> list[int]:
+def _loss_prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
     """prefix[i] = sum of the i smallest loss copies, i = 0..count."""
     rows = rows[:count]  # every row carries at least one copy
     copies = chain.from_iterable(map(repeat, _values(rows), rows["multiplicity"].tolist()))
-    return list(accumulate(islice(copies, count), initial=0))
+    return tuple(accumulate(islice(copies, count), initial=0))
 
 
-def _gain_prefix(rows: np.ndarray, count: int) -> list[int]:
+def _gain_prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
     """prefix[i] = sum of the i largest gain values, i = 0..count."""
-    return list(accumulate(_values(rows[::-1][:count]), initial=0))
-
-
-def loss_function(sets: LossGainSets, n: int) -> Fraction:
-    """Sum of the n smallest loss copies (multiplicity expanded)."""
-    prefix = _loss_prefix(sets.loss_rows, n)
-    if n >= len(prefix):
-        raise LossSetExhaustedError(f"needed {n} loss copies, have {len(prefix) - 1}")
-    return Fraction(prefix[n], SCALE)
-
-
-def gain_functions(sets: LossGainSets, a: int, b: int) -> tuple[Fraction, Fraction]:
-    """Sums of the a largest size-9 and b largest size-10 gains."""
-    prefix9 = _gain_prefix(sets.gain9_rows, a)
-    prefix10 = _gain_prefix(sets.gain10_rows, b)
-    if a >= len(prefix9) or b >= len(prefix10):
-        raise LossSetExhaustedError(f"gain sets hold fewer than ({a}, {b}) values")
-    return Fraction(prefix9[a], SCALE), Fraction(prefix10[b], SCALE)
+    return tuple(accumulate(_values(rows[::-1][:count]), initial=0))
 
 
 def solve_limit(
@@ -916,7 +910,8 @@ def solve_limit(
     scaled = {(a, b): gains9[a] + gains10[b] - losses[c] for (a, b), c in zip(pairs, charged)}
     argmax = max(scaled, key=scaled.__getitem__)
     limit = ref.ref_len - (-scaled[argmax] // SCALE)
-    return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, scaled, argmax, limit)
+    return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, scaled, argmax, limit,
+                       losses, gains9, gains10)
 
 
 @functools.lru_cache(maxsize=256)

@@ -98,6 +98,9 @@ class EncodeReport:
 # spawns one child per restart.
 MAX_ITERATIONS = 1_000_000
 MAX_RESTARTS = 100_000
+# Upper bound on a fuzz run, checked before any limit or block: at about
+# 350,000 blocks/s this is about 5 minutes per cell.
+MAX_TRIALS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,8 @@ def soundness_fuzz(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials are supported")
     limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
     rng = np.random.default_rng(seed)
 

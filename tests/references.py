@@ -1,9 +1,14 @@
 """Reference helpers the tests compare the package against.
 
 None of these feed the package: they state the geometry the bound
-derivation assumes, invert the zigzag scan and symbolization, and draw
-random reduced configurations for the decomposition identity.
+derivation assumes, invert the zigzag scan and symbolization, draw
+random reduced configurations for the decomposition identity, and sum
+the copies of delta entries.
 """
+
+import heapq
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -87,3 +92,31 @@ def random_reduced_sizes(rng: np.random.Generator, ref) -> list[int]:
         sizes[idx] = s
         used += 1 << (2 * s - 2)
     return sizes
+
+
+def prefix_sums(sets, counts):
+    """The loss prefix L(0..n) and the gain prefixes G9(0..a), G10(0..b)
+    of ``sets`` for ``counts = (n, a, b)``, in units of 1/SCALE bits.
+
+    L(i) sums the i smallest loss copies, G9(i) and G10(i) the i largest
+    gains; a prefix is shorter when its set holds fewer.  Each
+    ``DeltaEntry`` contributes its exact value once per copy
+    (``multiplicity`` times).  The i smallest copies lie in the i
+    smallest entries, since every entry holds at least one copy, so only
+    those are expanded; the order of the entry tuples is not read.
+    """
+    return tuple(
+        _copy_prefix(entries, count, largest)
+        for entries, count, largest in zip(
+            (sets.losses, sets.gains9, sets.gains10), counts, (False, True, True)
+        )
+    )
+
+
+def _copy_prefix(entries, count, largest):
+    pick = heapq.nlargest if largest else heapq.nsmallest
+    entries = pick(count, entries, key=attrgetter("value"))
+    copies = sorted(
+        chain.from_iterable(repeat(e.value, e.multiplicity) for e in entries), reverse=largest
+    )
+    return tuple(accumulate(copies[:count], initial=0))

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from acbound.bound_engine import (
+    SCALE,
     Refinement,
     build_sets,
     decompose,
-    gain_functions,
-    loss_function,
     recompose_length,
     reference_length,
     upper_limit,
@@ -125,11 +124,11 @@ def test_criterion_1_worked_example():
     q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
     result = upper_limit(ComponentKind.CHROMINANCE, q, Refinement.BASE)
     ref = reference_length(ComponentKind.CHROMINANCE, pow2_table(q))
-    sets = build_sets(ref, Refinement.BASE)
     assert ref.ref_len == 349
-    assert all(loss_function(sets, n) == 2 * n - 1 for n in range(1, 55))
-    assert all(gain_functions(sets, a, 0)[0] == 3 * a for a in range(16))
-    assert all(gain_functions(sets, 0, b)[1] == 6 * b for b in range(4))
+    # the exact prefix sums the limit maximized over
+    assert result.loss_prefix[1:] == tuple((2 * n - 1) * SCALE for n in range(1, 55))
+    assert result.gain9_prefix == tuple(3 * a * SCALE for a in range(16))
+    assert result.gain10_prefix == tuple(6 * b * SCALE for b in range(4))
     assert result.limit == 349
     assert result.argmax == (0, 0)
     elapsed = time.perf_counter() - start

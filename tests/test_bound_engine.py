@@ -23,8 +23,6 @@ from acbound.bound_engine import (
     build_sets,
     decompose,
     enumerate_deltas,
-    gain_functions,
-    loss_function,
     recompose_length,
     reference_config,
     reference_length,
@@ -47,7 +45,7 @@ from acbound.quantization import (
     scaled_annex_k,
 )
 from acbound.verification import ac_bits_from_sizes, toy_oracle
-from references import random_reduced_sizes
+from references import prefix_sums, random_reduced_sizes
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)  # kind rank -> kind
@@ -172,18 +170,14 @@ class TestWorkedExampleDeltas:
 
     def test_loss_function_values(self):
         _, sets = chroma_sf1_sets()
-        assert loss_function(sets, 0) == 0
-        assert loss_function(sets, 1) == 1
-        for n in range(1, 55):
-            assert loss_function(sets, n) == 2 * n - 1
+        losses, _, _ = prefix_sums(sets, (54, 0, 0))
+        assert losses == (0,) + tuple((2 * n - 1) * SCALE for n in range(1, 55))
 
     def test_gain_function_values(self):
         _, sets = chroma_sf1_sets()
-        assert gain_functions(sets, 0, 0) == (0, 0)
-        for a in range(16):
-            assert gain_functions(sets, a, 0)[0] == 3 * a
-        for b in range(4):
-            assert gain_functions(sets, 0, b)[1] == 6 * b
+        _, gains9, gains10 = prefix_sums(sets, (0, 15, 3))
+        assert gains9 == tuple(3 * a * SCALE for a in range(16))
+        assert gains10 == tuple(6 * b * SCALE for b in range(4))
 
 
 class TestCensus:
@@ -351,10 +345,12 @@ class TestRefinements:
     def test_capacity_is_subset(self):
         ref, base = chroma_sf1_sets()
         capped = refine_capacity(base)
+        capped_losses, capped9, _ = prefix_sums(capped, (54, 15, 0))
+        base_losses, base9, _ = prefix_sums(base, (54, 15, 0))
         for n in (1, 10, 37, 54):
-            assert loss_function(capped, n) >= loss_function(base, n)
+            assert capped_losses[n] >= base_losses[n]
         for a in (1, 7, 15):
-            assert gain_functions(capped, a, 0)[0] <= gain_functions(base, a, 0)[0]
+            assert capped9[a] <= base9[a]
         assert capped.refinement is Refinement.CAPACITY
 
     def test_maxconfig_keeps_small_sizes(self):
@@ -371,8 +367,10 @@ class TestRefinements:
     def test_maxconfig_raises_losses(self):
         ref, base = chroma_sf1_sets()
         tight = refine_capacity(refine_maxconfig(base, ref))
+        tight_losses, _, _ = prefix_sums(tight, (54, 0, 0))
+        base_losses, _, _ = prefix_sums(base, (54, 0, 0))
         for n in (1, 20, 54):
-            assert loss_function(tight, n) >= loss_function(base, n)
+            assert tight_losses[n] >= base_losses[n]
         assert tight.refinement is Refinement.MAXCONFIG
 
 
@@ -675,6 +673,25 @@ class TestColumnarSets:
         for ref in refs:
             assert_limit_reads_a_prefix(ref)
 
+    def test_limit_prefixes_equal_the_full_sets(self, rng):
+        # the sums a limit maximized, against the entries of build_sets:
+        # the paper cells, 50 random 63-vectors and short instances
+        refs = oracle_references(rng) + [
+            reference_config(list(ComponentKind)[k % 2], rng.integers(0, 7, size=63))
+            for k in range(38)
+        ]
+        for ref in refs:
+            counts = limit_stops(ref)
+            for refinement in Refinement:
+                try:
+                    result = solve_limit(ref, refinement)
+                except LossSetExhaustedError:
+                    assert ref.n_positions < AC_POSITIONS
+                    continue  # see test_exhaustion_on_short_instances
+                assert (result.loss_prefix, result.gain9_prefix, result.gain10_prefix) == (
+                    prefix_sums(build_sets(ref, refinement), counts)
+                ), (ref.exponents, refinement)
+
     @given(EXPONENT_VECTORS, st.sampled_from(list(ComponentKind)))
     @settings(max_examples=15, deadline=None)
     @columnar_examples
@@ -709,15 +726,6 @@ class TestColumnarSets:
         for refinement in Refinement:
             sets = build_sets(ref, refinement)
             copies = sum(e.multiplicity for e in sets.losses)
-            assert loss_function(sets, copies) == sum(
-                Fraction(e.value, SCALE) * e.multiplicity for e in sets.losses
-            )
-            with pytest.raises(LossSetExhaustedError):
-                loss_function(sets, copies + 1)
-            gain_functions(sets, len(sets.gains9), len(sets.gains10))
-            for a, b in ((len(sets.gains9) + 1, 0), (0, len(sets.gains10) + 1)):
-                with pytest.raises(LossSetExhaustedError):
-                    gain_functions(sets, a, b)
             short = (
                 copies < loss_stop or len(sets.gains9) < stop9 or len(sets.gains10) < stop10
             )
@@ -886,12 +894,6 @@ class TestGeneralizedInstances:
         assert ref.ref_len == 4 * 17
         result = solve_limit(ref, Refinement.BASE)
         assert result.limit == 68
-
-    def test_loss_set_exhaustion_guard(self):
-        ref = reference_config(ComponentKind.CHROMINANCE, (0,))
-        sets = build_sets(ref, Refinement.BASE)
-        with pytest.raises(LossSetExhaustedError):
-            loss_function(sets, 100)
 
 
 class TestDecompose:

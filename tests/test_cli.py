@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import acbound
-from acbound import cli, verification
+from acbound import bound_engine, cli, verification
 from acbound.cli import main
 from acbound.entropy_model import ComponentKind
 from acbound.quantization import scaled_annex_k
@@ -132,6 +132,17 @@ def test_bad_input_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_huge_fuzz_trials_exit_2_before_any_block(capsys, monkeypatch):
+    def started(*args):
+        raise AssertionError("the fuzz run started")
+
+    monkeypatch.setattr(verification, "structured_extreme_blocks", started)
+    code, out, err = run(capsys, ["verify", "fuzz", "--trials", "1000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: at most {verification.MAX_TRIALS} trials are supported\n"
+
+
 def test_bad_seed_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ACBOUND_SEED", "abc")
     code, _, err = run(capsys, ["search", "--sf", "1"])
@@ -204,6 +215,30 @@ class TestVerify:
         assert code == 0
         assert "PASS losses 2n-1" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("argv, digest", [
+        ([], "6a54ba9f80c44cfb69eef58276134fdec93c5331474ccdc00198689cea60994c"),
+        (["--json"], "016b2db0f02f1da30ddb29fba9ace73a775e5fe646974ae14b02637d3a43cc7c"),
+        (["--sf", "1/64", "--component", "lum"],
+         "82f1475a891b03bf37e85da80df0e464fce4dbfa52c710e59bd67bc174833ded"),
+        (["--sf", "1/64", "--component", "lum", "--json"],
+         "da917354a86cf662226115b3c89a22bac1d31e8a5bbc8240cddc01c2e4f8f3da"),
+    ])
+    def test_deltas_pinned(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        code, out, _ = run(capsys, ["verify", "deltas"] + argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_deltas_reads_only_what_the_limit_read(self, capsys, monkeypatch):
+        def full_sets(ref):
+            raise AssertionError("verify deltas built the full base sets")
+
+        monkeypatch.setattr(bound_engine.ReferenceConfig, "base_sets", property(full_sets))
+        for argv in ([], ["--sf", "1/64", "--component", "lum"]):
+            code, out, _ = run(capsys, ["verify", "deltas"] + argv)
+            assert code == 0
+            assert "FAIL" not in out
 
     def test_toy_suite(self, capsys):
         code, out, _ = run(capsys, ["verify", "toy", "--n", "2"])

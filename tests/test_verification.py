@@ -19,6 +19,7 @@ from acbound.verification import (
     HIGH_COST_SEED_BLOCK,
     MAX_ITERATIONS,
     MAX_RESTARTS,
+    MAX_TRIALS,
     SearchConfig,
     ac_bits_batch,
     ac_bits_from_sizes,
@@ -416,6 +417,23 @@ class TestSoundnessFuzz:
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
         with pytest.raises(ValueError):
             soundness_fuzz(0, q, ComponentKind.LUMINANCE)
+
+    def test_bounds_trials_before_any_limit_or_block(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(verification, "upper_limit", started)
+        monkeypatch.setattr(verification, "structured_extreme_blocks", started)
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        for huge in (MAX_TRIALS + 1, 10**12):
+            with pytest.raises(ValueError, match="trials"):
+                soundness_fuzz(huge, q, ComponentKind.LUMINANCE)
+        # the bound itself passes the check and starts the run
+        with pytest.raises(Started):
+            soundness_fuzz(MAX_TRIALS, q, ComponentKind.LUMINANCE)
 
 
 class TestRandomReduced:
