@@ -4,17 +4,21 @@ Three harnesses bracket the (unknown) true maxima: a full single-block
 encoding pipeline and a random-restart hill climb over pixel blocks from
 below, and from above an exact oracle for the energy relaxation the
 engine bounds, at any number of positions up to 63.  Blocks are costed
-by :func:`_ac_sizes` (also used by ``encode_block``), then densely by
-:func:`ac_bits_from_sizes`: a running maximum along each row gives every
-cell's zero run, and one flat lookup in the code-length table its bits.
-The stage functions of ``transform``, ``quantization`` and
-``entropy_model`` stay the independent reference the tests check it against.
+by :func:`_ac_sizes` (also used by ``encode_block``), whose size of a
+truncated quotient is the binary exponent of the quotient itself, floored
+at 0, then densely by :func:`ac_bits_from_sizes`: an int8 running maximum
+along each row gives every cell's zero run, one more column per row holds
+the EOB as a twelfth code, and one flat lookup in an int16 (run, code)
+table gives the bits.  There is one costing kernel; the stage functions
+of ``transform``, ``quantization`` and ``entropy_model`` stay the
+independent reference the tests check it against.
 
 The hill climb is speculative: each restart draws all its moves in one
 call before it climbs, then scores the next ``CLIMB_WINDOW`` candidates,
 each one move away from the current block, in one batch and keeps the
-first that does not cost fewer bits.  It returns exactly what a climb
-scoring one candidate at a time would.
+first that does not cost fewer bits.  An accepted move that changes
+nothing keeps the window: its later candidates are still one move away.
+It returns exactly what a climb scoring one candidate at a time would.
 """
 
 from __future__ import annotations
@@ -141,44 +145,97 @@ def _factor_row(factors: tuple[int, ...]) -> np.ndarray:
 def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
     """Quantized AC sizes of level-shifted pixel blocks (N, 8, 8), shape
     (N, 63) in zigzag order: DCT, zigzag, truncating quantization, then the
-    bit length of each magnitude."""
+    bit length of each magnitude.
+
+    The size of trunc(y) is the binary exponent of y itself, floored at 0:
+    for |y| >= 1, y and trunc(y) lie in the same [2**(e-1), 2**e); for
+    |y| < 1 the exponent is at most 0; the sign does not change it."""
     K = transform.DCT_MATRIX
     coeffs = K.T @ np.asarray(blocks, dtype=np.float64) @ K
-    ac = coeffs.reshape(len(coeffs), 64)[:, _AC_RASTER]
-    quantized = np.trunc(ac / _factor_row(q.q))
-    return np.frexp(np.abs(quantized))[1]  # bit length of the integer magnitude
+    ac = coeffs.reshape(len(coeffs), 64).take(_AC_RASTER, axis=1)  # C order: rows scan fast
+    exponents = np.frexp(ac / _factor_row(q.q))[1]
+    return np.maximum(exponents, 0, out=exponents)
+
+
+# code 11 of the code matrix: the EOB column after the last size column
+_EOB_CODE = MAX_SIZE + 1
+
+
+@functools.cache
+def _code_lengths(component: ComponentKind) -> np.ndarray:
+    """Bits per (run, code), flat int16 of 64 runs x 12 codes: codes 0..10
+    are sizes (``lengths``, run 63 never read), code 11 is the EOB, which
+    costs ``eob_bits`` after a run of zeros and nothing at run 0."""
+    table = table_for(component)
+    lengths = np.zeros((AC_POSITIONS + 1, _EOB_CODE + 1), dtype=np.int16)
+    lengths[:AC_POSITIONS, :_EOB_CODE] = table.lengths
+    lengths[1:, _EOB_CODE] = table.eob_bits
+    lengths.setflags(write=False)
+    return lengths.ravel()
+
+
+@functools.cache
+def _columns(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's column numbers 1..width (int8) and the flat index's run
+    offsets 12 * (0..width) (int16)."""
+    step = _EOB_CODE + 1
+    return (np.arange(1, width + 1, dtype=np.int8),
+            np.arange(0, step * (width + 1), step, dtype=np.int16))
+
+
+def _ac_bits(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
+    """:func:`ac_bits_from_sizes` without its checks."""
+    n, width = sizes.shape
+    numbers, offsets = _columns(width)
+    index = np.empty((n, width + 1), dtype=np.int16)
+    index[:, :width] = sizes
+    index[:, width] = _EOB_CODE
+    after = np.zeros((n, width + 1), dtype=np.int8)  # column 0: no nonzero yet
+    np.maximum.accumulate((sizes > 0) * numbers, axis=1, out=after[:, 1:])
+    index += offsets
+    index -= np.multiply(after, _EOB_CODE + 1, dtype=np.int16)  # int16: after * 12 wraps int8 from 11
+    return _code_lengths(component).take(index).sum(axis=1, dtype=np.int64)
 
 
 def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
-    """Coded AC bits of many size vectors, shape (N, width) for width 1..63.
+    """Coded AC bits of many size vectors, shape (N, width) for width 1..63,
+    as int64.
 
-    ``after[:, k]``, a running maximum, is one past the last nonzero column
-    before ``k``, so ``k - after[:, k]`` zeros run before cell ``k``, which
-    costs ``lengths[run, size]`` (0 if zero).  Sizes outside 0..MAX_SIZE
-    raise ``ParameterError``: their flat index would read another cell.  So
-    does any shape but (N, 1..63): a 64th column would read past the last
-    run."""
+    Each row gets one more column holding code 11, the EOB.  ``after[:, k]``,
+    a running maximum in int8 (its values are at most 63), is one past the
+    last nonzero column before ``k``, so ``k - after[:, k]`` zeros run
+    before cell ``k``, which costs ``_code_lengths[run, code]``: the size's
+    code length (0 if zero), or for the EOB column ``eob_bits`` after
+    trailing zeros and 0 after a nonzero last cell.  The flat index
+    ``12 * (k - after) + code`` is built in place in the int16 code matrix;
+    one lookup and one row sum give the bits.
+
+    Sizes outside 0..MAX_SIZE raise ``ParameterError``: their flat index
+    would read another cell.  So does any shape but (N, 1..63): the runs of
+    a 64th column are not in the table."""
     sizes = np.asarray(sizes)
     if sizes.ndim != 2 or not 1 <= sizes.shape[1] <= AC_POSITIONS:
         raise ParameterError(f"sizes must have shape (N, 1..{AC_POSITIONS}), not {sizes.shape}")
     if sizes.size and (sizes.min() < 0 or sizes.max() > MAX_SIZE):
         raise ParameterError(f"sizes outside 0..{MAX_SIZE}")
-    index = np.arange(sizes.shape[1], dtype=np.int16)  # narrow: the running maximum dominates
-    after = np.zeros((len(sizes), len(index) + 1), dtype=np.int16)  # column 0: no nonzero yet
-    np.maximum.accumulate((sizes > 0) * (index + 1), axis=1, out=after[:, 1:])
-    runs = index - after[:, :-1]
-    table = table_for(component)
-    totals = table.lengths.ravel().take(runs * (MAX_SIZE + 1) + sizes).sum(axis=1)
-    totals[sizes[:, -1] == 0] += table.eob_bits  # trailing zeros: EOB
-    return totals
+    return _ac_bits(sizes, component)
 
 
 def ac_bits_batch(blocks: np.ndarray, q: QuantTable, component: ComponentKind) -> np.ndarray:
     """AC bit costs of many blocks at once.
 
-    ``blocks`` has shape (N, 8, 8) and holds level-shifted pixels.
+    ``blocks`` has shape (N, 8, 8) and holds level-shifted pixels; any other
+    shape raises ``ParameterError``, and so does a block whose sizes pass
+    MAX_SIZE (pixels far outside -128..127): their flat index would read
+    another cell.
     """
-    return ac_bits_from_sizes(_ac_sizes(blocks, q), component)
+    shape = np.shape(blocks)
+    if len(shape) != 3 or shape[1:] != (8, 8):
+        raise ParameterError(f"blocks must have shape (N, 8, 8), not {shape}")
+    sizes = _ac_sizes(blocks, q)
+    if sizes.size and sizes.max() > MAX_SIZE:
+        raise ParameterError(f"block sizes outside 0..{MAX_SIZE}")
+    return _ac_bits(sizes, component)
 
 
 def encode_block(block, q: QuantTable, component: ComponentKind) -> EncodeReport:
@@ -273,7 +330,8 @@ def _climb_starts() -> np.ndarray:
 
 def _mutations(rng: np.random.Generator, iterations: int, mutation: str):
     """Every move of one restart, drawn in one call: flat pixel indices and
-    values, each of shape (iterations, 2); a one-pixel move repeats its pixel.
+    float64 values, each of shape (iterations, 2); a one-pixel move repeats
+    its pixel.
 
     Equal to the per-move draws ``rng.integers(1, 3)`` (pixel_pair only),
     then per pixel ``rng.integers(0, 8, size=2)`` and ``rng.integers(-128,
@@ -288,18 +346,19 @@ def _mutations(rng: np.random.Generator, iterations: int, mutation: str):
         first = second = np.arange(0, 3 * iterations, 3)
     else:
         words = rng.integers(0, 1 << 32, size=7 * iterations, dtype=np.uint64)
-        two = (words >> 31).tolist()
-        first = []
+        two = (words >> 31).astype(np.uint8)  # at a move's start: 1 if it sets two pixels
+        step = (4 + 3 * two).tobytes()
+        starts = []
         at = 0
         for _ in range(iterations):
-            first.append(at + 1)
-            at += 4 + 3 * two[at]
-        first = np.array(first)
-        second = np.where(words[first - 1] >> 31 == 1, first + 3, first)
-    lines = (words >> 29).astype(np.intp)  # a row or a column, 0..7
-    values = (words >> 24).astype(np.int64) - 128
+            starts.append(at)
+            at += step[at]
+        first = np.array(starts) + 1
+        second = first + 3 * two[first - 1]
     pixels = np.stack([first, second], axis=1)
-    return lines[pixels] * 8 + lines[pixels + 1], values[pixels + 2]
+    lines = words >> 29  # a row or a column, 0..7
+    values = (words[pixels + 2] >> 24).astype(np.float64) - 128
+    return (lines[pixels] * 8 + lines[pixels + 1]).astype(np.intp), values
 
 
 def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
@@ -317,7 +376,11 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     fewer bits is accepted and the next window starts after it; the
     candidates after it are dropped.  Each candidate is thus built from,
     and compared with, the block a one-candidate-at-a-time climb would
-    hold, so the result is the same.
+    hold, so the result is the same.  An accepted candidate equal to the
+    current block (a no-op move) changes neither the block nor its bits,
+    so the window's later candidates are still one move away from it: the
+    scan goes on in the same window.  Blocks are held as float64, exact
+    for -128..127; the winner goes back to int64.
     """
     if q.component is not cfg.component:
         raise ValueError("component and quantization table disagree")
@@ -329,26 +392,29 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(children[restart])
         if restart < len(starts):
-            block = starts[restart]  # read-only: the climb only reads it
+            block = starts[restart]
         else:
             block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
-        bits = ac_bits_batch(block[None], q, cfg.component)[0]
+        block = block.reshape(64).astype(np.float64)
+        bits = ac_bits_batch(block.reshape(1, 8, 8), q, cfg.component)[0]
         pixels, values = _mutations(rng, cfg.iterations, cfg.mutation)
         move = 0
         while move < cfg.iterations:
             stop = min(move + CLIMB_WINDOW, cfg.iterations)
-            candidates = np.repeat(block.reshape(1, 64), stop - move, axis=0)
+            candidates = np.repeat(block[None], stop - move, axis=0)
             rows = np.arange(stop - move)
             for j in (0, 1):
                 candidates[rows, pixels[move:stop, j]] = values[move:stop, j]
             cand_bits = ac_bits_batch(candidates.reshape(-1, 8, 8), q, cfg.component)
-            accepted = np.flatnonzero(cand_bits >= bits)
-            if len(accepted) == 0:
+            for first in np.flatnonzero(cand_bits >= bits).tolist():
+                p, r = pixels[move + first].tolist()
+                if candidates[first, p] != block[p] or candidates[first, r] != block[r]:
+                    block, bits = candidates[first], cand_bits[first]
+                    move += first + 1
+                    break
+            else:  # no candidate, or only no-op moves, accepted
                 move = stop
-                continue
-            first = int(accepted[0])
-            block, bits = candidates[first].reshape(8, 8), cand_bits[first]
-            move += first + 1
+        block = block.astype(np.int64).reshape(8, 8)
         if bits > best_bits or (
             bits == best_bits and tuple(block.ravel()) < tuple(best_block.ravel())
         ):

@@ -363,6 +363,10 @@ class TestSearch:
         (["--sf", "1", "--component", "chroma", "--restarts", "9", "--iterations", "300",
           "--mutation", "single_pixel", "--seed", "4"],
          "92e198bae964119afa1560dc0056a53425a3726b265ecc8d37f4fe87f23975d8"),
+        # long enough to accept moves that change nothing, inside a window
+        (["--sf", "1/64", "--component", "chroma", "--restarts", "3", "--iterations", "2000",
+          "--seed", "5"],
+         "d075b4e9606c7d2664744ace3cca1128212ddc20cb7e7ba12c1ef711500a3a45"),
     ])
     def test_json_pinned(self, capsys, monkeypatch, argv, digest):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from acbound import verification
 from acbound.entropy_model import (
-    MAX_SIZE, ComponentKind, SymbolSequence, sequence_length, symbolize, table_for,
+    MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length, symbolize, table_for,
 )
 from acbound.quantization import quantize, scaled_annex_k
 from acbound.transform import forward_dct, level_shift, zigzag_scan
@@ -29,7 +29,7 @@ from acbound.verification import (
     structured_extreme_blocks,
     toy_oracle,
 )
-from acbound.verification import _mutations
+from acbound.verification import _ac_sizes, _mutations
 from references import random_reduced_sizes
 
 
@@ -113,6 +113,31 @@ class TestBatchAgreement:
         ]
         bits = ac_bits_from_sizes(np.array(rows), component)
         assert bits.tolist() == [sequence_length(table, symbolize(row)) for row in rows]
+
+    def test_float_product_witness(self):
+        # F(4, 0) of block 1 is exactly 64, but the float product gives one
+        # ulp less; every path truncates that value alike, to size 6
+        q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64))
+        blocks = np.random.default_rng(5).integers(-128, 128, size=(2, 8, 8))
+        assert forward_dct(blocks[1])[4, 0] == 63.99999999999999
+        assert ac_bits_batch(blocks, q, ComponentKind.LUMINANCE).tolist() == [793, 778]
+        assert [encode_block(b, q, ComponentKind.LUMINANCE).ac_bits for b in blocks] == [793, 778]
+        assert [stage_bits(b, q, ComponentKind.LUMINANCE) for b in blocks] == [793, 778]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 64), (2, 8, 8, 1), (2, 4, 16)])
+    def test_batch_rejects_shapes_outside_the_contract(self, component, shape):
+        q = scaled_annex_k(component, Fraction(1, 64))
+        with pytest.raises(ValueError, match=r"shape \(N, 8, 8\)"):
+            ac_bits_batch(np.zeros(shape, dtype=np.int64), q, component)
+
+    def test_batch_rejects_sizes_past_max_size(self, component):
+        # a +-1000 checkerboard codes F(7, 7) at size 13: its flat index
+        # would read the EOB column or the next run's cells
+        q = scaled_annex_k(component, Fraction(1, 64))
+        board = 1000 * (-1) ** np.add.outer(np.arange(8), np.arange(8))
+        assert _ac_sizes(board[None], q).max() > MAX_SIZE
+        with pytest.raises(ParameterError, match=r"outside 0\.\.10"):
+            ac_bits_batch(board[None], q, component)
 
     def test_search_report_matches_stages(self, component):
         q = scaled_annex_k(component, Fraction(1, 6))
@@ -283,6 +308,30 @@ def reference_climb(cfg, q):
     return dataclasses.replace(encode_block(best_block, q, cfg.component), sf=cfg.sf)
 
 
+def first_restart_acceptances(cfg, q):
+    """The accepted moves of the first restart, replayed one at a time from
+    what ``_mutations`` draws: (move, start of the climb's window holding
+    it, pixels it changed, pixels it set) each."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    pixels, values = _mutations(rng, cfg.iterations, cfg.mutation)
+    block = level_shift(HIGH_COST_SEED_BLOCK).ravel()
+    bits = ac_bits_batch(block.reshape(1, 8, 8), q, cfg.component)[0]
+    window, accepted = 0, []
+    for move in range(cfg.iterations):
+        if move - window == CLIMB_WINDOW:
+            window = move
+        candidate = block.copy()
+        for pixel, value in zip(pixels[move], values[move]):
+            candidate[pixel] = value
+        cand_bits = ac_bits_batch(candidate.reshape(1, 8, 8), q, cfg.component)[0]
+        if cand_bits >= bits:
+            changed = np.flatnonzero(candidate != block).tolist()
+            accepted.append((move, window, changed, pixels[move].tolist()))
+            if changed:  # the climb's next window starts after it
+                window, block, bits = move + 1, candidate, cand_bits
+    return accepted
+
+
 class TestSpeculativeClimb:
     """The windowed climb against the one-candidate-at-a-time reference."""
 
@@ -298,6 +347,24 @@ class TestSpeculativeClimb:
                                seed=iterations, mutation=mutation)
             assert adversarial_search(cfg, q).to_json_dict() == \
                 reference_climb(cfg, q).to_json_dict()
+
+    def test_no_op_acceptance_inside_a_window(self, component):
+        # a window whose first accepted move changes nothing accepts a later move
+        q = scaled_annex_k(component, Fraction(1, 64))
+        cfg = SearchConfig(component, Fraction(1, 64), iterations=100, restarts=1, seed=26)
+        accepted = first_restart_acceptances(cfg, q)
+        assert any(not changed and any(w == window and later for _, w, later, _ in accepted)
+                   for _, window, changed, _ in accepted)
+        assert adversarial_search(cfg, q).to_json_dict() == reference_climb(cfg, q).to_json_dict()
+
+    def test_pair_move_that_keeps_its_first_pixel(self):
+        # accepted, it changes the block although its first pixel kept its value
+        q = scaled_annex_k(ComponentKind.CHROMINANCE, Fraction(1))
+        cfg = SearchConfig(ComponentKind.CHROMINANCE, Fraction(1), iterations=64, restarts=1,
+                           seed=24)
+        assert any(first != second and changed == [second]
+                   for _, _, changed, (first, second) in first_restart_acceptances(cfg, q))
+        assert adversarial_search(cfg, q).to_json_dict() == reference_climb(cfg, q).to_json_dict()
 
     @pytest.mark.parametrize("mutation", ["single_pixel", "pixel_pair"])
     def test_bulk_draws_match_per_move_draws(self, mutation):
