@@ -109,9 +109,10 @@ from .entropy_model import (
     MAX_SIZE,
     CodeLengthTable,
     ComponentKind,
+    ParameterError,
     table_for,
 )
-from .quantization import QuantTable, UnsupportedTableError, pow2_table
+from .quantization import QuantTable, pow2_table
 
 REFERENCE_SIZE = 8          # unquantized size of every reference coefficient
 PROMOTION_COST_9 = 3        # forced demotions per size-9 promotion
@@ -144,10 +145,6 @@ class Refinement(Enum):
 
 class LossSetExhaustedError(RuntimeError):
     """Asked for more loss copies than the set holds."""
-
-
-class ConstraintError(ValueError):
-    """A target configuration violates the coefficient-ball constraint."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,9 +344,9 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     """
     exponents = tuple(int(c) for c in exponents)
     if not 1 <= len(exponents) <= AC_POSITIONS:
-        raise UnsupportedTableError(f"1 to {AC_POSITIONS} positions are supported")
+        raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
     if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
-        raise UnsupportedTableError(
+        raise ParameterError(
             f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"
         )
     sbar = tuple(REFERENCE_SIZE - c for c in exponents)
@@ -361,7 +358,7 @@ def reference_length(component: ComponentKind, exponents) -> ReferenceConfig:
     """Reference configuration for the exponents of a full 63-position
     power-of-2 table."""
     if len(exponents) != AC_POSITIONS:
-        raise UnsupportedTableError(f"expected {AC_POSITIONS} exponents, got {len(exponents)}")
+        raise ParameterError(f"expected {AC_POSITIONS} exponents, got {len(exponents)}")
     return reference_config(component, exponents)
 
 
@@ -922,7 +919,7 @@ def upper_limit(
 ) -> BoundResult:
     """Upper AC code-length limit for a quantization table, memoized."""
     if q.component is not component:
-        raise ValueError("component and quantization table disagree")
+        raise ParameterError("component and quantization table disagree")
     return solve_limit(_cell_reference(component, pow2_table(q)), refinement, sf=q.sf)
 
 
@@ -955,16 +952,16 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
         except TypeError:
             size = -1
         if not 0 <= size <= MAX_SIZE:
-            raise ConstraintError(f"position {p}: size {s} is not an integer in 0..{MAX_SIZE}")
+            raise ParameterError(f"position {p}: size {s} is not an integer in 0..{MAX_SIZE}")
         sizes.append(size)
     if len(sizes) != n:
-        raise ConstraintError(f"expected {n} sizes, got {len(sizes)}")
+        raise ParameterError(f"expected {n} sizes, got {len(sizes)}")
     energy = sum(1 << (2 * s - 2) for s in sizes if s > 0)
     if energy >= (n + 1) << (2 * REFERENCE_SIZE - 2):
-        raise ConstraintError("size vector violates the coefficient-ball budget")
+        raise ParameterError("size vector violates the coefficient-ball budget")
     for p, s in enumerate(sizes, start=1):
         if s != 0 and s <= ref.exponents[p - 1]:
-            raise ConstraintError(
+            raise ParameterError(
                 f"position {p}: nonzero unquantized size {s} quantizes to zero"
             )
 

@@ -19,7 +19,9 @@ from .bound_engine import (
     solve_limit,
     upper_limit,
 )
-from .entropy_model import ComponentKind, crude_bound
+from .entropy_model import (
+    ComponentKind, ParameterError, crude_bound, sequence_length, symbolize, table_for,
+)
 from .quantization import pow2_table, scaled_annex_k
 from .transform import level_shift
 from .verification import (
@@ -54,7 +56,10 @@ def _timestamp() -> str | None:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ParameterError(f"bad SOURCE_DATE_EPOCH {epoch!r}: {exc}") from None
 
 
 def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
@@ -68,25 +73,11 @@ def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
 
 
 def _parse_sf(text: str) -> Fraction:
+    # only parses: scale_table owns the supported range
     try:
-        sf = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse scale factor {text!r}: {exc}")
-    if not Fraction(1, 64) <= sf <= 1:
-        raise ValueError(f"scale factor {text} outside [1/64, 1]")
-    return sf
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ACBOUND_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"ACBOUND_SEED must be an integer, got {env!r}") from None
+        raise ParameterError(f"cannot parse scale factor {text!r}: {exc}") from None
 
 
 def _emit(lines: list[str], manifest: dict) -> None:
@@ -100,17 +91,17 @@ def _emit(lines: list[str], manifest: dict) -> None:
 
 def cmd_limits(args) -> int:
     sf_texts = args.sf or list(PUBLISHED_SF_SET)
-    sfs = [_parse_sf(t) for t in sf_texts]
     components = _COMPONENTS[args.component]
+    # every table before any limit, so a bad sf is reported before any work
+    tables = [[scaled_annex_k(comp, _parse_sf(t)) for comp in components] for t in sf_texts]
     manifest = _manifest("limits", {
         "sf": sf_texts, "component": args.component, "refinement": args.refinement,
     })
 
     rows = []
-    for text, sf in zip(sf_texts, sfs):
+    for text, qs in zip(sf_texts, tables):
         row = {"sf": text}
-        for comp in components:
-            q = scaled_annex_k(comp, sf)
+        for comp, q in zip(components, qs):
             row[comp.value] = min(
                 (upper_limit(comp, q, r) for r in _REFINEMENTS[args.refinement]),
                 key=lambda res: res.limit,
@@ -160,24 +151,24 @@ def _read_block_file(path: str) -> np.ndarray:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from None
     rows = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 8:
-        raise ValueError(f"{path}: expected 8 non-empty lines, found {len(lines)}")
+        raise ParameterError(f"{path}: expected 8 non-empty lines, found {len(lines)}")
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != 8:
-            raise ValueError(f"{path}:{lineno}: expected 8 values, found {len(tokens)}")
+            raise ParameterError(f"{path}:{lineno}: expected 8 values, found {len(tokens)}")
         row = []
         for col, token in enumerate(tokens, start=1):
             try:
                 value = int(token)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}:{col}: not an integer: {token!r}")
+                raise ParameterError(f"{path}:{lineno}:{col}: not an integer: {token!r}") from None
             if not 0 <= value <= 255:
-                raise ValueError(f"{path}:{lineno}:{col}: sample {value} outside 0..255")
+                raise ParameterError(f"{path}:{lineno}:{col}: sample {value} outside 0..255")
             row.append(value)
         rows.append(row)
     return np.array(rows, dtype=np.int64)
@@ -186,8 +177,8 @@ def _read_block_file(path: str) -> np.ndarray:
 def cmd_encode(args) -> int:
     sf = _parse_sf(args.sf)
     component = _COMPONENTS[args.component][0]
+    q = scaled_annex_k(component, sf)  # before the file: a bad sf is reported first
     raw = _read_block_file(args.block_file)
-    q = scaled_annex_k(component, sf)
     report = encode_block(level_shift(raw), q, component)
     manifest = _manifest("encode", {
         "block_file": args.block_file, "sf": args.sf, "component": args.component,
@@ -223,7 +214,9 @@ def _verify_deltas(args, checks: list[dict]) -> None:
     ref = reference_length(component, pow2_table(q))
     # the checks read the exact prefix sums the limit maximized over
     result = solve_limit(ref, Refinement.BASE, sf=sf)
-    _check(checks, "reference length", ref.ref_len == result.ref_len, f"len={ref.ref_len}")
+    # recounted symbol by symbol: all 63 reference sizes are nonzero, so no EOB
+    recount = sequence_length(table_for(component), symbolize(ref.sbar))
+    _check(checks, "reference length", ref.ref_len == recount, f"len={ref.ref_len}")
     _check(checks, "objective zero at the origin", result.scaled_objective[(0, 0)] == 0)
     _check(checks, "limit covers reference", result.limit >= ref.ref_len,
            f"limit={result.limit}")
@@ -242,7 +235,10 @@ def _verify_deltas(args, checks: list[dict]) -> None:
 def _verify_toy(args, checks: list[dict]) -> None:
     exponents = None
     if args.exponents:
-        exponents = tuple(int(t) for t in args.exponents.split(","))
+        try:
+            exponents = tuple(int(t) for t in args.exponents.split(","))
+        except ValueError:
+            raise ParameterError(f"cannot parse exponents {args.exponents!r}") from None
     for component in _COMPONENTS[args.component]:
         exact, limit = toy_oracle(args.n, component, exponents)
         _check(checks, f"toy n={args.n} {component.value}", limit >= exact,
@@ -250,12 +246,11 @@ def _verify_toy(args, checks: list[dict]) -> None:
 
 
 def _verify_fuzz(args, checks: list[dict]) -> None:
-    seed = _seed_from(args)
     sf_texts = list(PUBLISHED_SF_SET) if args.sf is None else [args.sf]
     for component in _COMPONENTS[args.component]:
         for text in sf_texts:
             q = scaled_annex_k(component, _parse_sf(text))
-            summary = soundness_fuzz(args.trials, q, component, seed)
+            summary = soundness_fuzz(args.trials, q, args.seed)
             ok = summary["min_slack"] >= 0
             detail = f"max_bits={summary['max_bits']} min_slack={summary['min_slack']}"
             if not ok:
@@ -268,7 +263,7 @@ def _verify_fuzz(args, checks: list[dict]) -> None:
 def cmd_verify(args) -> int:
     parameters = {k: v for k, v in vars(args).items()
                   if k not in ("cmd", "func", "run_suite", "json", "seed")}
-    manifest = _manifest("verify", parameters, seed=_seed_from(args) if "seed" in args else None)
+    manifest = _manifest("verify", parameters, seed=getattr(args, "seed", None))
     checks: list[dict] = []
     args.run_suite(args, checks)
     ok = all(check["ok"] for check in checks)
@@ -290,7 +285,7 @@ def cmd_search(args) -> int:
     q = scaled_annex_k(component, sf)
     cfg = SearchConfig(
         component, sf, iterations=args.iterations, restarts=args.restarts,
-        seed=_seed_from(args), mutation=args.mutation,
+        seed=args.seed, mutation=args.mutation,
     )
     report = adversarial_search(cfg, q)
     manifest = _manifest("search", {
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("fuzz", help="random blocks must stay under the limit")
     v.add_argument("--trials", type=int, default=10_000)
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--sf", help="single scale factor; defaults to the published set")
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     v.add_argument("--json", action="store_true")
@@ -376,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--mutation", choices=["single_pixel", "pixel_pair"],
                    default="pixel_pair")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -385,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; exit 0 when every check held, 1 when one failed,
-    2 on bad input."""
+    2 on bad input (``ParameterError``).  Any other exception is a fault
+    of the program and propagates."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad parameters, tables, scale factors or block files
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,8 @@ class ComponentKind(Enum):
 
 
 class ParameterError(ValueError):
-    """An argument is outside its documented domain."""
+    """An argument is outside its documented domain: the package's one
+    bad-input error, and the only one the command line exits 2 on."""
 
 
 @dataclass(frozen=True)

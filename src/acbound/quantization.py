@@ -21,14 +21,6 @@ MAX_SCALE = Fraction(1)
 MAX_SUPPORTED_FACTOR = 121   # the largest annex K factor; keeps every exponent <= 6
 
 
-class UnsupportedScaleError(ValueError):
-    """Scale factor outside the supported [1/64, 1] range."""
-
-
-class UnsupportedTableError(ValueError):
-    """Quantization table outside the regime the bound derivation assumes."""
-
-
 # Annex K example tables, raster (row-major) order.
 K1_LUMINANCE = (
     16, 11, 10, 16, 24, 40, 51, 61,
@@ -96,7 +88,7 @@ def scale_table(base: QuantTable, sf) -> QuantTable:
     """
     sf = Fraction(sf)
     if not MIN_SCALE <= sf <= MAX_SCALE:
-        raise UnsupportedScaleError(f"scale factor {sf} outside [{MIN_SCALE}, {MAX_SCALE}]")
+        raise ParameterError(f"scale factor {sf} outside [{MIN_SCALE}, {MAX_SCALE}]")
     if any(not 1 <= v <= 255 for v in base.q) or not 1 <= base.q00 <= 255:
         raise ParameterError("base table entries must lie in 1..255")
     scaled = tuple(max(int(sf * v), 1) for v in base.q)
@@ -111,7 +103,7 @@ def pow2_table(q: QuantTable) -> tuple[int, ...]:
     """Exponents C(k) of the power-of-2 reduced table, one per AC
     position: 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length."""
     if any(v > MAX_SUPPORTED_FACTOR for v in q.q):
-        raise UnsupportedTableError(
+        raise ParameterError(
             f"factors above {MAX_SUPPORTED_FACTOR} are outside the supported regime"
         )
     return tuple(v.bit_length() - 1 for v in q.q)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .entropy_model import ParameterError
+
 BLOCK_SIZE = 8
 PIXEL_MIN = -128
 PIXEL_MAX = 127
@@ -43,11 +45,11 @@ def validate_pixel_block(block) -> np.ndarray:
     """Check an 8x8 grid of level-shifted pixels and return it as int array."""
     arr = np.asarray(block)
     if arr.shape != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(f"pixel block must be 8x8, got {arr.shape}")
+        raise ParameterError(f"pixel block must be 8x8, got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("pixel block must hold integers")
+        raise ParameterError("pixel block must hold integers")
     if arr.min() < PIXEL_MIN or arr.max() > PIXEL_MAX:
-        raise ValueError(f"pixel values outside [{PIXEL_MIN}, {PIXEL_MAX}]")
+        raise ParameterError(f"pixel values outside [{PIXEL_MIN}, {PIXEL_MAX}]")
     return arr.astype(np.int64)
 
 
@@ -55,7 +57,7 @@ def level_shift(raw) -> np.ndarray:
     """Shift raw 8-bit samples (0..255) to the signed range used here."""
     arr = np.asarray(raw)
     if arr.min() < 0 or arr.max() > 255:
-        raise ValueError("raw samples outside 0..255")
+        raise ParameterError("raw samples outside 0..255")
     return arr.astype(np.int64) - 128
 
 
@@ -69,7 +71,7 @@ def inverse_dct(coeffs) -> np.ndarray:
     """f = K F K^T; round-trips forward_dct to 1e-9 per entry."""
     F = np.asarray(coeffs, dtype=np.float64)
     if F.shape != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ValueError(f"coefficient grid must be 8x8, got {F.shape}")
+        raise ParameterError(f"coefficient grid must be 8x8, got {F.shape}")
     return DCT_MATRIX @ F @ DCT_MATRIX.T
 
 

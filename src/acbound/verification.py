@@ -42,7 +42,7 @@ from .entropy_model import (
     AC_POSITIONS, MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length,
     symbolize, table_for,
 )
-from .quantization import QuantTable, UnsupportedTableError
+from .quantization import QuantTable
 
 # Sample block whose unit-quantized AC coefficients all stay nonzero with
 # sizes 7 and 8; near-worst-case at the finest scale factor and the default
@@ -107,6 +107,12 @@ MAX_RESTARTS = 100_000
 MAX_TRIALS = 100_000_000
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's SeedSequence takes non-negative integers only
+    if seed < 0:
+        raise ParameterError(f"seed {seed} must be non-negative")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     component: ComponentKind
@@ -118,13 +124,14 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.iterations <= 0 or self.restarts <= 0:
-            raise ValueError("iterations and restarts must be positive")
+            raise ParameterError("iterations and restarts must be positive")
         if self.iterations > MAX_ITERATIONS:
-            raise ValueError(f"at most {MAX_ITERATIONS} iterations are supported")
+            raise ParameterError(f"at most {MAX_ITERATIONS} iterations are supported")
         if self.restarts > MAX_RESTARTS:
-            raise ValueError(f"at most {MAX_RESTARTS} restarts are supported")
+            raise ParameterError(f"at most {MAX_RESTARTS} restarts are supported")
+        _check_seed(self.seed)
         if self.mutation not in ("single_pixel", "pixel_pair"):
-            raise ValueError(f"unknown mutation kind {self.mutation!r}")
+            raise ParameterError(f"unknown mutation kind {self.mutation!r}")
 
 
 # -- block costing: the one path every harness uses ------------------------
@@ -221,8 +228,9 @@ def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarra
     return _ac_bits(sizes, component)
 
 
-def ac_bits_batch(blocks: np.ndarray, q: QuantTable, component: ComponentKind) -> np.ndarray:
-    """AC bit costs of many blocks at once.
+def ac_bits_batch(blocks: np.ndarray, q: QuantTable) -> np.ndarray:
+    """AC bit costs of many blocks at once, under the Huffman table of
+    ``q.component``.
 
     ``blocks`` has shape (N, 8, 8) and holds level-shifted pixels; any other
     shape raises ``ParameterError``, and so does a block whose sizes pass
@@ -235,13 +243,13 @@ def ac_bits_batch(blocks: np.ndarray, q: QuantTable, component: ComponentKind) -
     sizes = _ac_sizes(blocks, q)
     if sizes.size and sizes.max() > MAX_SIZE:
         raise ParameterError(f"block sizes outside 0..{MAX_SIZE}")
-    return _ac_bits(sizes, component)
+    return _ac_bits(sizes, q.component)
 
 
 def encode_block(block, q: QuantTable, component: ComponentKind) -> EncodeReport:
     """Run the full AC pipeline on one block and report its bit cost."""
     if q.component is not component:
-        raise ValueError("component and quantization table disagree")
+        raise ParameterError("component and quantization table disagree")
     arr = transform.validate_pixel_block(block)
     sizes = _ac_sizes(arr[None], q)[0].tolist()
     symbols = symbolize(sizes)
@@ -273,24 +281,21 @@ def structured_extreme_blocks() -> np.ndarray:
     return np.stack(blocks).astype(np.int64)
 
 
-def soundness_fuzz(
-    trials: int,
-    q: QuantTable,
-    component: ComponentKind,
-    seed: int = 0,
-) -> dict:
+def soundness_fuzz(trials: int, q: QuantTable, seed: int = 0) -> dict:
     """Encode ``trials`` blocks (structured extremes first, then random
-    noise drawn 20,000 at a time) against the tightest limit.
+    noise drawn 20,000 at a time) under ``q`` and its component's Huffman
+    table, against the tightest limit.
 
     Reports the largest cost, its slack to the limit (negative when a block
     exceeds it) and ``worst_block``, the first level-shifted block that
     reached the largest cost.
     """
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise ParameterError("trials must be positive")
     if trials > MAX_TRIALS:
-        raise ValueError(f"at most {MAX_TRIALS} trials are supported")
-    limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
+        raise ParameterError(f"at most {MAX_TRIALS} trials are supported")
+    _check_seed(seed)
+    limit = upper_limit(q.component, q, Refinement.MAXCONFIG).limit
     rng = np.random.default_rng(seed)
 
     extremes = structured_extreme_blocks()[:trials]
@@ -301,7 +306,7 @@ def soundness_fuzz(
     max_bits = -1
     worst = None
     for chunk in chain([extremes], noise):
-        bits = ac_bits_batch(chunk, q, component)
+        bits = ac_bits_batch(chunk, q)
         idx = int(bits.argmax())
         if bits[idx] > max_bits:
             max_bits = int(bits[idx])
@@ -383,7 +388,7 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     for -128..127; the winner goes back to int64.
     """
     if q.component is not cfg.component:
-        raise ValueError("component and quantization table disagree")
+        raise ParameterError("component and quantization table disagree")
     starts = _climb_starts()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
@@ -396,7 +401,7 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
         else:
             block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
         block = block.reshape(64).astype(np.float64)
-        bits = ac_bits_batch(block.reshape(1, 8, 8), q, cfg.component)[0]
+        bits = ac_bits_batch(block.reshape(1, 8, 8), q)[0]
         pixels, values = _mutations(rng, cfg.iterations, cfg.mutation)
         move = 0
         while move < cfg.iterations:
@@ -405,7 +410,7 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
             rows = np.arange(stop - move)
             for j in (0, 1):
                 candidates[rows, pixels[move:stop, j]] = values[move:stop, j]
-            cand_bits = ac_bits_batch(candidates.reshape(-1, 8, 8), q, cfg.component)
+            cand_bits = ac_bits_batch(candidates.reshape(-1, 8, 8), q)
             for first in np.flatnonzero(cand_bits >= bits).tolist():
                 p, r = pixels[move + first].tolist()
                 if candidates[first, p] != block[p] or candidates[first, r] != block[r]:
@@ -443,12 +448,12 @@ def toy_oracle(
     stored.  The engine limit (tightest refinement) must dominate it.
     """
     if not 1 <= n_positions <= AC_POSITIONS:
-        raise UnsupportedTableError(f"1 to {AC_POSITIONS} positions are supported")
+        raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
     if exponents is None:
         exponents = (0,) * n_positions
     exponents = tuple(int(c) for c in exponents)
     if len(exponents) != n_positions:
-        raise ValueError("exponent vector length must match n_positions")
+        raise ParameterError("exponent vector length must match n_positions")
     ref = reference_config(component, exponents)
 
     budget = (n_positions + 1) << 14

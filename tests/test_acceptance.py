@@ -220,7 +220,7 @@ def test_criterion_6_soundness_fuzz():
     for component in ComponentKind:
         for sf in SF_SET:
             q = scaled_annex_k(component, Fraction(sf))
-            summary = soundness_fuzz(100_000, q, component, seed=71)
+            summary = soundness_fuzz(100_000, q, seed=71)
             assert summary["min_slack"] >= 0, (component, sf, summary)
             if worst is None or summary["min_slack"] < worst[0]:
                 worst = (summary["min_slack"], component.value, sf)

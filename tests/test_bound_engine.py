@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from acbound import bound_engine
 from acbound.bound_engine import (
     SCALE,
-    ConstraintError,
     DeltaEntry,
     LossSetExhaustedError,
     OpKind,
@@ -34,13 +33,13 @@ from acbound.bound_engine import (
 from acbound.entropy_model import (
     AC_POSITIONS,
     ComponentKind,
+    ParameterError,
     sequence_length,
     symbolize,
     table_for,
 )
 from acbound.quantization import (
     QuantTable,
-    UnsupportedTableError,
     pow2_table,
     scaled_annex_k,
 )
@@ -97,15 +96,15 @@ class TestReferenceLength:
         assert ref.ref_len == 63 * 18 == 1134
 
     def test_rejects_exponent_seven(self):
-        with pytest.raises(UnsupportedTableError):
+        with pytest.raises(ParameterError):
             reference_config(ComponentKind.LUMINANCE, (7,) * 63)
 
     def test_rejects_more_than_63_positions(self):
-        with pytest.raises(UnsupportedTableError):
+        with pytest.raises(ParameterError):
             reference_config(ComponentKind.LUMINANCE, (0,) * 64)
 
     def test_rejects_an_empty_vector(self):
-        with pytest.raises(UnsupportedTableError):
+        with pytest.raises(ParameterError):
             reference_config(ComponentKind.LUMINANCE, ())
 
     def test_state_is_freed_with_the_reference(self):
@@ -267,12 +266,12 @@ class TestUpperLimit:
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             upper_limit(ComponentKind.LUMINANCE, q)
 
     def test_unsupported_user_table(self):
         q = QuantTable(ComponentKind.LUMINANCE, (150,) * 63, q00=1)
-        with pytest.raises(UnsupportedTableError):
+        with pytest.raises(ParameterError):
             upper_limit(ComponentKind.LUMINANCE, q)
 
     def test_user_table_within_regime(self):
@@ -920,28 +919,28 @@ class TestDecompose:
 
     def test_rejects_ball_violation(self):
         ref, _ = chroma_sf1_sets()
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ParameterError):
             decompose([10] * 63, ref)
 
     def test_rejects_sizes_below_exponent(self):
         ref, _ = chroma_sf1_sets()
         target = [0] * 63
         target[20] = ref.exponents[20] - 1  # quantizes to zero: not reduced
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ParameterError):
             decompose(target, ref)
 
     def test_rejects_a_fractional_size(self):
         ref, _ = chroma_sf1_sets()
         target = [0] * 63
         target[20] = 7.9  # would truncate to a valid 7
-        with pytest.raises(ConstraintError, match="position 21: size 7.9 is not an integer"):
+        with pytest.raises(ParameterError, match="position 21: size 7.9 is not an integer"):
             decompose(target, ref)
 
     def test_rejects_a_negative_size(self):
         ref, _ = chroma_sf1_sets()
         target = [0] * 63
         target[20] = -1
-        with pytest.raises(ConstraintError, match="position 21: size -1 is not an integer"):
+        with pytest.raises(ParameterError, match="position 21: size -1 is not an integer"):
             decompose(target, ref)
 
     def test_identity_on_random_targets(self, component, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -112,6 +113,15 @@ class TestLimits:
         assert code == 2
         assert "outside" in err
 
+    def test_invalid_sf_is_reported_before_any_limit(self, capsys, monkeypatch):
+        def started(*args):
+            raise AssertionError("a limit was computed")
+
+        monkeypatch.setattr(cli, "upper_limit", started)
+        code, _, err = run(capsys, ["limits", "--sf", "1", "--sf", "2"])
+        assert code == 2
+        assert err == "error: scale factor 2 outside [1/64, 1]\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "toy", "--n", "0"],
@@ -124,12 +134,51 @@ class TestLimits:
     ["verify", "toy", "--n", "1000000000000"],
     ["search", "--sf", "1", "--iterations", "1000000000000"],
     ["search", "--sf", "1", "--restarts", "1000000000000"],
+    ["limits", "--sf", "1.5"],
+    ["limits", "--sf", "1/0"],
+    ["verify", "toy", "--n", "3", "--exponents", "1,x,2"],
+    ["verify", "toy", "--n", "2", "--exponents", "1,2,3"],
+    ["verify", "fuzz", "--trials", "10", "--sf", "1", "--seed", "-1"],
+    ["search", "--sf", "1", "--seed", "-1"],
+    ["encode", "--sf", "1", str(Path(__file__).parent)],
+    ["encode", "--sf", "2", "missing.txt"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
-    assert "error" in err
+    assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+def test_bad_sf_is_reported_before_the_block_file(capsys):
+    code, _, err = run(capsys, ["encode", "--sf", "2", "missing.txt"])
+    assert code == 2
+    assert err == "error: scale factor 2 outside [1/64, 1]\n"
+
+
+def test_undecodable_block_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "block.bin"
+    path.write_bytes(b"\xff\xfe" * 64)
+    code, _, err = run(capsys, ["encode", "--sf", "1", str(path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_bad_source_date_epoch_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "soon")
+    code, out, err = run(capsys, ["limits", "--sf", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad SOURCE_DATE_EPOCH 'soon'")
+
+
+def test_a_program_fault_is_not_bad_input(monkeypatch):
+    def fault(*args):
+        raise ValueError("a fault, not bad input")
+
+    monkeypatch.setattr(cli, "upper_limit", fault)
+    with pytest.raises(ValueError, match="a fault"):
+        main(["limits", "--sf", "1"])
 
 
 def test_huge_fuzz_trials_exit_2_before_any_block(capsys, monkeypatch):
@@ -141,13 +190,6 @@ def test_huge_fuzz_trials_exit_2_before_any_block(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == f"error: at most {verification.MAX_TRIALS} trials are supported\n"
-
-
-def test_bad_seed_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("ACBOUND_SEED", "abc")
-    code, _, err = run(capsys, ["search", "--sf", "1"])
-    assert code == 2
-    assert err == "error: ACBOUND_SEED must be an integer, got 'abc'\n"
 
 
 class TestEncode:
@@ -240,6 +282,17 @@ class TestVerify:
             assert code == 0
             assert "FAIL" not in out
 
+    def test_deltas_recounts_the_reference_length(self, capsys, monkeypatch):
+        # a reference whose stored length is one bit off, which the limit copies
+        def off_by_one(component, exponents):
+            ref = bound_engine.reference_length(component, exponents)
+            return dataclasses.replace(ref, ref_len=ref.ref_len + 1)
+
+        monkeypatch.setattr(cli, "reference_length", off_by_one)
+        code, out, _ = run(capsys, ["verify", "deltas"])
+        assert code == 1
+        assert out.splitlines()[0] == "FAIL reference length (len=350)"
+
     def test_toy_suite(self, capsys):
         code, out, _ = run(capsys, ["verify", "toy", "--n", "2"])
         assert code == 0
@@ -321,14 +374,8 @@ class TestVerify:
         assert payload["ok"] is False
         assert payload["checks"][0]["detail"] == line.split(" (", 1)[1][:-1]
 
-    @pytest.mark.parametrize("env_seed, flags, seed", [
-        ("5", [], 5), (None, ["--seed", "7"], 7), (None, [], 0),
-    ])
-    def test_fuzz_manifest_records_what_ran(self, capsys, monkeypatch, env_seed, flags, seed):
-        if env_seed is None:
-            monkeypatch.delenv("ACBOUND_SEED", raising=False)
-        else:
-            monkeypatch.setenv("ACBOUND_SEED", env_seed)
+    @pytest.mark.parametrize("flags, seed", [(["--seed", "7"], 7), ([], 0)])
+    def test_fuzz_manifest_records_what_ran(self, capsys, flags, seed):
         code, out, _ = run(capsys, [
             "verify", "fuzz", "--trials", "100", "--sf", "1", "--component", "lum", "--json",
         ] + flags)
@@ -373,12 +420,3 @@ class TestSearch:
         code, out, _ = run(capsys, ["search"] + argv + ["--json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACBOUND_SEED", "21")
-        code, out, _ = run(capsys, [
-            "search", "--sf", "1/2", "--component", "chroma",
-            "--iterations", "20", "--restarts", "1",
-        ])
-        assert code == 0
-        assert '"seed": 21' in out

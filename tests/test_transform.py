@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acbound import transform
+from acbound.entropy_model import ParameterError
 from acbound.transform import (
     DCT_MATRIX,
     forward_dct,
@@ -126,13 +127,13 @@ class TestValidation:
         shifted = level_shift(raw)
         assert shifted.min() == -128
         assert (shifted == raw - 128).all()
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             level_shift(np.full((8, 8), 256))
 
     def test_pixel_block_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             validate_pixel_block(np.full((8, 8), 128, dtype=np.int64))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             validate_pixel_block(np.zeros((4, 4), dtype=np.int64))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             validate_pixel_block(np.zeros((8, 8)))  # floats rejected

@@ -58,7 +58,7 @@ class TestEncodeBlock:
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             encode_block(np.zeros((8, 8), dtype=np.int64), q, ComponentKind.LUMINANCE)
 
     def test_json_payload(self):
@@ -88,7 +88,7 @@ class TestBatchAgreement:
         for sf in (Fraction(1, 64), Fraction(1, 6), Fraction(1)):
             q = scaled_annex_k(component, sf)
             blocks = rng.integers(-128, 128, size=(400, 8, 8), dtype=np.int64)
-            batch = ac_bits_batch(blocks, q, component)
+            batch = ac_bits_batch(blocks, q)
             for i in range(0, 400, 7):
                 report = encode_block(blocks[i], q, component)
                 assert report.quantized_sizes == tuple(stage_sizes(blocks[i], q))
@@ -97,7 +97,7 @@ class TestBatchAgreement:
     def test_batch_on_structured_blocks(self, component):
         q = scaled_annex_k(component, Fraction(1, 4))
         blocks = structured_extreme_blocks()
-        batch = ac_bits_batch(blocks, q, component)
+        batch = ac_bits_batch(blocks, q)
         for block, bits in zip(blocks, batch):
             assert stage_bits(block, q, component) == bits
 
@@ -120,15 +120,19 @@ class TestBatchAgreement:
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64))
         blocks = np.random.default_rng(5).integers(-128, 128, size=(2, 8, 8))
         assert forward_dct(blocks[1])[4, 0] == 63.99999999999999
-        assert ac_bits_batch(blocks, q, ComponentKind.LUMINANCE).tolist() == [793, 778]
+        assert ac_bits_batch(blocks, q).tolist() == [793, 778]
         assert [encode_block(b, q, ComponentKind.LUMINANCE).ac_bits for b in blocks] == [793, 778]
         assert [stage_bits(b, q, ComponentKind.LUMINANCE) for b in blocks] == [793, 778]
+        chroma = scaled_annex_k(ComponentKind.CHROMINANCE, Fraction(1, 64))
+        assert ac_bits_batch(blocks, chroma).tolist() == [
+            encode_block(b, chroma, chroma.component).ac_bits for b in blocks
+        ]
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 64), (2, 8, 8, 1), (2, 4, 16)])
     def test_batch_rejects_shapes_outside_the_contract(self, component, shape):
         q = scaled_annex_k(component, Fraction(1, 64))
         with pytest.raises(ValueError, match=r"shape \(N, 8, 8\)"):
-            ac_bits_batch(np.zeros(shape, dtype=np.int64), q, component)
+            ac_bits_batch(np.zeros(shape, dtype=np.int64), q)
 
     def test_batch_rejects_sizes_past_max_size(self, component):
         # a +-1000 checkerboard codes F(7, 7) at size 13: its flat index
@@ -137,7 +141,7 @@ class TestBatchAgreement:
         board = 1000 * (-1) ** np.add.outer(np.arange(8), np.arange(8))
         assert _ac_sizes(board[None], q).max() > MAX_SIZE
         with pytest.raises(ParameterError, match=r"outside 0\.\.10"):
-            ac_bits_batch(board[None], q, component)
+            ac_bits_batch(board[None], q)
 
     def test_search_report_matches_stages(self, component):
         q = scaled_annex_k(component, Fraction(1, 6))
@@ -265,18 +269,20 @@ class TestAdversarialSearch:
         assert report.ac_bits <= 349
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SearchConfig(ComponentKind.LUMINANCE, iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SearchConfig(ComponentKind.LUMINANCE, mutation="teleport")
+        with pytest.raises(ParameterError, match="seed -1"):
+            SearchConfig(ComponentKind.LUMINANCE, seed=-1)
 
     def test_config_bounds_sizes_before_allocating(self):
         SearchConfig(ComponentKind.LUMINANCE, iterations=MAX_ITERATIONS, restarts=MAX_RESTARTS)
         for huge in (MAX_ITERATIONS + 1, 10**12):
-            with pytest.raises(ValueError, match="iterations"):
+            with pytest.raises(ParameterError, match="iterations"):
                 SearchConfig(ComponentKind.LUMINANCE, iterations=huge)
         for huge in (MAX_RESTARTS + 1, 10**12):
-            with pytest.raises(ValueError, match="restarts"):
+            with pytest.raises(ParameterError, match="restarts"):
                 SearchConfig(ComponentKind.LUMINANCE, restarts=huge)
 
 
@@ -291,14 +297,14 @@ def reference_climb(cfg, q):
             block = starts[restart].copy()
         else:
             block = rng.integers(-128, 128, size=(8, 8), dtype=np.int64)
-        bits = ac_bits_batch(block[None], q, cfg.component)[0]
+        bits = ac_bits_batch(block[None], q)[0]
         for _ in range(cfg.iterations):
             candidate = block.copy()
             n_pixels = 1 if cfg.mutation == "single_pixel" else int(rng.integers(1, 3))
             for _ in range(n_pixels):
                 r, c = rng.integers(0, 8, size=2)
                 candidate[r, c] = rng.integers(-128, 128)
-            cand_bits = ac_bits_batch(candidate[None], q, cfg.component)[0]
+            cand_bits = ac_bits_batch(candidate[None], q)[0]
             if cand_bits >= bits:
                 block, bits = candidate, cand_bits
         if bits > best_bits or (
@@ -315,7 +321,7 @@ def first_restart_acceptances(cfg, q):
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     pixels, values = _mutations(rng, cfg.iterations, cfg.mutation)
     block = level_shift(HIGH_COST_SEED_BLOCK).ravel()
-    bits = ac_bits_batch(block.reshape(1, 8, 8), q, cfg.component)[0]
+    bits = ac_bits_batch(block.reshape(1, 8, 8), q)[0]
     window, accepted = 0, []
     for move in range(cfg.iterations):
         if move - window == CLIMB_WINDOW:
@@ -323,7 +329,7 @@ def first_restart_acceptances(cfg, q):
         candidate = block.copy()
         for pixel, value in zip(pixels[move], values[move]):
             candidate[pixel] = value
-        cand_bits = ac_bits_batch(candidate.reshape(1, 8, 8), q, cfg.component)[0]
+        cand_bits = ac_bits_batch(candidate.reshape(1, 8, 8), q)[0]
         if cand_bits >= bits:
             changed = np.flatnonzero(candidate != block).tolist()
             accepted.append((move, window, changed, pixels[move].tolist()))
@@ -405,11 +411,11 @@ class TestToyOracle:
         assert limit >= exact
 
     def test_refuses_large_instances(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             toy_oracle(0, ComponentKind.LUMINANCE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             toy_oracle(64, ComponentKind.LUMINANCE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             toy_oracle(2, ComponentKind.LUMINANCE, (0, 1, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -449,7 +455,7 @@ class TestToyOracle:
 class TestSoundnessFuzz:
     def test_small_run(self, component):
         q = scaled_annex_k(component, Fraction(1, 8))
-        summary = soundness_fuzz(3000, q, component, seed=12)
+        summary = soundness_fuzz(3000, q, seed=12)
         assert summary["min_slack"] >= 0
         assert summary["max_bits"] <= summary["limit"]
         assert summary["trials"] == 3000
@@ -459,7 +465,7 @@ class TestSoundnessFuzz:
         # block (146 bits, reached twice) is drawn in the second one
         component = ComponentKind.CHROMINANCE
         q = scaled_annex_k(component, 1)
-        summary = soundness_fuzz(45_000, q, component, seed=1)
+        summary = soundness_fuzz(45_000, q, seed=1)
         worst = summary.pop("worst_block")
         assert summary == {"trials": 45_000, "limit": 349, "max_bits": 146, "min_slack": 203}
         extremes = structured_extreme_blocks()
@@ -468,22 +474,28 @@ class TestSoundnessFuzz:
             extremes,
             rng.integers(-128, 128, size=(45_000 - len(extremes), 8, 8), dtype=np.int64),
         ])
-        bits = ac_bits_batch(blocks, q, component)
+        bits = ac_bits_batch(blocks, q)
         assert int(bits.argmax()) == 39_562
         assert (worst == blocks[39_562]).all()
 
     def test_reports_a_violation_instead_of_raising(self, monkeypatch):
         monkeypatch.setattr(verification, "upper_limit", lambda *args: SimpleNamespace(limit=100))
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
-        summary = soundness_fuzz(300, q, ComponentKind.LUMINANCE)
+        summary = soundness_fuzz(300, q)
         assert summary["max_bits"] == 225
         assert summary["min_slack"] == -125
-        assert ac_bits_batch(summary["worst_block"][None], q, ComponentKind.LUMINANCE)[0] == 225
+        assert ac_bits_batch(summary["worst_block"][None], q)[0] == 225
 
     def test_rejects_zero_trials(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
-        with pytest.raises(ValueError):
-            soundness_fuzz(0, q, ComponentKind.LUMINANCE)
+        with pytest.raises(ParameterError):
+            soundness_fuzz(0, q)
+
+    def test_rejects_a_negative_seed_before_any_limit(self, monkeypatch):
+        monkeypatch.setattr(verification, "upper_limit", None)  # a call would fail
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        with pytest.raises(ParameterError, match="seed -1"):
+            soundness_fuzz(10, q, seed=-1)
 
     def test_bounds_trials_before_any_limit_or_block(self, monkeypatch):
         class Started(Exception):
@@ -496,11 +508,11 @@ class TestSoundnessFuzz:
         monkeypatch.setattr(verification, "structured_extreme_blocks", started)
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
         for huge in (MAX_TRIALS + 1, 10**12):
-            with pytest.raises(ValueError, match="trials"):
-                soundness_fuzz(huge, q, ComponentKind.LUMINANCE)
+            with pytest.raises(ParameterError, match="trials"):
+                soundness_fuzz(huge, q)
         # the bound itself passes the check and starts the run
         with pytest.raises(Started):
-            soundness_fuzz(MAX_TRIALS, q, ComponentKind.LUMINANCE)
+            soundness_fuzz(MAX_TRIALS, q)
 
 
 class TestRandomReduced:
