@@ -23,8 +23,6 @@ from .quantization import (
     scale_table,
     pow2_table,
     quantize,
-    coefficient_size,
-    quantized_sizes,
 )
 from .bound_engine import (
     Refinement,
@@ -52,8 +50,6 @@ __all__ = [
     "scale_table",
     "pow2_table",
     "quantize",
-    "coefficient_size",
-    "quantized_sizes",
     "Refinement",
     "BoundResult",
     "upper_limit",

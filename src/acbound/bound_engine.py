@@ -58,23 +58,25 @@ length can hold, with the columns that do not depend on the exponents,
 in blocks a reference picks by its size at each position; a reference
 computes only the bits and keys of the rows it holds.
 
-A limit reads at most a few dozen loss rows, so the limit path orders
-only the head of the loss set: one ``np.argpartition`` picks the
-``_LOSS_HEAD`` smallest keys, and only those rows are sorted and built.
-Keys are unique, so the head is the start of the full order.  If a walk
-runs out of a cut-short head before it holds its copies, the level is
-made again from the full order.  ``build_sets``, ``refine_capacity``
-and ``enumerate_deltas`` see the full sets.
+One pipeline makes every level: ``enumerate_deltas`` makes the base
+sets, ``refine_maxconfig`` and ``refine_capacity`` prune them, and
+``build_sets`` runs the stages a level needs.  The maxconfig level is
+one boolean mask over the rows.  The capacity level walks a loss set
+keeping, per value tier, an integer bitmask of the positions already
+covered; an entry keeps as many copies as its footprint adds to that
+mask.  A gain covers only its own position, so a gain set keeps the
+first row of each (value tier, position) pair, one ``np.unique``.
 
-The maxconfig level is one boolean mask over the rows.  The capacity
-level walks a loss set keeping, per value tier, an integer bitmask of
-the positions already covered; an entry keeps as many copies as its
-footprint adds to that mask.  A gain covers only its own position, so a
-gain set keeps the first row of each (value tier, position) pair, one
-``np.unique``.  A limit reads only the smallest ``max(3a + 15b)`` loss
-copies, so on the limit path the loss walk stops once it holds them.
-Every limit thus reads a prefix of what ``build_sets`` returns: the same
-gain rows, and the first of its loss rows.
+A limit reads only the smallest ``max(3a + 15b)`` loss copies, at most
+a few dozen loss rows.  So it asks ``build_sets`` for a loss stop: the
+sets start from the reference's head, where one ``np.argpartition``
+picks the ``_LOSS_HEAD`` smallest keys and only those rows are sorted
+and built, and the loss walk stops once it holds the copies.  Keys are
+unique, so the head is the start of the full order.  If a walk runs out
+of a cut-short head before it holds its copies, the level is made again
+from the full order; without a stop, that is always the case.  Every
+limit thus reads a prefix of what ``build_sets`` returns without a
+stop: the same gain rows, and the first of its loss rows.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
@@ -82,8 +84,8 @@ bits, so exact values are Python ints, made only for the rows a prefix
 sums or an entry reads.  A limit keeps the loss and gain prefix sums it
 maximizes over, and its objective, in those units, so a reader audits
 the numbers the limit read; it builds ``Fraction`` values only when its
-objective is read.
-``DeltaEntry`` objects are built only when a set's entry tuples are read.
+objective is read.  ``DeltaEntry`` objects are built only when a set's
+entry tuples are read.
 
 ``decompose`` returns the same rows for the operations of one target,
 each carrying all its copies, so a row's copies sum to its ``bits``
@@ -123,7 +125,7 @@ ESCAPE_HUFFMAN_BITS = 15    # huffman lengths >= this form the escape region
 MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size copies
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
 SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
-_LOSS_HEAD = 256            # loss rows a limit orders (see ``_limit_sets``)
+_LOSS_HEAD = 256            # loss rows a limit orders (see ``build_sets``)
 
 
 class OpKind(Enum):
@@ -235,15 +237,15 @@ class ReferenceConfig:
 
     @functools.cached_property
     def base_sets(self) -> LossGainSets:
-        """The full base-level delta sets, the start of every refinement
-        ``build_sets`` returns."""
+        """The full base-level delta sets, which ``build_sets`` refines
+        when the head runs out."""
         return enumerate_deltas(self)
 
     @functools.cached_property
     def head_sets(self) -> LossGainSets:
         """The base-level sets a limit starts from: every gain, and only
         the ``_LOSS_HEAD`` smallest losses."""
-        return _enumerate(self, _LOSS_HEAD)
+        return enumerate_deltas(self, _LOSS_HEAD)
 
 
 # One row of a delta set.  ``start`` and ``width`` give the footprint,
@@ -271,7 +273,7 @@ class LossGainSets:
     records, in the same order; each is built on first read, so the limit
     path never builds one.  The value order is exact: see ``_by_value``.
     The sets a limit reads may hold only the head of the loss order (see
-    ``_limit_sets``).  Compared by identity.
+    ``build_sets``).  Compared by identity.
     """
 
     loss_rows: np.ndarray
@@ -362,20 +364,16 @@ def reference_length(component: ComponentKind, exponents) -> ReferenceConfig:
     return reference_config(component, exponents)
 
 
-def admissible_pairs(n_positions: int = AC_POSITIONS) -> list[tuple[int, int]]:
-    """All (a, b) promotion counts the ball constraint allows.
+@functools.cache
+def _admissible(n_positions: int):
+    """The (a, b) promotion counts the ball constraint allows, the loss
+    copies ``3a + 15b`` each is charged, and the counts (loss copies,
+    size-9 gains, size-10 gains) a limit reads.
 
     ``a`` size-9 and ``b`` size-10 coefficients consume ``4a + 16b`` of
     the ``n + 1`` available energy units; for the 63-position block this
     reduces to a + 4b < 16, exactly 40 pairs.
     """
-    return list(_admissible(n_positions)[0])
-
-
-@functools.cache
-def _admissible(n_positions: int):
-    """The admissible pairs, the loss copies ``3a + 15b`` each is charged,
-    and the counts (loss copies, size-9 gains, size-10 gains) a limit reads."""
     pairs = tuple(sorted(
         (a, b)
         for b in range(0, n_positions // ENERGY_UNITS_10 + 1)
@@ -700,8 +698,9 @@ def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
     return _rows([(*(c.take(j) for c in columns), bits.take(order))])
 
 
-def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
-    """Evaluate every operation instance and collect the base delta sets.
+def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
+    """Evaluate every operation instance and collect the base delta sets;
+    with ``head``, the loss rows are only the ``head`` smallest.
 
     The census counts evaluated cases per family (demoted sizes 1..7 are
     always charged, reachable or not); retained entries are the subset
@@ -715,12 +714,6 @@ def enumerate_deltas(ref: ReferenceConfig) -> LossGainSets:
     sorted by value, kind, position, run and size.  Reference sizes are
     at most 8, so both promoted sizes stay within 10.
     """
-    return _enumerate(ref)
-
-
-def _enumerate(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
-    """The base delta sets of ``enumerate_deltas``; with ``head``, the
-    loss rows are only the ``head`` smallest."""
     n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
     census = {
@@ -776,9 +769,21 @@ def _one_gain_per_position(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def _capped(sets: LossGainSets, loss_stop: float = math.inf) -> LossGainSets:
-    """The capacity level of ``sets``; the loss walk stops once it holds
-    ``loss_stop`` copies, so the result may hold only the smallest ones."""
+def refine_capacity(sets: LossGainSets, loss_stop: float = math.inf) -> LossGainSets:
+    """Cap equal-valued copies at one per position.
+
+    A position is affected by exactly one operation in any single
+    configuration, so it can carry at most one copy of a given delta
+    value; surplus copies within a value tier are dropped by reducing
+    entry multiplicities in deterministic entry order.  Each loss tier
+    keeps a bitmask of the positions it already covers, and an entry keeps
+    the copies its footprint adds to that mask.  A gain is one copy at its
+    own position, so a gain set keeps the first row of each value and
+    position.  Footprints of reduced entries keep their original extent;
+    only the copy counts feed a limit's prefix sums.  The loss walk stops
+    once it holds ``loss_stop`` copies, so the result may then hold only
+    the smallest ones.
+    """
     refinement = (
         Refinement.MAXCONFIG
         if sets.refinement is Refinement.MAXCONFIG
@@ -791,22 +796,6 @@ def _capped(sets: LossGainSets, loss_stop: float = math.inf) -> LossGainSets:
         refinement,
         sets.census,
     )
-
-
-def refine_capacity(sets: LossGainSets) -> LossGainSets:
-    """Cap equal-valued copies at one per position.
-
-    A position is affected by exactly one operation in any single
-    configuration, so it can carry at most one copy of a given delta
-    value; surplus copies within a value tier are dropped by reducing
-    entry multiplicities in deterministic entry order.  Each loss tier
-    keeps a bitmask of the positions it already covers, and an entry keeps
-    the copies its footprint adds to that mask.  A gain is one copy at its
-    own position, so a gain set keeps the first row of each value and
-    position.  Footprints of reduced entries keep their original extent;
-    only the copy counts feed a limit's prefix sums.
-    """
-    return _capped(sets)
 
 
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
@@ -831,36 +820,30 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     )
 
 
-def _refined(sets: LossGainSets, ref: ReferenceConfig, refinement: Refinement,
-             loss_stop: float = math.inf) -> LossGainSets:
-    """``refinement`` applied to the base-level ``sets`` of ``ref``."""
-    if refinement is Refinement.BASE:
-        return sets
-    if refinement is Refinement.MAXCONFIG:
-        sets = refine_maxconfig(sets, ref)
-    return _capped(sets, loss_stop)
+def build_sets(ref: ReferenceConfig, refinement: Refinement,
+               loss_stop: float = math.inf) -> LossGainSets:
+    """Delta sets at the requested refinement level, the capacity walk
+    stopping once it holds ``loss_stop`` loss copies.
 
-
-def build_sets(ref: ReferenceConfig, refinement: Refinement) -> LossGainSets:
-    """Delta sets at the requested refinement level."""
-    return _refined(ref.base_sets, ref, refinement)
-
-
-def _limit_sets(ref: ReferenceConfig, refinement: Refinement, loss_stop: int) -> LossGainSets:
-    """The sets a limit reads: ``refinement`` applied to ``ref.head_sets``,
-    the loss walk stopping once it holds ``loss_stop`` copies.
-
-    The gain sets are those of ``build_sets``, and the loss rows a prefix
-    of its loss rows: the head rows are the first rows of the full order,
-    and maxconfig keeps their order, so a walk that reaches its stop
-    inside the head is the full walk.  A head of ``_LOSS_HEAD`` rows may
-    have been cut short: if its loss rows run out first, the level is made
-    again from the full base sets.
+    ``refinement`` is applied to ``ref.head_sets`` first.  The head rows
+    are the first rows of the full order, and maxconfig keeps their order,
+    so a walk that reaches its stop inside the head is the full walk: the
+    same gain rows, and the first of the full loss rows.  A head of
+    ``_LOSS_HEAD`` rows may have been cut short: if its loss rows run out
+    first, as they always do without a stop, the level is made again from
+    ``ref.base_sets``, built only then.
     """
-    sets = _refined(ref.head_sets, ref, refinement, loss_stop)
+    def refined(sets: LossGainSets) -> LossGainSets:
+        if refinement is Refinement.BASE:
+            return sets
+        if refinement is Refinement.MAXCONFIG:
+            sets = refine_maxconfig(sets, ref)
+        return refine_capacity(sets, loss_stop)
+
+    sets = refined(ref.head_sets)
     if (len(ref.head_sets.loss_rows) >= _LOSS_HEAD
             and int(sets.loss_rows["multiplicity"].sum()) < loss_stop):
-        sets = _refined(ref.base_sets, ref, refinement, loss_stop)
+        sets = refined(ref.base_sets)
     return sets
 
 
@@ -891,11 +874,11 @@ def solve_limit(
     """Maximize gains minus forced losses over the admissible pairs.
 
     Without ``sets``, the limit reads only the loss head and the loss walk
-    stops once it holds the copies the pairs read (see ``_limit_sets``).
+    stops once it holds the copies the pairs read (see ``build_sets``).
     """
     pairs, charged, (max_n, max_a, max_b) = _admissible(ref.n_positions)
     if sets is None:
-        sets = _limit_sets(ref, refinement, max_n)
+        sets = build_sets(ref, refinement, max_n)
     losses = _loss_prefix(sets.loss_rows, max_n)
     gains9 = _gain_prefix(sets.gain9_rows, max_a)
     gains10 = _gain_prefix(sets.gain10_rows, max_b)

@@ -11,6 +11,7 @@ of zeros is closed with EOB.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -142,6 +143,10 @@ def symbolize(sizes) -> SymbolSequence:
     symbols: list[tuple[int, int]] = []
     run = 0
     for s in sizes:
+        try:
+            s = operator.index(s)  # refuses a float, even an integral one
+        except TypeError:
+            raise ParameterError(f"size {s!r} is not an integer") from None
         if not 0 <= s <= MAX_SIZE:
             raise ParameterError(f"size {s} outside 0..{MAX_SIZE}")
         if s == 0:

@@ -1,4 +1,4 @@
-"""Quantization tables, scale-factor scaling, and size arithmetic.
+"""Quantization tables, scale-factor scaling, and the quantizer.
 
 Scaled tables are built from the example (annex K) tables by
 ``Q = max(INT(SF * Q0), 1)`` with the scale factor kept as an exact
@@ -119,26 +119,13 @@ def quantize(value, q: int):
     return math.trunc(value / q)
 
 
-def coefficient_size(amplitude: int) -> int:
-    """Smallest s with |amplitude| < 2**s; 0 exactly for amplitude 0."""
-    a = abs(int(amplitude))
-    if a > 2047:
-        raise ParameterError(f"amplitude {amplitude} outside +-2047")
-    return a.bit_length()
-
-
-def quantized_sizes(unquantized, exponents) -> list[int]:
-    """Per-position max(S(k) - C(k), 0) for a vector of unquantized sizes."""
-    sizes = list(unquantized)
-    if len(sizes) != len(exponents):
-        raise ParameterError("size vector and exponent vector lengths differ")
-    return [max(s - e, 0) for s, e in zip(sizes, exponents)]
-
-
 def load_quant_table(path, component: ComponentKind) -> QuantTable:
     """Read a table file: an ``order: raster`` or ``order: zigzag``
     header line, then 64 integers, the DC factor first."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("order:"):
         raise ParameterError("missing 'order: raster|zigzag' header line")

@@ -18,7 +18,6 @@ from acbound.bound_engine import (
     LossSetExhaustedError,
     OpKind,
     Refinement,
-    admissible_pairs,
     build_sets,
     decompose,
     enumerate_deltas,
@@ -119,19 +118,14 @@ class TestReferenceLength:
 
 class TestAdmissiblePairs:
     def test_cardinality_and_extremes(self):
-        pairs = admissible_pairs()
+        pairs = bound_engine._admissible(AC_POSITIONS)[0]
         assert len(pairs) == 40
         assert (15, 0) in pairs and (3, 3) in pairs
         assert (16, 0) not in pairs and (0, 4) not in pairs
         assert max(3 * a + 15 * b for a, b in pairs) == 54
 
     def test_generalized_instance(self):
-        pairs = admissible_pairs(6)
-        assert pairs == [(0, 0), (1, 0)]
-
-    def test_each_call_returns_its_own_list(self):
-        admissible_pairs().append((99, 99))
-        assert len(admissible_pairs()) == 40
+        assert bound_engine._admissible(6)[0] == ((0, 0), (1, 0))
 
 
 class TestWorkedExampleDeltas:
@@ -250,19 +244,40 @@ class TestUpperLimit:
     def test_levels_of_one_cell_enumerate_once(self, monkeypatch):
         # the three levels share one head enumeration and never need the full sets
         calls = []
-        enumerate_head = bound_engine._enumerate
+        enumerate_head = bound_engine.enumerate_deltas
 
         def counting_enumeration(ref, head=None):
             calls.append(head)
             return enumerate_head(ref, head)
 
-        monkeypatch.setattr(bound_engine, "_enumerate", counting_enumeration)
+        monkeypatch.setattr(bound_engine, "enumerate_deltas", counting_enumeration)
         upper_limit.cache_clear()
         bound_engine._cell_reference.cache_clear()
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 8))
         for refinement in Refinement:
             upper_limit(ComponentKind.LUMINANCE, q, refinement)
         assert calls == [bound_engine._LOSS_HEAD]
+
+    @pytest.mark.parametrize("refinement, maxconfig, capacity", [
+        (Refinement.BASE, 0, 0), (Refinement.CAPACITY, 0, 1), (Refinement.MAXCONFIG, 1, 1),
+    ])
+    def test_limit_runs_the_public_stages(self, monkeypatch, refinement, maxconfig, capacity):
+        # a cold limit enumerates the head once, then runs only the pruning
+        # stages its level names, the capacity walk stopping at 54 copies
+        calls = {"enumerate_deltas": [], "refine_maxconfig": [], "refine_capacity": []}
+        for name, seen in calls.items():
+            def counting(*args, stage=getattr(bound_engine, name), seen=seen):
+                seen.append(args[1:])
+                return stage(*args)
+
+            monkeypatch.setattr(bound_engine, name, counting)
+        upper_limit.cache_clear()
+        bound_engine._cell_reference.cache_clear()
+        q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 8))
+        upper_limit(ComponentKind.LUMINANCE, q, refinement)
+        assert calls["enumerate_deltas"] == [(bound_engine._LOSS_HEAD,)]
+        assert len(calls["refine_maxconfig"]) == maxconfig
+        assert calls["refine_capacity"] == [(54,)] * capacity
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
@@ -522,7 +537,7 @@ def columnar_examples(test):
 
 def limit_stops(ref):
     """(loss copies, size-9 gains, size-10 gains) a limit of ``ref`` reads."""
-    pairs = admissible_pairs(ref.n_positions)
+    pairs = bound_engine._admissible(ref.n_positions)[0]
     return (
         max(3 * a + 15 * b for a, b in pairs),
         max(a for a, _ in pairs),
@@ -536,7 +551,7 @@ def assert_limit_reads_a_prefix(ref):
     loss_stop = limit_stops(ref)[0]
     for refinement in Refinement:
         full = build_sets(ref, refinement)
-        stopped = bound_engine._limit_sets(ref, refinement, loss_stop)
+        stopped = build_sets(ref, refinement, loss_stop)
         assert stopped.refinement is full.refinement
         for rows in ("gain9_rows", "gain10_rows"):
             assert getattr(stopped, rows).tobytes() == getattr(full, rows).tobytes(), refinement

@@ -108,6 +108,18 @@ class TestSymbolize:
     def test_round_trip(self, sizes):
         assert desymbolize(symbolize(sizes)) == sizes
 
+    @pytest.mark.parametrize("size", [1.5, 1.0, "1", None])
+    def test_rejects_a_non_integer_size(self, size):
+        with pytest.raises(ParameterError):
+            symbolize([size] + [0] * 62)
+
+    def test_numpy_integer_sizes(self):
+        sizes = np.array([3, 0, 0, 7] + [0] * 59, dtype=np.uint8)
+        seq = symbolize(sizes)
+        assert seq.symbols == ((0, 3), (2, 7))
+        assert seq.has_eob
+        assert sequence_length(LUM, seq) == sequence_length(LUM, symbolize(sizes.tolist()))
+
 
 class TestSequenceLength:
     def test_empty_block(self):

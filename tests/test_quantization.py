@@ -3,15 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from acbound.bound_engine import reference_length
 from acbound.entropy_model import ComponentKind, ParameterError
 from acbound.quantization import (
     K1_LUMINANCE,
     annex_k_table,
-    coefficient_size,
     load_quant_table,
     pow2_table,
     quantize,
-    quantized_sizes,
     scale_table,
     scaled_annex_k,
     QuantTable,
@@ -119,37 +118,24 @@ class TestQuantize:
             quantize(1, 0)
 
 
-class TestCoefficientSize:
-    @pytest.mark.parametrize("a,s", [(0, 0), (-1, 1), (1, 1), (2, 2), (255, 8),
-                                     (256, 9), (-1023, 10), (2047, 11)])
-    def test_values(self, a, s):
-        assert coefficient_size(a) == s
-
-    def test_range_error(self):
-        with pytest.raises(ParameterError):
-            coefficient_size(2048)
+def reference_sizes(component, sf):
+    """The quantized sizes of the size-8 reference under the reduced table."""
+    return reference_length(component, pow2_table(scaled_annex_k(component, sf))).sbar
 
 
 class TestQuantizedSizes:
     def test_worked_example_reference_sizes(self):
-        c = pow2_table(scaled_annex_k(ComponentKind.CHROMINANCE, 1))
-        sizes = quantized_sizes([8] * 63, c)
+        sizes = reference_sizes(ComponentKind.CHROMINANCE, 1)
         assert sizes.count(4) == 7
         assert sizes.count(3) == 3
         assert sizes.count(2) == 53
 
-    def test_zero_vector(self):
-        c = pow2_table(scaled_annex_k(ComponentKind.LUMINANCE, 1))
-        assert quantized_sizes([0] * 63, c) == [0] * 63
-
     def test_identity_when_exponents_zero(self):
-        c = pow2_table(scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 64)))
-        assert quantized_sizes([8] * 63, c) == [8] * 63
+        assert reference_sizes(ComponentKind.LUMINANCE, Fraction(1, 64)) == (8,) * 63
 
     def test_reference_floor_of_two(self, component):
         for sf in SF_GRID:
-            c = pow2_table(scaled_annex_k(component, sf))
-            assert min(quantized_sizes([8] * 63, c)) >= 2
+            assert min(reference_sizes(component, sf)) >= 2
 
 
 class TestReducedConstruction:
@@ -182,6 +168,18 @@ class TestTableFiles:
             loaded = load_quant_table(path, component)
             assert loaded.q == q.q
             assert loaded.q00 == q.q00
+
+    @pytest.mark.parametrize("name, contents", [
+        ("missing.txt", None),                          # no such file
+        ("", None),                                     # the directory itself
+        ("bytes.txt", b"order: raster\n\xff\xfe\n"),   # not UTF-8
+    ])
+    def test_unreadable_file(self, tmp_path, name, contents):
+        path = tmp_path / name
+        if contents is not None:
+            path.write_bytes(contents)
+        with pytest.raises(ParameterError, match="cannot read"):
+            load_quant_table(path, ComponentKind.LUMINANCE)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
