@@ -56,7 +56,12 @@ position, run and size.  The same tier names a value in the capacity
 walk.  The loss template holds every loss row some reference of that
 length can hold, with the columns that do not depend on the exponents,
 in blocks a reference picks by its size at each position; a reference
-computes only the bits and keys of the rows it holds.
+computes only the bits and keys of the rows it holds.  A gain's width is
+1, so its key is ``bits << 31`` above the packed columns and holds its
+whole row; the keys, but for the position field, depend only on the run
+and the reference size, and are cached per component and length with
+their escape flags, so a reference gathers them by its sizes, drops the
+dominated escape-region ones, and sorts the keys.
 
 One pipeline makes every level: ``enumerate_deltas`` makes the base
 sets, ``refine_maxconfig`` and ``refine_capacity`` prune them, and
@@ -72,7 +77,15 @@ a few dozen loss rows.  So it asks ``build_sets`` for a loss stop: the
 sets start from the reference's head, where one ``np.argpartition``
 picks the ``_LOSS_HEAD`` smallest keys and only those rows are sorted
 and built, and the loss walk stops once it holds the copies.  Keys are
-unique, so the head is the start of the full order.  If a walk runs out
+unique, so the head is the start of the full order.  The head is first
+picked from the rows with runs of at most ``_RUN_BOUND`` (10) and the
+EOBs, a third of the rows at n = 63, and kept only with a proof that no
+longer run enters it: a row of run r replaces the reference cost of r +
+1 consecutive positions, so its tier is at least that of the cheapest
+such window less the longest code of run r, over the row's width.  If
+that floor, the least over the runs above the bound, does not lie above
+the tier of the head's last row, the head is picked from the full order
+(of the 14 paper cells, only luminance sf 1 needs it).  If a walk runs out
 of a cut-short head before it holds its copies, the level is made again
 from the full order; without a stop, that is always the case.  Every
 limit thus reads a prefix of what ``build_sets`` returns without a
@@ -102,6 +115,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +140,7 @@ MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size cop
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
 SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
 _LOSS_HEAD = 256            # loss rows a limit orders (see ``build_sets``)
+_RUN_BOUND = 10             # longest run a loss head orders first (see ``_loss_rows``)
 
 
 class OpKind(Enum):
@@ -271,7 +286,7 @@ class LossGainSets:
     engine reads only the rows.  The ``losses``, ``gains9`` and
     ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
     records, in the same order; each is built on first read, so the limit
-    path never builds one.  The value order is exact: see ``_by_value``.
+    path never builds one.  The value order is exact: see ``_tier``.
     The sets a limit reads may hold only the head of the loss order (see
     ``build_sets``).  Compared by identity.
     """
@@ -423,11 +438,11 @@ def _costed(ref: ReferenceConfig, family):
     return (*columns, _loss_bits(ref.prefix, hi, lo, sub))
 
 
-def _promotions(ref: ReferenceConfig, p, r, step):
-    """OP5/OP6: r zeros ending in a coefficient promoted by ``step``
-    sizes, costed at its own position (the zeros are OP3's)."""
-    lengths, size = table_for(ref.component).lengths, ref.sbar_array[p - 1]
-    bits = lengths[r, size + step] - lengths[r, size]
+def _promotions(table: CodeLengthTable, p, r, size, step):
+    """OP5/OP6: r zeros ending in a reference coefficient of ``size``
+    promoted by ``step`` sizes, costed at its own position (the zeros are
+    OP3's)."""
+    bits = table.lengths[r, size + step] - table.lengths[r, size]
     return _kind_ranks(_PROMOTION[step], r), p, r, size + step, p, 1, bits
 
 
@@ -558,7 +573,13 @@ def _rows(families) -> np.ndarray:
 
 def _tier(bits, width) -> np.ndarray:
     """The exact value tier ``(bits << 12) // width``, int64: rows share a
-    tier exactly when they share a value (see ``_by_value``)."""
+    tier exactly when they share a value.
+
+    Two distinct fractions with widths of at most 63 differ by at least
+    1/(63 * 62) = 1/3906, so times 4096 > 3906 they differ by more than 1
+    and their floors differ in the same order; equal fractions have equal
+    floors.  int16 bits keep the tier below 2**27 in magnitude.
+    """
     return (np.asarray(bits, dtype=np.int64) << 12) // width
 
 
@@ -576,6 +597,23 @@ def _low_key(kind, position, run, size) -> np.ndarray:
     return low
 
 
+def _sort_key(bits, width, low) -> np.ndarray:
+    """The int64 key that orders a set by value, kind, position, run and
+    size: the value tier above the 19 low bits of ``_low_key``, below
+    2**47.  No two rows of a set share kind, position, run and size, so
+    the key is unique and the order does not depend on the sort
+    algorithm.  A gain's width is 1, so its key is ``bits << 31 | low``
+    and holds every column of its row (see ``_gain_rows``)."""
+    return _tier(bits, width) << 19 | low
+
+
+def _gain_rows(key: np.ndarray) -> np.ndarray:
+    """The gain rows of sorted gain keys, each column read back from the
+    fields ``_low_key`` packs, and the bits from above them."""
+    position = key >> 10 & 63
+    return _rows([(key >> 16 & 7, position, key >> 4 & 63, key & 15, position, 1, key >> 31)])
+
+
 def _smallest(key: np.ndarray, head: int | None = None) -> np.ndarray:
     """Indices of the ``head`` smallest keys, or of all without ``head``,
     in ascending key order.  Keys are unique, so the head is the start of
@@ -584,22 +622,6 @@ def _smallest(key: np.ndarray, head: int | None = None) -> np.ndarray:
         return np.argsort(key)
     part = np.argpartition(key, head - 1)[:head]
     return part[np.argsort(key[part])]
-
-
-def _by_value(rows: np.ndarray) -> np.ndarray:
-    """``rows`` sorted by value, kind, position, run and size.
-
-    One ``np.argsort`` on one int64 key: the value tier above the 19 low
-    bits of ``_low_key``.  The tier is exact: two distinct fractions with
-    widths of at most 63 differ by at least 1/(63 * 62) = 1/3906, so times
-    4096 > 3906 they differ by more than 1 and their floors differ in the
-    same order; equal fractions have equal floors.  int16 bits keep the
-    tier below 2**27 in magnitude, so the key stays below 2**47.  No two
-    rows of a set share kind, position, run and size, so the key is unique
-    and the order does not depend on the sort algorithm.
-    """
-    low = _low_key(rows["kind"], rows["position"], rows["run"], rows["size"])
-    return rows[_smallest(_tiers(rows) << 19 | low)]
 
 
 def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
@@ -677,25 +699,196 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
 
 
+def _held(v: np.ndarray, per_size: np.ndarray, demotions_at: np.ndarray,
+          kept_at: np.ndarray, total: int) -> np.ndarray:
+    """The rows a reference of sizes ``v`` holds in a layout of ``total``
+    rows with the template's blocks: per position p, ``per_size[p - 1]``
+    demotions of each size s = 1..7 from ``demotions_at[p - 1]``, of which
+    it holds those with s < v, and ``per_size[p - 1] - 1`` kept
+    coefficients of each size from ``kept_at[p - 1]``, of which it holds
+    those of size v; then the n - 1 EOBs, which close the layout."""
+    n = len(v)
+    kept_at = kept_at + (v - _MIN_SBAR) * (per_size - 1)
+    return _ranges(np.concatenate((demotions_at, kept_at, [total - n + 1])),
+                   np.concatenate((per_size * (v - 1), per_size - 1, [n - 1])))
+
+
+class _ShortRuns(NamedTuple):
+    """The loss template's rows with runs of at most a bound R, and the
+    exponent-free terms of ``_long_run_floor``, as read-only arrays.
+
+    ``index`` lists the template rows with r <= R in the template's own
+    block layout (see ``_held``), ``per_size[p - 1] = min(p, R + 1)`` rows
+    per size at position p: the demotions of runs 0..R from
+    ``demotions_at[p - 1]``, the kept coefficients of runs 1..R from
+    ``kept_at[p - 1]``, then the EOBs.  Per run r > R in ``runs``, the
+    window ends ``hi`` and ``lo``, grouped by run from ``groups``, give
+    every window cost W(p, r); ``demoted`` and ``kept`` are the longest
+    code ``len(r, s)`` of a demotion (s = 1..7) and of a kept coefficient
+    (s = 2..8).
+    """
+
+    index: np.ndarray
+    per_size: np.ndarray
+    demotions_at: np.ndarray
+    kept_at: np.ndarray
+    runs: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    groups: np.ndarray
+    demoted: np.ndarray
+    kept: np.ndarray
+
+
+@functools.cache
+def _short_runs(component: ComponentKind, n: int, bound: int) -> _ShortRuns:
+    t = _loss_template(component, n)
+    lengths = table_for(component).lengths
+    p = np.arange(1, n + 1)
+    per_size = np.minimum(p, bound + 1)
+    # the first per_size rows of each demoted size's block, and the first
+    # per_size - 1 of each kept size's block
+    demotions = _ranges((t.demotions_at[:, None] + p[:, None] * np.arange(MAX_LOSS_SIZE)).ravel(),
+                        per_size.repeat(MAX_LOSS_SIZE))
+    kept = _ranges((t.kept_at[:, None] + (p - 1)[:, None] * np.arange(_SBAR_COUNT)).ravel(),
+                   (per_size - 1).repeat(_SBAR_COUNT))
+    demoted_rows, kept_rows = MAX_LOSS_SIZE * per_size, _SBAR_COUNT * (per_size - 1)
+    runs = np.arange(bound + 1, n)
+    windows = n - runs  # the positions p = r + 1..n
+    hi = _ranges(runs + 1, windows)
+    short = _ShortRuns(
+        np.concatenate((demotions, kept, np.arange(len(t.kind) - n + 1, len(t.kind)))),
+        per_size,
+        np.cumsum(demoted_rows) - demoted_rows,
+        len(demotions) + np.cumsum(kept_rows) - kept_rows,
+        runs,
+        hi,
+        hi - (runs + 1).repeat(windows),
+        np.cumsum(windows) - windows,
+        lengths[runs, 1:MAX_LOSS_SIZE + 1].max(axis=1),
+        lengths[runs, _MIN_SBAR:REFERENCE_SIZE + 1].max(axis=1),
+    )
+    for array in short:
+        array.setflags(write=False)
+    return short
+
+
+def _long_run_floor(ref: ReferenceConfig, short: _ShortRuns) -> int:
+    """A floor on the tier of every loss row of ``ref`` with a run r above
+    the bound.  Such a row replaces the reference cost ``W(p, r) =
+    prefix[p] - prefix[p - r - 1]`` of positions p - r..p: a demotion has
+    bits ``W(p, r) - len(r, s)`` over width r + 1, a kept coefficient
+    ``W(p, r) - len(r, v)`` over width r.  Floor division is monotone in
+    the bits, so its tier is at least ``((min_p W(p, r) - maxlen) << 12)
+    // width``, with the longest code of its kind."""
+    window = np.minimum.reduceat(_loss_bits(ref.prefix, short.hi, short.lo, 0), short.groups)
+    demoted = _tier(window - short.demoted, short.runs + 1)
+    kept = _tier(window - short.kept, short.runs)
+    return int(min(demoted.min(), kept.min()))
+
+
+def _ordered(ref: ReferenceConfig, t: _LossTemplate, i: np.ndarray,
+             head: int | None) -> np.ndarray:
+    """The template rows ``i`` costed for ``ref``, in value order, or only
+    the ``head`` smallest; rows are made only for the indices kept."""
+    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
+    order = _smallest(_sort_key(bits, t.width.take(i), t.low.take(i)), head)
+    j = i.take(order)
+    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
+    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
+
+
 def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
     """``ref``'s loss rows in value order, or only the ``head`` smallest.
 
     From the template, a reference computes only what its exponents fix:
-    which rows it holds, their bits and their tier; rows are made only
-    for the indices it keeps."""
+    which rows it holds, their bits and their tier.
+
+    A head orders only the rows with runs of at most ``_RUN_BOUND`` (and
+    the EOBs), a third of the rows at n = 63, and then proves that no
+    longer run enters it: ``_long_run_floor`` bounds the tier of every
+    longer-run row from below, and if that floor lies above the tier of
+    the head's last row, every such row sorts after the head, which is
+    then the head of the full order.  If the floor does not clear it, if
+    fewer than ``head`` short-run rows exist, or if no run exceeds the
+    bound, the head is taken from the full order.
+    """
     n = ref.n_positions
     t = _loss_template(ref.component, n)
-    p, v = np.arange(1, n + 1), ref.sbar_array
-    # per position its demotions below v and its kept coefficients at v,
-    # then the n - 1 EOBs
-    kept_at = t.kept_at + (v - _MIN_SBAR) * (p - 1)
-    i = _ranges(np.concatenate((t.demotions_at, kept_at, [len(t.kind) - (n - 1)])),
-                np.concatenate((p * (v - 1), p - 1, [n - 1])))
-    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
-    order = _smallest(_tier(bits, t.width.take(i)) << 19 | t.low.take(i), head)
-    j = i.take(order)
-    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
-    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
+    v = ref.sbar_array
+    if head is not None and n > _RUN_BOUND + 1:
+        short = _short_runs(ref.component, n, _RUN_BOUND)
+        i = short.index.take(_held(v, short.per_size, short.demotions_at, short.kept_at,
+                                   len(short.index)))
+        if len(i) >= head:
+            rows = _ordered(ref, t, i, head)
+            if _long_run_floor(ref, short) > _tiers(rows[-1:])[0]:
+                return rows
+    i = _held(v, np.arange(1, n + 1), t.demotions_at, t.kept_at, len(t.kind))
+    return _ordered(ref, t, i, head)
+
+
+class _GainTerms(NamedTuple):
+    """The exponent-free terms of the gain sets of n positions, as
+    read-only arrays.
+
+    A promotion's bits, escape flag and sort key but for its position
+    field depend on its run r and reference size v alone.  Per step, one
+    row per r = 0..n-1 and v = 2..8, flattened run-major:
+
+    * ``keys[step - 1]``: the sort key (``_sort_key``) at position 0;
+    * ``escapes[step - 1]``: the promoted code lies in the escape region.
+
+    One row per pattern pair 0 <= r < p <= n, in ``np.tril_indices``
+    order, where a reference of size v at p reads row ``pick + v``:
+
+    * ``at``: the pair's position, p - 1 from 0;
+    * ``pick``: ``7 * r`` less the smallest size;
+    * ``position``: the key's position field, ``p << 10``;
+    * ``cell``: the flat index of ``[p, r, 0]`` in a dominance array.
+    """
+
+    keys: tuple
+    escapes: tuple
+    at: np.ndarray
+    pick: np.ndarray
+    position: np.ndarray
+    cell: np.ndarray
+
+
+@functools.cache
+def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
+    table, escape = table_for(component), _escape_grid(component)
+    runs, sizes = np.broadcast_arrays(np.arange(n)[:, None],
+                                      np.arange(_MIN_SBAR, REFERENCE_SIZE + 1))
+    keys, escapes = [], []
+    for step in _PROMOTION:
+        kind, _, run, size, _, width, bits = _promotions(table, 0, runs, sizes, step)
+        keys.append(_sort_key(bits, width, _low_key(kind, 0, run, size)).ravel())
+        escapes.append(escape[run, size].ravel())
+    p, r = np.tril_indices(n)
+    p += 1  # r zeros ahead of position p, 0 <= r < p
+    terms = _GainTerms(tuple(keys), tuple(escapes), p - 1, r * _SBAR_COUNT - _MIN_SBAR,
+                       p << 10, (p * n + r) * (MAX_SIZE + 1))
+    for array in (*keys, *escapes, *terms[2:]):
+        array.setflags(write=False)
+    return terms
+
+
+def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
+    """``ref``'s size-9 and size-10 gain rows in value order: every
+    promotion, less the escape-region ones the replacement test
+    dominates.  A key's position field is 0 before its position is
+    added."""
+    t = _gain_terms(ref.component, ref.n_positions)
+    v = ref.sbar_array.take(t.at)
+    i, cell = t.pick + v, t.cell + v
+    dominated = ref.dominance.ravel()
+    gains = []
+    for step, key, escape in zip(_PROMOTION, t.keys, t.escapes):
+        kept = np.flatnonzero(~(escape.take(i) & dominated.take(cell + step)))
+        gains.append(_gain_rows(np.sort(key.take(i.take(kept)) | t.position.take(kept))))
+    return gains
 
 
 def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
@@ -720,16 +913,7 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
         "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
-    escape = _escape_grid(ref.component)
-    p, r = np.tril_indices(n)
-    p += 1  # r zeros ahead of position p, 0 <= r < p
-    sbar = ref.sbar_array[p - 1]
-    gains = []
-    for step in _PROMOTION:
-        size = sbar + step
-        i = np.flatnonzero(~(escape[r, size] & ref.dominance[p, r, size]))
-        gains.append(_by_value(_rows([_promotions(ref, p[i], r[i], step)])))
-    return LossGainSets(_loss_rows(ref, head), *gains, Refinement.BASE, census)
+    return LossGainSets(_loss_rows(ref, head), *_gain_sets(ref), Refinement.BASE, census)
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
@@ -737,13 +921,18 @@ def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
 
     Walks ``rows`` in ascending order, keeping per value tier a bitmask of
     the positions already covered; an entry keeps the copies its footprint
-    adds to that mask.  Stops once ``stop`` copies are held.
+    adds to that mask.  Stops once ``stop`` copies are held, so the
+    columns are read 64 rows at a time: a limit's walk stops within the
+    first few dozen rows of a head of 256.
     """
     covered: dict[int, int] = {}
     kept: list[int] = []
     copies: list[int] = []
     held = 0
-    columns = zip(_tiers(rows).tolist(), rows["start"].tolist(), rows["width"].tolist())
+    columns = chain.from_iterable(
+        zip(_tiers(part).tolist(), part["start"].tolist(), part["width"].tolist())
+        for part in (rows[at:at + 64] for at in range(0, len(rows), 64))
+    )
     for i, (tier, start, width) in enumerate(columns):
         if held >= stop:
             break
@@ -962,7 +1151,8 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     ]
     for step in _PROMOTION:
         promoted = S == REFERENCE_SIZE + step
-        families.append(_promotions(ref, p[promoted], r[promoted], step))
+        p_up = p[promoted]
+        families.append(_promotions(table, p_up, r[promoted], ref.sbar_array[p_up - 1], step))
     last = p.max(initial=0)
     if last < n:
         families.append(_costed(ref, _eobs(table, n, np.array([last]))))

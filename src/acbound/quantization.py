@@ -9,6 +9,7 @@ power of two not exceeding the factor, by bit length alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +51,9 @@ class QuantTable:
     """63 AC quantization factors in zigzag order plus the DC factor.
 
     ``sf`` records the scale factor the table was built with, when known;
-    it is metadata only.
+    it is metadata only.  The factors are stored as a tuple of Python
+    ints; any integer type is accepted (through ``operator.index``), any
+    other value is refused.
     """
 
     component: ComponentKind
@@ -59,6 +62,11 @@ class QuantTable:
     sf: Fraction | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "q", tuple(map(operator.index, self.q)))
+            object.__setattr__(self, "q00", operator.index(self.q00))
+        except TypeError:
+            raise ParameterError("quantization factors must be integers") from None
         if len(self.q) != AC_POSITIONS:
             raise ParameterError(f"expected {AC_POSITIONS} AC factors, got {len(self.q)}")
         if self.q00 < 1 or any(v < 1 for v in self.q):

@@ -2,8 +2,10 @@
 
 None of these feed the package: they state the geometry the bound
 derivation assumes, invert the zigzag scan and symbolization, draw
-random reduced configurations for the decomposition identity, and sum
-the copies of delta entries.
+random reduced configurations for the decomposition identity, sum the
+copies of delta entries, and build one reference's gain sets directly
+over every (position, run) pair, which the engine's cached gain terms
+must reproduce.
 """
 
 import heapq
@@ -12,8 +14,9 @@ from operator import attrgetter
 
 import numpy as np
 
+from acbound import bound_engine
 from acbound.bound_engine import REFERENCE_SIZE
-from acbound.entropy_model import AC_POSITIONS, ParameterError, SymbolSequence
+from acbound.entropy_model import AC_POSITIONS, ParameterError, SymbolSequence, table_for
 from acbound.transform import BLOCK_SIZE, PIXEL_MIN, ZIGZAG_OF_RASTER, inverse_dct
 
 AC_ENERGY_BUDGET = float(2**20)
@@ -120,3 +123,24 @@ def _copy_prefix(entries, count, largest):
         chain.from_iterable(repeat(e.value, e.multiplicity) for e in entries), reverse=largest
     )
     return tuple(accumulate(copies[:count], initial=0))
+
+
+def by_value(rows: np.ndarray) -> np.ndarray:
+    """``rows`` sorted by the engine's key: value, kind, position, run
+    and size."""
+    low = bound_engine._low_key(rows["kind"], rows["position"], rows["run"], rows["size"])
+    return rows[np.argsort(bound_engine._sort_key(rows["bits"], rows["width"], low))]
+
+
+def gain_rows(ref, step: int) -> np.ndarray:
+    """``ref``'s base gain rows for promotions by ``step`` sizes, built
+    over every (p, r) pair: each promotion whose code lies outside the
+    escape region or that the replacement test does not dominate."""
+    p, r = np.tril_indices(ref.n_positions)
+    p += 1  # r zeros ahead of position p, 0 <= r < p
+    sbar = ref.sbar_array[p - 1]
+    size = sbar + step
+    i = np.flatnonzero(~(bound_engine._escape_grid(ref.component)[r, size]
+                         & ref.dominance[p, r, size]))
+    promotions = bound_engine._promotions(table_for(ref.component), p[i], r[i], sbar[i], step)
+    return by_value(bound_engine._rows([promotions]))

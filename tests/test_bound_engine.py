@@ -43,7 +43,7 @@ from acbound.quantization import (
     scaled_annex_k,
 )
 from acbound.verification import ac_bits_from_sizes, toy_oracle
-from references import prefix_sums, random_reduced_sizes
+from references import by_value, gain_rows, prefix_sums, random_reduced_sizes
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)  # kind rank -> kind
@@ -654,7 +654,7 @@ class TestValueKey:
         )
         assert [
             (Fraction(bits, width), kind, p, r, size)
-            for kind, p, r, size, _, width, bits, _ in bound_engine._by_value(rows).tolist()
+            for kind, p, r, size, _, width, bits, _ in by_value(rows).tolist()
         ] == exact
 
     def test_sort_ignores_the_input_order(self, rng):
@@ -663,7 +663,7 @@ class TestValueKey:
             sets = enumerate_deltas(ref)
             for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
                 for order in (rng.permutation(len(rows)), np.arange(len(rows))[::-1]):
-                    assert bound_engine._by_value(rows[order]).tobytes() == rows.tobytes()
+                    assert by_value(rows[order]).tobytes() == rows.tobytes()
 
 
 class TestColumnarSets:
@@ -900,6 +900,126 @@ class TestLossHead:
                 # only the packed key bits need 32 bits; the rest fit 8 or 16
                 allowed = (np.int32,) if name == "low" else (np.uint8, np.int16)
                 assert array.dtype.type in allowed, name
+
+
+def run_bound_vectors(rng):
+    """The 14 paper cells, and random vectors of 12, 20 and 63 positions."""
+    return [
+        (component, pow2_table(scaled_annex_k(component, sf)))
+        for component in ComponentKind for sf in SF_GRID
+    ] + [(list(ComponentKind)[k % 2], rng.integers(0, 7, size=n))
+         for n in (12, 20, 63) for k in range(8)]
+
+
+def count_fallbacks(monkeypatch):
+    """Record the calls ``_loss_rows`` makes; a fallback is a floor check
+    followed, within the same call, by a second ordering."""
+    events = []
+
+    def recording(name):
+        function = getattr(bound_engine, name)
+
+        def recorded(*args):
+            events.append(name)
+            return function(*args)
+        return recorded
+
+    for name in ("_loss_rows", "_ordered", "_long_run_floor"):
+        monkeypatch.setattr(bound_engine, name, recording(name))
+    return lambda: sum(a == "_long_run_floor" and b == "_ordered"
+                       for a, b in zip(events, events[1:]))
+
+
+class TestRunBound:
+    """A loss head orders only the rows with runs of at most
+    ``_RUN_BOUND`` and proves that no longer run enters it, or falls back
+    to the full order."""
+
+    @pytest.mark.parametrize("head", [8, 54, 256])
+    def test_head_equals_the_full_order_head(self, monkeypatch, rng, head):
+        fallbacks = count_fallbacks(monkeypatch)
+        fell_back = set()
+        for component, exponents in run_bound_vectors(rng):
+            ref = reference_config(component, exponents)
+            full = bound_engine._loss_rows(ref)  # without a head: the full order
+            before = fallbacks()
+            assert bound_engine._loss_rows(ref, head).tobytes() == full[:head].tobytes(), (
+                component, exponents)
+            if fallbacks() > before and len(exponents) == AC_POSITIONS:
+                fell_back.add((component, tuple(exponents)))
+        # a short instance's head reaches far up its few rows and may fall
+        # back; of the 63-position vectors only the luminance sf 1 cell
+        # does, at a head of 256: its reference sizes are at most 5, so the
+        # floor, which charges the longest code of any size, is loose
+        one = pow2_table(scaled_annex_k(ComponentKind.LUMINANCE, 1))
+        assert fell_back <= {(ComponentKind.LUMINANCE, one)}
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_fallback_keeps_every_limit(self, monkeypatch, rng, bound):
+        monkeypatch.setattr(bound_engine, "_RUN_BOUND", bound)
+        fallbacks = count_fallbacks(monkeypatch)
+        for component, exponents in run_bound_vectors(rng):
+            ref = reference_config(component, exponents)
+            for refinement in Refinement:
+                full = reference_config(component, exponents)
+                assert limit_or_exhaustion(ref, refinement) == limit_or_exhaustion(
+                    full, refinement, build_sets(full, refinement)), (exponents, refinement)
+            assert ref.head_sets.loss_rows.tobytes() == (
+                build_sets(ref, Refinement.BASE).loss_rows[:bound_engine._LOSS_HEAD].tobytes()
+            )
+        assert fallbacks() > 0
+
+    @pytest.mark.parametrize("bound", [1, 10])
+    def test_floor_bounds_every_longer_run(self, rng, bound):
+        for component, exponents in run_bound_vectors(rng):
+            ref = reference_config(component, exponents)
+            n = ref.n_positions
+            if n <= bound + 1:
+                continue
+            lengths = table_for(component).lengths
+            prefix = ref.prefix.tolist()
+            floors = []
+            for r in range(bound + 1, n):
+                least = min(prefix[p] - prefix[p - r - 1] for p in range(r + 1, n + 1))
+                floors.append((
+                    ((least - int(lengths[r, 1:8].max())) << 12) // (r + 1),
+                    ((least - int(lengths[r, 2:9].max())) << 12) // r,
+                ))
+            short = bound_engine._short_runs(component, n, bound)
+            assert bound_engine._long_run_floor(ref, short) == min(map(min, floors))
+            rows = bound_engine._loss_rows(ref)
+            for (kind, _, r, *_), tier in zip(rows.tolist(), bound_engine._tiers(rows).tolist()):
+                if r > bound:
+                    demoted, kept = floors[r - bound - 1]
+                    assert tier >= (kept if KIND_ORDER[kind] is OpKind.OP3 else demoted)
+
+    def test_short_runs_are_cached_read_only(self):
+        short = bound_engine._short_runs(ComponentKind.CHROMINANCE, 63, 10)
+        assert bound_engine._short_runs(ComponentKind.CHROMINANCE, 63, 10) is short
+        assert not any(array.flags.writeable for array in short)
+        template = bound_engine._loss_template(ComponentKind.CHROMINANCE, 63)
+        assert (template.run.take(short.index)[:-62] <= 10).all()
+        assert (template.kind.take(short.index)[-62:] == KIND_ORDER.index(OpKind.OP4)).all()
+
+
+class TestGainTerms:
+    def test_gain_rows_match_the_per_reference_builder(self, rng):
+        refs = oracle_references(rng) + [
+            reference_config(component, rng.integers(0, 7, size=n))
+            for component in ComponentKind for n in (21, 40, 62, 63)
+        ]
+        for ref in refs:
+            gains = bound_engine._gain_sets(ref)
+            for step, rows in zip((1, 2), gains):
+                assert rows.tobytes() == gain_rows(ref, step).tobytes(), (ref.exponents, step)
+
+    def test_terms_are_cached_and_read_only(self):
+        terms = bound_engine._gain_terms(ComponentKind.LUMINANCE, 63)
+        assert bound_engine._gain_terms(ComponentKind.LUMINANCE, 63) is terms
+        for array in (*terms.keys, *terms.escapes, terms.at, terms.pick, terms.position,
+                      terms.cell):
+            assert not array.flags.writeable
+            assert len(array) in (7 * 63, 63 * 64 // 2)
 
 
 class TestGeneralizedInstances:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acbound.bound_engine import reference_length
+from acbound.bound_engine import reference_length, upper_limit
 from acbound.entropy_model import ComponentKind, ParameterError
 from acbound.quantization import (
     K1_LUMINANCE,
@@ -85,6 +85,20 @@ class TestPow2Table:
         table = QuantTable(ComponentKind.LUMINANCE, (122,) * 63, q00=1)
         with pytest.raises(ParameterError):
             pow2_table(table)
+
+    def test_numpy_integer_factors_are_stored_as_ints(self):
+        table = QuantTable(ComponentKind.LUMINANCE, tuple(np.full(63, 3)), q00=np.int16(4))
+        assert all(type(v) is int for v in table.q) and type(table.q00) is int
+        assert table == QuantTable(ComponentKind.LUMINANCE, (3,) * 63, q00=4)
+        assert set(pow2_table(table)) == {1}
+        assert upper_limit(ComponentKind.LUMINANCE, table).limit == upper_limit(
+            ComponentKind.LUMINANCE, QuantTable(ComponentKind.LUMINANCE, (3,) * 63, q00=4)).limit
+
+    @pytest.mark.parametrize("q, q00", [((1.5,) * 63, 1), ((3.0,) * 63, 1), ((3,) * 63, 1.0),
+                                        (("3",) * 63, 1)])
+    def test_rejects_non_integer_factors(self, q, q00):
+        with pytest.raises(ParameterError, match="must be integers"):
+            QuantTable(ComponentKind.LUMINANCE, q, q00=q00)
 
 
 class TestInterdependenceRelations:
