@@ -73,23 +73,18 @@ mask.  A gain covers only its own position, so a gain set keeps the
 first row of each (value tier, position) pair, one ``np.unique``.
 
 A limit reads only the smallest ``max(3a + 15b)`` loss copies, at most
-a few dozen loss rows.  So it asks ``build_sets`` for a loss stop: the
-sets start from the reference's head, where one ``np.argpartition``
-picks the ``_LOSS_HEAD`` smallest keys and only those rows are sorted
-and built, and the loss walk stops once it holds the copies.  Keys are
-unique, so the head is the start of the full order.  The head is first
-picked from the rows with runs of at most ``_RUN_BOUND`` (10) and the
-EOBs, a third of the rows at n = 63, and kept only with a proof that no
-longer run enters it: a row of run r replaces the reference cost of r +
-1 consecutive positions, so its tier is at least that of the cheapest
-such window less the longest code of run r, over the row's width.  If
-that floor, the least over the runs above the bound, does not lie above
-the tier of the head's last row, the head is picked from the full order
-(of the 14 paper cells, only luminance sf 1 needs it).  If a walk runs out
-of a cut-short head before it holds its copies, the level is made again
-from the full order; without a stop, that is always the case.  Every
-limit thus reads a prefix of what ``build_sets`` returns without a
-stop: the same gain rows, and the first of its loss rows.
+a few dozen loss rows, so it asks ``build_sets`` for a loss stop and
+starts from the reference's head.  One ``np.argpartition`` picks the
+``_LOSS_HEAD`` smallest keys among the rows with runs of at most
+``_RUN_BOUND`` (10) and the EOBs, a third of the rows at n = 63, and
+only those rows are sorted and built.  A row of run r replaces the
+reference cost of r + 1 consecutive positions, so its tier is at least
+that of the cheapest such window less the longest code of run r the
+reference can take, over the row's width.  The head keeps the rows
+below that floor, which keys order first, so it is a prefix of the full
+order.  Only a walk that runs past it, or has no stop, is made from the
+full order: every limit reads a prefix of what ``build_sets`` returns
+without a stop, the same gain rows and the first of its loss rows.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
@@ -140,7 +135,7 @@ MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size cop
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
 SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
 _LOSS_HEAD = 256            # loss rows a limit orders (see ``build_sets``)
-_RUN_BOUND = 10             # longest run a loss head orders first (see ``_loss_rows``)
+_RUN_BOUND = 10             # longest run a loss head orders (see ``_loss_rows``)
 
 
 class OpKind(Enum):
@@ -253,13 +248,14 @@ class ReferenceConfig:
     @functools.cached_property
     def base_sets(self) -> LossGainSets:
         """The full base-level delta sets, which ``build_sets`` refines
-        when the head runs out."""
+        without a stop or when a walk runs past the head."""
         return enumerate_deltas(self)
 
     @functools.cached_property
     def head_sets(self) -> LossGainSets:
-        """The base-level sets a limit starts from: every gain, and only
-        the ``_LOSS_HEAD`` smallest losses."""
+        """The base-level sets a limit starts from: every gain, and a
+        prefix of the loss order, at most ``_LOSS_HEAD`` rows cut at the
+        long-run floor (see ``_loss_rows``)."""
         return enumerate_deltas(self, _LOSS_HEAD)
 
 
@@ -639,11 +635,11 @@ class _LossTemplate:
     ``lo`` and ``sub``; and ``low``, the 19 low bits of the sort key.
 
     The rows come in blocks a reference picks by its size v at each
-    position p.  The OP1/OP2 demotions of p, from row ``demotions_at[p -
-    1]``, run over s = 1..7 and within each s over r = 0..p-1, so the
-    first p * (v - 1) are those with s < v.  The OP3 kept coefficients of
-    p, from row ``kept_at[p - 1]``, run over v = 2..8 and within each v
-    over r = 1..p-1.  The n - 1 OP4 EOBs close the template.
+    position p; block b of p starts at row ``blocks_at[p - 1, b]``.
+    Blocks 0..6 hold the OP1/OP2 demotions to size s = b + 1 over r =
+    0..p-1, of which a reference holds those with s < v; blocks 7..13 the
+    OP3 kept coefficients of size b - 5 over r = 1..p-1, of which it holds
+    those of size v; block 14 the OP4 EOB after p, if p < n.
     """
 
     kind: np.ndarray
@@ -656,8 +652,7 @@ class _LossTemplate:
     lo: np.ndarray
     sub: np.ndarray
     low: np.ndarray
-    demotions_at: np.ndarray
-    kept_at: np.ndarray
+    blocks_at: np.ndarray
 
 
 _MIN_SBAR = REFERENCE_SIZE - 6  # the smallest reference size, at exponent 6
@@ -669,8 +664,11 @@ def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
     table = table_for(component)
     p = np.arange(1, n + 1, dtype=np.int16)  # int16 columns keep the build small
     demoted_rows, kept_rows = MAX_LOSS_SIZE * p, _SBAR_COUNT * (p - 1)  # per position
-    demotions_at = np.cumsum(demoted_rows) - demoted_rows
-    kept_at = demoted_rows.sum() + np.cumsum(kept_rows) - kept_rows
+    # the demotions of every position first, then the kept coefficients, then the EOBs
+    family_rows = np.concatenate((demoted_rows, kept_rows, np.ones_like(p)))
+    at = (np.cumsum(family_rows) - family_rows).reshape(3, n, 1)
+    blocks_at = np.hstack((at[0] + p[:, None] * np.arange(MAX_LOSS_SIZE),
+                           at[1] + (p - 1)[:, None] * np.arange(_SBAR_COUNT), at[2]))
     # q is the position of each row and k its index in the position's block
     q, k = p.repeat(demoted_rows), _ranges(np.zeros_like(p), demoted_rows).astype(np.int16)
     s, r = np.divmod(k, q)
@@ -687,7 +685,7 @@ def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
         for column, values in zip(columns, family):
             column[at:at + rows] = values
         at += rows
-    template = _LossTemplate(*columns, _low_key(*columns[:4]), demotions_at, kept_at)
+    template = _LossTemplate(*columns, _low_key(*columns[:4]), blocks_at)
     for array in vars(template).values():
         array.setflags(write=False)
     return template
@@ -699,133 +697,107 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
 
 
-def _held(v: np.ndarray, per_size: np.ndarray, demotions_at: np.ndarray,
-          kept_at: np.ndarray, total: int) -> np.ndarray:
-    """The rows a reference of sizes ``v`` holds in a layout of ``total``
-    rows with the template's blocks: per position p, ``per_size[p - 1]``
-    demotions of each size s = 1..7 from ``demotions_at[p - 1]``, of which
-    it holds those with s < v, and ``per_size[p - 1] - 1`` kept
-    coefficients of each size from ``kept_at[p - 1]``, of which it holds
-    those of size v; then the n - 1 EOBs, which close the layout."""
-    n = len(v)
-    kept_at = kept_at + (v - _MIN_SBAR) * (per_size - 1)
-    return _ranges(np.concatenate((demotions_at, kept_at, [total - n + 1])),
-                   np.concatenate((per_size * (v - 1), per_size - 1, [n - 1])))
-
-
-class _ShortRuns(NamedTuple):
-    """The loss template's rows with runs of at most a bound R, and the
-    exponent-free terms of ``_long_run_floor``, as read-only arrays.
-
-    ``index`` lists the template rows with r <= R in the template's own
-    block layout (see ``_held``), ``per_size[p - 1] = min(p, R + 1)`` rows
-    per size at position p: the demotions of runs 0..R from
-    ``demotions_at[p - 1]``, the kept coefficients of runs 1..R from
-    ``kept_at[p - 1]``, then the EOBs.  Per run r > R in ``runs``, the
-    window ends ``hi`` and ``lo``, grouped by run from ``groups``, give
-    every window cost W(p, r); ``demoted`` and ``kept`` are the longest
-    code ``len(r, s)`` of a demotion (s = 1..7) and of a kept coefficient
-    (s = 2..8).
-    """
-
-    index: np.ndarray
-    per_size: np.ndarray
-    demotions_at: np.ndarray
-    kept_at: np.ndarray
-    runs: np.ndarray
-    hi: np.ndarray
-    lo: np.ndarray
-    groups: np.ndarray
-    demoted: np.ndarray
-    kept: np.ndarray
+# ``_HELD_BLOCKS[v]``: the template blocks a reference of size v holds at
+# a position, its demoted sizes s < v, its kept size v and its EOB.
+_HELD_BLOCKS = np.array([[s < v for s in range(1, MAX_LOSS_SIZE + 1)]
+                         + [s == v for s in range(_MIN_SBAR, REFERENCE_SIZE + 1)] + [True]
+                         for v in range(REFERENCE_SIZE + 1)])
 
 
 @functools.cache
-def _short_runs(component: ComponentKind, n: int, bound: int) -> _ShortRuns:
-    t = _loss_template(component, n)
-    lengths = table_for(component).lengths
-    p = np.arange(1, n + 1)
-    per_size = np.minimum(p, bound + 1)
-    # the first per_size rows of each demoted size's block, and the first
-    # per_size - 1 of each kept size's block
-    demotions = _ranges((t.demotions_at[:, None] + p[:, None] * np.arange(MAX_LOSS_SIZE)).ravel(),
-                        per_size.repeat(MAX_LOSS_SIZE))
-    kept = _ranges((t.kept_at[:, None] + (p - 1)[:, None] * np.arange(_SBAR_COUNT)).ravel(),
-                   (per_size - 1).repeat(_SBAR_COUNT))
-    demoted_rows, kept_rows = MAX_LOSS_SIZE * per_size, _SBAR_COUNT * (per_size - 1)
+def _run_blocks(t: _LossTemplate, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start table ``_held`` reads: ``rows[p - 1, b, j] = blocks_at[p
+    - 1, b] + j``, and ``short[p - 1, b, j]``, whether that is one of the
+    rows with runs of at most ``bound`` that block b of p starts with:
+    min(p, bound + 1) for demotions (runs 0..p-1), one fewer for kept
+    coefficients (runs 1..p-1), and the one EOB after p < n."""
+    n = len(t.blocks_at)
+    runs = np.minimum(np.arange(1, n + 1), bound + 1)[:, None]
+    counts = np.hstack((runs.repeat(MAX_LOSS_SIZE, axis=1),
+                        (runs - 1).repeat(_SBAR_COUNT, axis=1), np.arange(n)[:, None] < n - 1))
+    j = np.arange(runs.max())
+    rows, short = t.blocks_at[:, :, None] + j, j < counts[:, :, None]
+    for array in (rows, short):
+        array.setflags(write=False)
+    return rows, short
+
+
+def _held(t: _LossTemplate, v: np.ndarray, bound: int) -> np.ndarray:
+    """The rows of ``t`` with runs of at most ``bound`` that a reference of
+    sizes ``v`` holds: the first rows of each block it holds."""
+    rows, short = _run_blocks(t, bound)
+    return rows[short & _HELD_BLOCKS.take(v, axis=0)[:, :, None]]
+
+
+class _LongRuns(NamedTuple):
+    """The exponent-free terms of ``_long_run_floor`` for the runs r above
+    a bound, as read-only arrays.  Per run, the window ends ``hi`` and
+    ``lo``, grouped by run from ``groups``, give every window cost W(p,
+    r); ``longest[k, V]`` is the longest code ``len(r, s)`` over the sizes
+    s <= V of the k-th run, a running maximum; ``widths[k]`` is (r + 1,
+    r), the width of a demotion and of a kept coefficient."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    groups: np.ndarray
+    longest: np.ndarray
+    widths: np.ndarray
+
+
+@functools.cache
+def _long_runs(component: ComponentKind, n: int, bound: int) -> _LongRuns:
     runs = np.arange(bound + 1, n)
     windows = n - runs  # the positions p = r + 1..n
     hi = _ranges(runs + 1, windows)
-    short = _ShortRuns(
-        np.concatenate((demotions, kept, np.arange(len(t.kind) - n + 1, len(t.kind)))),
-        per_size,
-        np.cumsum(demoted_rows) - demoted_rows,
-        len(demotions) + np.cumsum(kept_rows) - kept_rows,
-        runs,
-        hi,
-        hi - (runs + 1).repeat(windows),
-        np.cumsum(windows) - windows,
-        lengths[runs, 1:MAX_LOSS_SIZE + 1].max(axis=1),
-        lengths[runs, _MIN_SBAR:REFERENCE_SIZE + 1].max(axis=1),
-    )
-    for array in short:
+    lengths = table_for(component).lengths
+    terms = _LongRuns(hi, hi - (runs + 1).repeat(windows), np.cumsum(windows) - windows,
+                      np.maximum.accumulate(lengths[runs, :REFERENCE_SIZE + 1], axis=1),
+                      np.column_stack((runs + 1, runs)))
+    for array in terms:
         array.setflags(write=False)
-    return short
+    return terms
 
 
-def _long_run_floor(ref: ReferenceConfig, short: _ShortRuns) -> int:
+def _long_run_floor(ref: ReferenceConfig, bound: int) -> int | None:
     """A floor on the tier of every loss row of ``ref`` with a run r above
-    the bound.  Such a row replaces the reference cost ``W(p, r) =
-    prefix[p] - prefix[p - r - 1]`` of positions p - r..p: a demotion has
-    bits ``W(p, r) - len(r, s)`` over width r + 1, a kept coefficient
-    ``W(p, r) - len(r, v)`` over width r.  Floor division is monotone in
-    the bits, so its tier is at least ``((min_p W(p, r) - maxlen) << 12)
-    // width``, with the longest code of its kind."""
-    window = np.minimum.reduceat(_loss_bits(ref.prefix, short.hi, short.lo, 0), short.groups)
-    demoted = _tier(window - short.demoted, short.runs + 1)
-    kept = _tier(window - short.kept, short.runs)
-    return int(min(demoted.min(), kept.min()))
-
-
-def _ordered(ref: ReferenceConfig, t: _LossTemplate, i: np.ndarray,
-             head: int | None) -> np.ndarray:
-    """The template rows ``i`` costed for ``ref``, in value order, or only
-    the ``head`` smallest; rows are made only for the indices kept."""
-    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
-    order = _smallest(_sort_key(bits, t.width.take(i), t.low.take(i)), head)
-    j = i.take(order)
-    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
-    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
+    ``bound``, or None if there is none.  Such a row replaces the cost
+    ``W(p, r) = prefix[p] - prefix[p - r - 1]`` of positions p - r..p
+    with a code of run r: a demotion to a size below V, the reference's
+    largest, over width r + 1, or a kept size of at most V over width r.
+    Floor division is monotone in the bits, so the tier is at least
+    ``((min_p W(p, r) - maxlen) << 12) // width``, with maxlen the longest
+    code of run r over those sizes."""
+    if ref.n_positions <= bound + 1:
+        return None
+    terms = _long_runs(ref.component, ref.n_positions, bound)
+    window = np.minimum.reduceat(_loss_bits(ref.prefix, terms.hi, terms.lo, 0), terms.groups)
+    largest = max(ref.sbar)
+    longest = terms.longest[:, largest - 1:largest + 1]
+    return int(_tier(window[:, None] - longest, terms.widths).min())
 
 
 def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
-    """``ref``'s loss rows in value order, or only the ``head`` smallest.
+    """``ref``'s loss rows in value order, or the start of that order.
 
     From the template, a reference computes only what its exponents fix:
-    which rows it holds, their bits and their tier.
-
-    A head orders only the rows with runs of at most ``_RUN_BOUND`` (and
-    the EOBs), a third of the rows at n = 63, and then proves that no
-    longer run enters it: ``_long_run_floor`` bounds the tier of every
-    longer-run row from below, and if that floor lies above the tier of
-    the head's last row, every such row sorts after the head, which is
-    then the head of the full order.  If the floor does not clear it, if
-    fewer than ``head`` short-run rows exist, or if no run exceeds the
-    bound, the head is taken from the full order.
+    which rows it holds, their bits and their tier.  A head is the
+    ``head`` smallest rows with runs of at most ``_RUN_BOUND`` (and the
+    EOBs), cut below ``_long_run_floor``: every longer-run row has a tier
+    of at least the floor, and keys order by tier first, so the head is
+    the start of the full order.
     """
     n = ref.n_positions
     t = _loss_template(ref.component, n)
-    v = ref.sbar_array
-    if head is not None and n > _RUN_BOUND + 1:
-        short = _short_runs(ref.component, n, _RUN_BOUND)
-        i = short.index.take(_held(v, short.per_size, short.demotions_at, short.kept_at,
-                                   len(short.index)))
-        if len(i) >= head:
-            rows = _ordered(ref, t, i, head)
-            if _long_run_floor(ref, short) > _tiers(rows[-1:])[0]:
-                return rows
-    i = _held(v, np.arange(1, n + 1), t.demotions_at, t.kept_at, len(t.kind))
-    return _ordered(ref, t, i, head)
+    i = _held(t, ref.sbar_array, n if head is None else _RUN_BOUND)
+    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
+    key = _sort_key(bits, t.width.take(i), t.low.take(i))
+    order = _smallest(key, head)
+    floor = None if head is None else _long_run_floor(ref, _RUN_BOUND)
+    if floor is not None:  # a key's tier sits above its 19 low bits
+        order = order[:np.searchsorted(key.take(order), floor << 19)]
+    j = i.take(order)
+    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
+    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
 
 
 class _GainTerms(NamedTuple):
@@ -893,7 +865,8 @@ def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
 
 def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
     """Evaluate every operation instance and collect the base delta sets;
-    with ``head``, the loss rows are only the ``head`` smallest.
+    with ``head``, the loss rows are a prefix of their order, at most
+    ``head`` rows cut at the long-run floor (see ``_loss_rows``).
 
     The census counts evaluated cases per family (demoted sizes 1..7 are
     always charged, reachable or not); retained entries are the subset
@@ -1014,13 +987,12 @@ def build_sets(ref: ReferenceConfig, refinement: Refinement,
     """Delta sets at the requested refinement level, the capacity walk
     stopping once it holds ``loss_stop`` loss copies.
 
-    ``refinement`` is applied to ``ref.head_sets`` first.  The head rows
-    are the first rows of the full order, and maxconfig keeps their order,
-    so a walk that reaches its stop inside the head is the full walk: the
-    same gain rows, and the first of the full loss rows.  A head of
-    ``_LOSS_HEAD`` rows may have been cut short: if its loss rows run out
-    first, as they always do without a stop, the level is made again from
-    ``ref.base_sets``, built only then.
+    With a stop, ``refinement`` is applied to ``ref.head_sets`` first.
+    Its loss rows are the first rows of the full order, and maxconfig
+    keeps their order, so a walk that reaches its stop inside them is the
+    full walk: the same gain rows, and the first of the full loss rows.
+    If the walk does not reach the stop, and always without one, the
+    level is made from ``ref.base_sets``, built only then.
     """
     def refined(sets: LossGainSets) -> LossGainSets:
         if refinement is Refinement.BASE:
@@ -1029,11 +1001,11 @@ def build_sets(ref: ReferenceConfig, refinement: Refinement,
             sets = refine_maxconfig(sets, ref)
         return refine_capacity(sets, loss_stop)
 
-    sets = refined(ref.head_sets)
-    if (len(ref.head_sets.loss_rows) >= _LOSS_HEAD
-            and int(sets.loss_rows["multiplicity"].sum()) < loss_stop):
-        sets = refined(ref.base_sets)
-    return sets
+    if loss_stop < math.inf:
+        sets = refined(ref.head_sets)
+        if int(sets.loss_rows["multiplicity"].sum()) >= loss_stop:
+            return sets
+    return refined(ref.base_sets)
 
 
 def _values(rows: np.ndarray) -> list[int]:

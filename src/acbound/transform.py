@@ -67,14 +67,6 @@ def forward_dct(block) -> np.ndarray:
     return DCT_MATRIX.T @ f @ DCT_MATRIX
 
 
-def inverse_dct(coeffs) -> np.ndarray:
-    """f = K F K^T; round-trips forward_dct to 1e-9 per entry."""
-    F = np.asarray(coeffs, dtype=np.float64)
-    if F.shape != (BLOCK_SIZE, BLOCK_SIZE):
-        raise ParameterError(f"coefficient grid must be 8x8, got {F.shape}")
-    return DCT_MATRIX @ F @ DCT_MATRIX.T
-
-
 def zigzag_scan(grid) -> np.ndarray:
     """Flatten an 8x8 grid into the 64-entry zigzag sequence."""
     flat = np.asarray(grid).reshape(64)

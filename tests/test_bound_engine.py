@@ -821,9 +821,9 @@ def limit_or_exhaustion(ref, refinement, sets=None):
 
 
 class TestLossHead:
-    """A limit orders only the smallest ``_LOSS_HEAD`` loss rows and falls
-    back to the full order when a walk runs past them; tiny heads force
-    that fallback."""
+    """A limit orders only the smallest ``_LOSS_HEAD`` loss rows and makes
+    its level from the full order only when a walk runs past them; tiny
+    heads force that."""
 
     @pytest.mark.parametrize("head", [1, 8])
     def test_small_heads_keep_the_paper_limits(self, monkeypatch, head):
@@ -886,6 +886,14 @@ class TestLossHead:
                 assert getattr(head_sets, rows).tobytes() == getattr(full, rows).tobytes()
             assert head_sets.census == full.census
 
+    @pytest.mark.parametrize("exponents", [[0] * 63, [k // 10 for k in range(63)], [3] * 9])
+    def test_sets_without_a_stop_never_order_a_head(self, exponents):
+        ref = reference_config(ComponentKind.LUMINANCE, exponents)
+        for refinement in Refinement:
+            build_sets(ref, refinement)
+        assert "head_sets" not in ref.__dict__
+        assert "base_sets" in ref.__dict__
+
     def test_template_is_cached_read_only_and_narrow(self):
         n = 63
         template = bound_engine._loss_template(ComponentKind.LUMINANCE, n)
@@ -893,8 +901,8 @@ class TestLossHead:
         rows = 7 * n * (n + 1) // 2 + 7 * n * (n - 1) // 2 + n - 1
         for name, array in vars(template).items():
             assert not array.flags.writeable, name
-            if name in ("demotions_at", "kept_at"):
-                assert array.shape == (n,)
+            if name == "blocks_at":
+                assert array.shape == (n, 15)
             else:
                 assert array.shape == (rows,), name
                 # only the packed key bits need 32 bits; the rest fit 8 or 16
@@ -911,95 +919,125 @@ def run_bound_vectors(rng):
          for n in (12, 20, 63) for k in range(8)]
 
 
-def count_fallbacks(monkeypatch):
-    """Record the calls ``_loss_rows`` makes; a fallback is a floor check
-    followed, within the same call, by a second ordering."""
-    events = []
+def count_cuts(monkeypatch):
+    """Count the heads ``_loss_rows`` cuts at the long-run floor: heads
+    with fewer rows than asked for, though the full order holds them."""
+    cuts = []
+    loss_rows = bound_engine._loss_rows
 
-    def recording(name):
-        function = getattr(bound_engine, name)
+    def recording(ref, head=None):
+        rows = loss_rows(ref, head)
+        if head is not None:
+            cuts.append(len(rows) < min(head, len(loss_rows(ref))))
+        return rows
 
-        def recorded(*args):
-            events.append(name)
-            return function(*args)
-        return recorded
+    monkeypatch.setattr(bound_engine, "_loss_rows", recording)
+    return lambda: sum(cuts)
 
-    for name in ("_loss_rows", "_ordered", "_long_run_floor"):
-        monkeypatch.setattr(bound_engine, name, recording(name))
-    return lambda: sum(a == "_long_run_floor" and b == "_ordered"
-                       for a, b in zip(events, events[1:]))
+
+def scalar_floor(ref, bound):
+    """``_long_run_floor`` recounted per run and kind: the cheapest window
+    of r + 1 positions less the longest code of run r over the sizes the
+    reference can take there, demoted below its largest size V or kept at
+    most V."""
+    lengths = table_for(ref.component).lengths
+    prefix = ref.prefix.tolist()
+    largest = max(ref.sbar)
+    floors = {}
+    for r in range(bound + 1, ref.n_positions):
+        least = min(prefix[p] - prefix[p - r - 1] for p in range(r + 1, ref.n_positions + 1))
+        floors[r] = (
+            ((least - max(int(lengths[r, s]) for s in range(1, largest))) << 12) // (r + 1),
+            ((least - max(int(lengths[r, s]) for s in range(2, largest + 1))) << 12) // r,
+        )
+    return floors
 
 
 class TestRunBound:
     """A loss head orders only the rows with runs of at most
-    ``_RUN_BOUND`` and proves that no longer run enters it, or falls back
-    to the full order."""
+    ``_RUN_BOUND`` and keeps those below the long-run floor: a prefix of
+    the full order."""
 
     @pytest.mark.parametrize("head", [8, 54, 256])
     def test_head_equals_the_full_order_head(self, monkeypatch, rng, head):
-        fallbacks = count_fallbacks(monkeypatch)
-        fell_back = set()
+        cuts = count_cuts(monkeypatch)
         for component, exponents in run_bound_vectors(rng):
             ref = reference_config(component, exponents)
             full = bound_engine._loss_rows(ref)  # without a head: the full order
-            before = fallbacks()
-            assert bound_engine._loss_rows(ref, head).tobytes() == full[:head].tobytes(), (
-                component, exponents)
-            if fallbacks() > before and len(exponents) == AC_POSITIONS:
-                fell_back.add((component, tuple(exponents)))
-        # a short instance's head reaches far up its few rows and may fall
-        # back; of the 63-position vectors only the luminance sf 1 cell
-        # does, at a head of 256: its reference sizes are at most 5, so the
-        # floor, which charges the longest code of any size, is loose
-        one = pow2_table(scaled_annex_k(ComponentKind.LUMINANCE, 1))
-        assert fell_back <= {(ComponentKind.LUMINANCE, one)}
+            before = cuts()
+            rows = bound_engine._loss_rows(ref, head)
+            assert len(rows) <= head
+            assert rows.tobytes() == full[:len(rows)].tobytes(), (component, exponents)
+            # a short instance's head reaches far up its few rows and may be
+            # cut; no 63-position head is
+            if len(exponents) == AC_POSITIONS:
+                assert cuts() == before, (component, exponents)
 
     @pytest.mark.parametrize("bound", [0, 1])
-    def test_fallback_keeps_every_limit(self, monkeypatch, rng, bound):
+    def test_cut_heads_keep_every_limit(self, monkeypatch, rng, bound):
         monkeypatch.setattr(bound_engine, "_RUN_BOUND", bound)
-        fallbacks = count_fallbacks(monkeypatch)
+        cuts = count_cuts(monkeypatch)
         for component, exponents in run_bound_vectors(rng):
             ref = reference_config(component, exponents)
             for refinement in Refinement:
                 full = reference_config(component, exponents)
                 assert limit_or_exhaustion(ref, refinement) == limit_or_exhaustion(
                     full, refinement, build_sets(full, refinement)), (exponents, refinement)
-            assert ref.head_sets.loss_rows.tobytes() == (
-                build_sets(ref, Refinement.BASE).loss_rows[:bound_engine._LOSS_HEAD].tobytes()
-            )
-        assert fallbacks() > 0
+            head = ref.head_sets.loss_rows
+            base = build_sets(ref, Refinement.BASE).loss_rows
+            assert head.tobytes() == base[:len(head)].tobytes()
+        assert cuts() > 0
 
     @pytest.mark.parametrize("bound", [1, 10])
     def test_floor_bounds_every_longer_run(self, rng, bound):
         for component, exponents in run_bound_vectors(rng):
             ref = reference_config(component, exponents)
-            n = ref.n_positions
-            if n <= bound + 1:
+            floor = bound_engine._long_run_floor(ref, bound)
+            if ref.n_positions <= bound + 1:
+                assert floor is None
                 continue
-            lengths = table_for(component).lengths
-            prefix = ref.prefix.tolist()
-            floors = []
-            for r in range(bound + 1, n):
-                least = min(prefix[p] - prefix[p - r - 1] for p in range(r + 1, n + 1))
-                floors.append((
-                    ((least - int(lengths[r, 1:8].max())) << 12) // (r + 1),
-                    ((least - int(lengths[r, 2:9].max())) << 12) // r,
-                ))
-            short = bound_engine._short_runs(component, n, bound)
-            assert bound_engine._long_run_floor(ref, short) == min(map(min, floors))
+            floors = scalar_floor(ref, bound)
+            assert floor == min(map(min, floors.values()))
             rows = bound_engine._loss_rows(ref)
             for (kind, _, r, *_), tier in zip(rows.tolist(), bound_engine._tiers(rows).tolist()):
                 if r > bound:
-                    demoted, kept = floors[r - bound - 1]
+                    demoted, kept = floors[r]
                     assert tier >= (kept if KIND_ORDER[kind] is OpKind.OP3 else demoted)
 
-    def test_short_runs_are_cached_read_only(self):
-        short = bound_engine._short_runs(ComponentKind.CHROMINANCE, 63, 10)
-        assert bound_engine._short_runs(ComponentKind.CHROMINANCE, 63, 10) is short
-        assert not any(array.flags.writeable for array in short)
-        template = bound_engine._loss_template(ComponentKind.CHROMINANCE, 63)
-        assert (template.run.take(short.index)[:-62] <= 10).all()
-        assert (template.kind.take(short.index)[-62:] == KIND_ORDER.index(OpKind.OP4)).all()
+    def test_small_sizes_lift_the_floor_above_the_head(self):
+        # the luminance sf 1 reference has sizes 2..5, so its longer runs
+        # are charged codes of size 5 at most: the floor, tier 10,240,
+        # clears the 256th short-run row at tier 9,216, and no row is cut
+        exponents = pow2_table(scaled_annex_k(ComponentKind.LUMINANCE, 1))
+        ref = reference_length(ComponentKind.LUMINANCE, exponents)
+        full = bound_engine._loss_rows(ref)
+        short = full[full["run"] <= bound_engine._RUN_BOUND]
+        floor = bound_engine._long_run_floor(ref, bound_engine._RUN_BOUND)
+        assert floor > bound_engine._tiers(short[bound_engine._LOSS_HEAD - 1:])[0]
+        assert len(ref.head_sets.loss_rows) == bound_engine._LOSS_HEAD
+
+    @pytest.mark.parametrize("n", [1, 12, 40, 63])
+    def test_held_rows_are_the_rows_the_sizes_pick(self, rng, n):
+        sizes = 8 - rng.integers(0, 7, size=n)
+        t = bound_engine._loss_template(ComponentKind.CHROMINANCE, n)
+        v = sizes[t.position.astype(np.intp) - 1]
+        kind = np.array(KIND_ORDER)[t.kind]
+        eob = kind == OpKind.OP4
+        kept = kind == OpKind.OP3
+        picked = eob | np.where(kept, t.size == v, t.size < v)
+        for bound in (0, 10, n):
+            held = bound_engine._held(t, sizes, bound)
+            expected = np.flatnonzero(picked & (eob | (t.run <= bound)))
+            assert np.array_equal(np.sort(held), expected), bound
+
+    def test_caches_are_read_only(self):
+        t = bound_engine._loss_template(ComponentKind.CHROMINANCE, 63)
+        blocks = bound_engine._run_blocks(t, 10)
+        runs = bound_engine._long_runs(ComponentKind.CHROMINANCE, 63, 10)
+        assert bound_engine._run_blocks(t, 10) is blocks
+        assert bound_engine._long_runs(ComponentKind.CHROMINANCE, 63, 10) is runs
+        for array in (*blocks, *runs):
+            assert not array.flags.writeable
 
 
 class TestGainTerms:

@@ -6,7 +6,6 @@ from acbound.entropy_model import ParameterError
 from acbound.transform import (
     DCT_MATRIX,
     forward_dct,
-    inverse_dct,
     level_shift,
     validate_pixel_block,
     zigzag_scan,
@@ -16,6 +15,7 @@ from references import (
     ac_energy,
     cube_condition,
     integer_condition,
+    inverse_dct,
     zigzag_unscan,
 )
 
