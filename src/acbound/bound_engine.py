@@ -61,20 +61,23 @@ computes only the bits and keys of the rows it holds.  A gain's width is
 whole row; the keys, but for the position field, depend only on the run
 and the reference size, and are cached per component and length with
 their escape flags, so a reference gathers them by its sizes, drops the
-dominated escape-region ones, and sorts the keys.
+dominated escape-region ones, and sorts the keys largest first.
 
 One pipeline makes every level: ``enumerate_deltas`` makes the base
 sets, ``refine_maxconfig`` and ``refine_capacity`` prune them, and
-``build_sets`` runs the stages a level needs.  The maxconfig level is
-one boolean mask over the rows.  The capacity level walks a loss set
-keeping, per value tier, an integer bitmask of the positions already
-covered; an entry keeps as many copies as its footprint adds to that
-mask.  A gain covers only its own position, so a gain set keeps the
-first row of each (value tier, position) pair, one ``np.unique``.
+``build_sets`` runs the stages a level needs.  A limit reads the
+smallest losses and the largest gains, so loss sets are stored smallest
+first and gain sets largest first, and every stage reads a set from its
+start.  The maxconfig level is one boolean mask over the rows.  The
+capacity level walks each set keeping, per value tier, an integer
+bitmask of the positions already covered; an entry keeps as many copies
+as its footprint adds to that mask.  A gain's footprint is its own
+position, so a gain set keeps the first gain of each value and position.
 
-A limit reads only the smallest ``max(3a + 15b)`` loss copies, at most
-a few dozen loss rows, so it asks ``build_sets`` for a loss stop and
-starts from the reference's head.  One ``np.argpartition`` picks the
+A limit reads only the first ``max(3a + 15b)``, ``max(a)`` and
+``max(b)`` copies of the three sets, (54, 15, 3) at n = 63, so it asks
+``build_sets`` for those stops and starts from the reference's head.
+Only the loss head is cut short: one ``np.argpartition`` picks the
 ``_LOSS_HEAD`` smallest keys among the rows with runs of at most
 ``_RUN_BOUND`` (10) and the EOBs, a third of the rows at n = 63, and
 only those rows are sorted and built.  A row of run r replaces the
@@ -82,9 +85,9 @@ reference cost of r + 1 consecutive positions, so its tier is at least
 that of the cheapest such window less the longest code of run r the
 reference can take, over the row's width.  The head keeps the rows
 below that floor, which keys order first, so it is a prefix of the full
-order.  Only a walk that runs past it, or has no stop, is made from the
-full order: every limit reads a prefix of what ``build_sets`` returns
-without a stop, the same gain rows and the first of its loss rows.
+order.  Only a loss walk that runs past it, or has no stop, is made from
+the full order: every limit reads, from each set, the first rows of what
+``build_sets`` returns without stops.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
@@ -277,10 +280,10 @@ _ROW = np.dtype({
 class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
-    Each multiset is a ``_ROW`` record array in ascending (value, kind,
-    position, runlength, size) order, which the refinements keep; the
-    engine reads only the rows.  The ``losses``, ``gains9`` and
-    ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
+    Each multiset is a ``_ROW`` record array in (value, kind, position,
+    runlength, size) order, ascending for losses and descending for gains,
+    which the refinements keep; the engine reads only the rows, a limit
+    only the first ones.  The ``losses``, ``gains9`` and ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
     records, in the same order; each is built on first read, so the limit
     path never builds one.  The value order is exact: see ``_tier``.
     The sets a limit reads may hold only the head of the loss order (see
@@ -353,9 +356,14 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
 
     Every exponent must leave a quantized reference size of at least 2,
     so that reference coefficients stay nonzero after quantization and
-    the promotion interdependence holds.
+    the promotion interdependence holds.  Any integer type is accepted
+    (through ``operator.index``); a float, even an integral one, or a
+    string is refused.
     """
-    exponents = tuple(int(c) for c in exponents)
+    try:
+        exponents = tuple(map(operator.index, exponents))
+    except TypeError:
+        raise ParameterError("exponents must be integers") from None
     if not 1 <= len(exponents) <= AC_POSITIONS:
         raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
     if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
@@ -604,8 +612,8 @@ def _sort_key(bits, width, low) -> np.ndarray:
 
 
 def _gain_rows(key: np.ndarray) -> np.ndarray:
-    """The gain rows of sorted gain keys, each column read back from the
-    fields ``_low_key`` packs, and the bits from above them."""
+    """The gain rows of gain keys, in their order, each column read back
+    from the fields ``_low_key`` packs, and the bits from above them."""
     position = key >> 10 & 63
     return _rows([(key >> 16 & 7, position, key >> 4 & 63, key & 15, position, 1, key >> 31)])
 
@@ -848,7 +856,7 @@ def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
 
 
 def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
-    """``ref``'s size-9 and size-10 gain rows in value order: every
+    """``ref``'s size-9 and size-10 gain rows, largest first: every
     promotion, less the escape-region ones the replacement test
     dominates.  A key's position field is 0 before its position is
     added."""
@@ -859,7 +867,8 @@ def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
     gains = []
     for step, key, escape in zip(_PROMOTION, t.keys, t.escapes):
         kept = np.flatnonzero(~(escape.take(i) & dominated.take(cell + step)))
-        gains.append(_gain_rows(np.sort(key.take(i.take(kept)) | t.position.take(kept))))
+        key = np.sort(key.take(i.take(kept)) | t.position.take(kept))
+        gains.append(_gain_rows(key[::-1].copy()))  # contiguous, read faster
     return gains
 
 
@@ -877,8 +886,9 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
     cells, and dropping never costs soundness.  Demotions and promotions
     are built over the (position, run, size) grid with runs 0 <= r < p,
     the kind label naming the bare (r = 0) or run case; each set is
-    sorted by value, kind, position, run and size.  Reference sizes are
-    at most 8, so both promoted sizes stay within 10.
+    ordered by value, kind, position, run and size, losses ascending and
+    gains descending.  Reference sizes are at most 8, so both promoted
+    sizes stay within 10.
     """
     n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
@@ -890,13 +900,13 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
-    """The loss rows the capacity rule keeps, with their copy counts.
+    """The rows of a set the capacity rule keeps, with their copy counts.
 
-    Walks ``rows`` in ascending order, keeping per value tier a bitmask of
-    the positions already covered; an entry keeps the copies its footprint
+    Walks ``rows`` in order, keeping per value tier a bitmask of the
+    positions already covered; an entry keeps the copies its footprint
     adds to that mask.  Stops once ``stop`` copies are held, so the
     columns are read 64 rows at a time: a limit's walk stops within the
-    first few dozen rows of a head of 256.
+    first few dozen rows of a set.
     """
     covered: dict[int, int] = {}
     kept: list[int] = []
@@ -922,42 +932,27 @@ def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
     return out
 
 
-def _one_gain_per_position(rows: np.ndarray) -> np.ndarray:
-    """The capacity rule for a gain set: a gain is one copy at its own
-    position, so each (value tier, position) pair keeps its first row.
-    ``return_index`` gives first occurrences; integer indices keep the
-    rows' zeroed padding bytes."""
-    _, first = np.unique(_tiers(rows) << 6 | rows["position"], return_index=True)
-    return rows[np.sort(first)]
-
-
-def refine_capacity(sets: LossGainSets, loss_stop: float = math.inf) -> LossGainSets:
+def refine_capacity(sets: LossGainSets,
+                    stops: tuple[float, float, float] = (math.inf,) * 3) -> LossGainSets:
     """Cap equal-valued copies at one per position.
 
     A position is affected by exactly one operation in any single
     configuration, so it can carry at most one copy of a given delta
     value; surplus copies within a value tier are dropped by reducing
-    entry multiplicities in deterministic entry order.  Each loss tier
-    keeps a bitmask of the positions it already covers, and an entry keeps
-    the copies its footprint adds to that mask.  A gain is one copy at its
-    own position, so a gain set keeps the first row of each value and
-    position.  Footprints of reduced entries keep their original extent;
-    only the copy counts feed a limit's prefix sums.  The loss walk stops
-    once it holds ``loss_stop`` copies, so the result may then hold only
-    the smallest ones.
+    entry multiplicities in set order, one ``_capacity_walk`` per set; a
+    gain's footprint is its own position.  Footprints of reduced entries
+    keep their original extent; only the copy counts feed a limit's prefix
+    sums.  Each walk stops once it holds its count of ``stops`` (losses,
+    size-9 gains, size-10 gains), so a set may then hold only its first
+    copies.
     """
     refinement = (
         Refinement.MAXCONFIG
         if sets.refinement is Refinement.MAXCONFIG
         else Refinement.CAPACITY
     )
-    return LossGainSets(
-        _capacity_walk(sets.loss_rows, loss_stop),
-        _one_gain_per_position(sets.gain9_rows),
-        _one_gain_per_position(sets.gain10_rows),
-        refinement,
-        sets.census,
-    )
+    rows = (sets.loss_rows, sets.gain9_rows, sets.gain10_rows)
+    return LossGainSets(*map(_capacity_walk, rows, stops), refinement, sets.census)
 
 
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
@@ -973,37 +968,33 @@ def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
     def kept(rows):
         return rows[np.flatnonzero(~dominance[rows["position"], rows["run"], rows["size"]])]
 
-    return LossGainSets(
-        kept(sets.loss_rows),
-        kept(sets.gain9_rows),
-        kept(sets.gain10_rows),
-        Refinement.MAXCONFIG,
-        sets.census,
-    )
+    return LossGainSets(*map(kept, (sets.loss_rows, sets.gain9_rows, sets.gain10_rows)),
+                        Refinement.MAXCONFIG, sets.census)
 
 
 def build_sets(ref: ReferenceConfig, refinement: Refinement,
-               loss_stop: float = math.inf) -> LossGainSets:
-    """Delta sets at the requested refinement level, the capacity walk
-    stopping once it holds ``loss_stop`` loss copies.
+               stops: tuple[float, float, float] = (math.inf,) * 3) -> LossGainSets:
+    """Delta sets at the requested refinement level, the capacity walks
+    stopping at ``stops`` (see ``refine_capacity``).
 
-    With a stop, ``refinement`` is applied to ``ref.head_sets`` first.
-    Its loss rows are the first rows of the full order, and maxconfig
-    keeps their order, so a walk that reaches its stop inside them is the
-    full walk: the same gain rows, and the first of the full loss rows.
-    If the walk does not reach the stop, and always without one, the
-    level is made from ``ref.base_sets``, built only then.
+    With a loss stop, ``refinement`` is applied to ``ref.head_sets``
+    first.  Its loss rows are the first rows of the full order, its gain
+    rows all of them, and maxconfig keeps their order, so a loss walk that
+    reaches its stop inside them is the full walk: each set holds the first
+    rows of what ``build_sets`` returns without stops.  If the loss walk
+    does not reach its stop, and always without one, the level is made
+    from ``ref.base_sets``, built only then.
     """
     def refined(sets: LossGainSets) -> LossGainSets:
         if refinement is Refinement.BASE:
             return sets
         if refinement is Refinement.MAXCONFIG:
             sets = refine_maxconfig(sets, ref)
-        return refine_capacity(sets, loss_stop)
+        return refine_capacity(sets, stops)
 
-    if loss_stop < math.inf:
+    if stops[0] < math.inf:
         sets = refined(ref.head_sets)
-        if int(sets.loss_rows["multiplicity"].sum()) >= loss_stop:
+        if int(sets.loss_rows["multiplicity"].sum()) >= stops[0]:
             return sets
     return refined(ref.base_sets)
 
@@ -1014,16 +1005,12 @@ def _values(rows: np.ndarray) -> list[int]:
     return [bits * (SCALE // width) for bits, width in columns]
 
 
-def _loss_prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
-    """prefix[i] = sum of the i smallest loss copies, i = 0..count."""
+def _prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
+    """prefix[i] = sum of the first i copies of a set, i = 0..count: the
+    i smallest losses or the i largest gains."""
     rows = rows[:count]  # every row carries at least one copy
     copies = chain.from_iterable(map(repeat, _values(rows), rows["multiplicity"].tolist()))
     return tuple(accumulate(islice(copies, count), initial=0))
-
-
-def _gain_prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
-    """prefix[i] = sum of the i largest gain values, i = 0..count."""
-    return tuple(accumulate(_values(rows[::-1][:count]), initial=0))
 
 
 def solve_limit(
@@ -1034,15 +1021,16 @@ def solve_limit(
 ) -> BoundResult:
     """Maximize gains minus forced losses over the admissible pairs.
 
-    Without ``sets``, the limit reads only the loss head and the loss walk
-    stops once it holds the copies the pairs read (see ``build_sets``).
+    Without ``sets``, the limit reads only the loss head and the capacity
+    walks stop once they hold the copies the pairs read (see
+    ``build_sets``).
     """
-    pairs, charged, (max_n, max_a, max_b) = _admissible(ref.n_positions)
+    pairs, charged, counts = _admissible(ref.n_positions)
     if sets is None:
-        sets = build_sets(ref, refinement, max_n)
-    losses = _loss_prefix(sets.loss_rows, max_n)
-    gains9 = _gain_prefix(sets.gain9_rows, max_a)
-    gains10 = _gain_prefix(sets.gain10_rows, max_b)
+        sets = build_sets(ref, refinement, counts)
+    losses, gains9, gains10 = map(
+        _prefix, (sets.loss_rows, sets.gain9_rows, sets.gain10_rows), counts)
+    max_n, max_a, max_b = counts
     if len(losses) <= max_n:
         raise LossSetExhaustedError(f"needed {max_n} loss copies, have {len(losses) - 1}")
     if len(gains9) <= max_a or len(gains10) <= max_b:

@@ -449,19 +449,16 @@ def toy_oracle(
     """
     if not 1 <= n_positions <= AC_POSITIONS:
         raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
-    if exponents is None:
-        exponents = (0,) * n_positions
-    exponents = tuple(int(c) for c in exponents)
-    if len(exponents) != n_positions:
+    ref = reference_config(component, (0,) * n_positions if exponents is None else exponents)
+    if ref.n_positions != n_positions:
         raise ParameterError("exponent vector length must match n_positions")
-    ref = reference_config(component, exponents)
 
     budget = (n_positions + 1) << 14
     table = table_for(component)
     width = n_positions * int(table.lengths[:n_positions].max()) + 1  # totals 0..width-1
     # after_nonzero[j] is the energy array of state (j, 0); (0, 0) is the empty prefix
     after_nonzero = [np.where(np.arange(width) == 0, 0, budget)]
-    for k, c in enumerate(exponents):
+    for k, c in enumerate(ref.exponents):
         energy = np.full(width, budget, dtype=np.int64)
         for s in range(1, 11):
             cost = 1 << (2 * (s - 1 + c))

@@ -130,17 +130,19 @@ def _copy_prefix(entries, count, largest):
     return tuple(accumulate(copies[:count], initial=0))
 
 
-def by_value(rows: np.ndarray) -> np.ndarray:
+def by_value(rows: np.ndarray, descending: bool = False) -> np.ndarray:
     """``rows`` sorted by the engine's key: value, kind, position, run
-    and size."""
+    and size.  Integer indices copy whole rows, padding bytes too."""
     low = bound_engine._low_key(rows["kind"], rows["position"], rows["run"], rows["size"])
-    return rows[np.argsort(bound_engine._sort_key(rows["bits"], rows["width"], low))]
+    order = np.argsort(bound_engine._sort_key(rows["bits"], rows["width"], low))
+    return rows[order[::-1] if descending else order]
 
 
 def gain_rows(ref, step: int) -> np.ndarray:
-    """``ref``'s base gain rows for promotions by ``step`` sizes, built
-    over every (p, r) pair: each promotion whose code lies outside the
-    escape region or that the replacement test does not dominate."""
+    """``ref``'s base gain rows for promotions by ``step`` sizes, largest
+    first, built over every (p, r) pair: each promotion whose code lies
+    outside the escape region or that the replacement test does not
+    dominate."""
     p, r = np.tril_indices(ref.n_positions)
     p += 1  # r zeros ahead of position p, 0 <= r < p
     sbar = ref.sbar_array[p - 1]
@@ -148,4 +150,4 @@ def gain_rows(ref, step: int) -> np.ndarray:
     i = np.flatnonzero(~(bound_engine._escape_grid(ref.component)[r, size]
                          & ref.dominance[p, r, size]))
     promotions = bound_engine._promotions(table_for(ref.component), p[i], r[i], sbar[i], step)
-    return by_value(bound_engine._rows([promotions]))
+    return by_value(bound_engine._rows([promotions]), descending=True)

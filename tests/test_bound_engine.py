@@ -106,6 +106,18 @@ class TestReferenceLength:
         with pytest.raises(ParameterError):
             reference_config(ComponentKind.LUMINANCE, ())
 
+    @pytest.mark.parametrize("exponents", [
+        [1, 1.9, 0], [1, 2.0, 0], [1, "3", 0], [1.9, 2.5, 0.2], ["3", "2"],
+    ])
+    def test_rejects_non_integer_exponents(self, exponents):
+        with pytest.raises(ParameterError):
+            reference_config(ComponentKind.LUMINANCE, exponents)
+
+    def test_accepts_numpy_integer_exponents(self):
+        ref = reference_config(ComponentKind.LUMINANCE, np.array([1, 2, 0], dtype=np.int8))
+        assert ref == reference_config(ComponentKind.LUMINANCE, [1, 2, 0])
+        assert all(type(c) is int for c in ref.exponents)
+
     def test_state_is_freed_with_the_reference(self):
         ref = reference_config(ComponentKind.LUMINANCE, [k // 10 for k in range(63)])
         for refinement in Refinement:
@@ -263,7 +275,8 @@ class TestUpperLimit:
     ])
     def test_limit_runs_the_public_stages(self, monkeypatch, refinement, maxconfig, capacity):
         # a cold limit enumerates the head once, then runs only the pruning
-        # stages its level names, the capacity walk stopping at 54 copies
+        # stages its level names, the capacity walks stopping at 54 loss
+        # copies, 15 size-9 gains and 3 size-10 gains
         calls = {"enumerate_deltas": [], "refine_maxconfig": [], "refine_capacity": []}
         for name, seen in calls.items():
             def counting(*args, stage=getattr(bound_engine, name), seen=seen):
@@ -277,7 +290,7 @@ class TestUpperLimit:
         upper_limit(ComponentKind.LUMINANCE, q, refinement)
         assert calls["enumerate_deltas"] == [(bound_engine._LOSS_HEAD,)]
         assert len(calls["refine_maxconfig"]) == maxconfig
-        assert calls["refine_capacity"] == [(54,)] * capacity
+        assert calls["refine_capacity"] == [((54, 15, 3),)] * capacity
 
     def test_component_mismatch(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
@@ -449,6 +462,16 @@ def seen_dedup_gains(entries):
     return tuple(out)
 
 
+def first_copies(entries, stop):
+    """The shortest start of ``entries`` holding ``stop`` copies, or all."""
+    held = 0
+    for k, e in enumerate(entries):
+        if held >= stop:
+            return entries[:k]
+        held += e.multiplicity
+    return entries
+
+
 def oracle_references(rng):
     """The 14 paper cells, seeded random 63-vectors and short instances."""
     refs = [
@@ -509,19 +532,25 @@ class TestCapacityBitmask:
             ref = reference_config(component, rng.integers(0, 7, size=63))
             base = build_sets(ref, Refinement.BASE)
             for sets in (base, refine_maxconfig(base, ref)):
-                capped = refine_capacity(sets)
-                assert capped.losses == set_dedup_losses(sets.losses, ref.n_positions)
-                assert capped.gains9 == seen_dedup_gains(sets.gains9)
-                assert capped.gains10 == seen_dedup_gains(sets.gains10)
+                assert_capped_like_the_set_rules(ref, sets)
 
     def test_matches_on_short_instances(self, rng):
         for n in range(1, 21):
             ref = reference_config(ComponentKind.LUMINANCE, rng.integers(0, 7, size=n))
-            base = build_sets(ref, Refinement.BASE)
-            capped = refine_capacity(base)
-            assert capped.losses == set_dedup_losses(base.losses, n)
-            assert capped.gains9 == seen_dedup_gains(base.gains9)
-            assert capped.gains10 == seen_dedup_gains(base.gains10)
+            assert_capped_like_the_set_rules(ref, build_sets(ref, Refinement.BASE))
+
+
+def assert_capped_like_the_set_rules(ref, sets):
+    """``refine_capacity`` of ``sets`` against the set-based rules, whole
+    and with walks stopped at a limit's counts or at small ones."""
+    whole = (set_dedup_losses(sets.losses, ref.n_positions),
+             seen_dedup_gains(sets.gains9), seen_dedup_gains(sets.gains10))
+    capped = refine_capacity(sets)
+    assert (capped.losses, capped.gains9, capped.gains10) == whole
+    for stops in (limit_stops(ref), (1, 1, 1), (7, 0, 2)):
+        capped = refine_capacity(sets, stops)
+        expected = tuple(map(first_copies, whole, stops))
+        assert (capped.losses, capped.gains9, capped.gains10) == expected, stops
 
 
 EXPONENT_VECTORS = st.lists(st.integers(0, 6), min_size=1, max_size=63)
@@ -545,25 +574,26 @@ def limit_stops(ref):
     )
 
 
-def assert_limit_reads_a_prefix(ref):
-    """At every level, a limit's sets are a prefix of ``build_sets``: the
-    same gain rows and the first of its loss rows, byte for byte."""
-    loss_stop = limit_stops(ref)[0]
+def assert_limit_reads_a_prefix(ref, stops=None):
+    """At every level, each set ``build_sets`` returns with the stops a
+    limit reads, or with ``stops``, is the first rows of that set without
+    stops, byte for byte, and holds its stop's copies or every row."""
+    stops = limit_stops(ref) if stops is None else stops
     for refinement in Refinement:
         full = build_sets(ref, refinement)
-        stopped = build_sets(ref, refinement, loss_stop)
+        stopped = build_sets(ref, refinement, stops)
         assert stopped.refinement is full.refinement
-        for rows in ("gain9_rows", "gain10_rows"):
-            assert getattr(stopped, rows).tobytes() == getattr(full, rows).tobytes(), refinement
-        loss = stopped.loss_rows.tobytes()
-        assert full.loss_rows.tobytes()[:len(loss)] == loss, (ref.exponents, refinement)
-        copies = int(stopped.loss_rows["multiplicity"].sum())
-        assert copies >= loss_stop or len(stopped.loss_rows) == len(full.loss_rows)
+        for name, stop in zip(("loss_rows", "gain9_rows", "gain10_rows"), stops):
+            rows, whole = getattr(stopped, name), getattr(full, name)
+            case = (ref.exponents, refinement, name)
+            assert whole.tobytes()[:rows.nbytes] == rows.tobytes(), case
+            assert int(rows["multiplicity"].sum()) >= stop or len(rows) == len(whole), case
 
 
 def scalar_enumeration(ref):
     """The base sets, one operation instance at a time from the code-length
-    table and prefix sums of the reference costs, sorted as exact tuples."""
+    table and prefix sums of the reference costs, sorted as exact tuples:
+    losses ascending, gains descending."""
     table = table_for(ref.component)
     dominance = ref.dominance
     n, sbar, scale = ref.n_positions, ref.sbar, bound_engine.SCALE
@@ -603,11 +633,11 @@ def scalar_enumeration(ref):
         for p in range(1, n)
     ]
 
-    def entries(rows):
-        rows.sort(key=lambda row: (row[0], row[1].value) + row[2:])
+    def entries(rows, descending=False):
+        rows.sort(key=lambda row: (row[0], row[1].value) + row[2:], reverse=descending)
         return tuple(DeltaEntry(kind, p, r, s, value, m) for value, kind, p, r, s, m in rows)
 
-    return entries(losses), entries(gains9), entries(gains10)
+    return entries(losses), entries(gains9, True), entries(gains10, True)
 
 
 class TestValueKey:
@@ -658,12 +688,15 @@ class TestValueKey:
         ] == exact
 
     def test_sort_ignores_the_input_order(self, rng):
-        # a shuffled set sorts back to the same bytes: the key is unique
+        # a shuffled set sorts back to the same bytes, a gain set read
+        # largest first: the key is unique
         for ref in oracle_references(rng)[::4]:
             sets = enumerate_deltas(ref)
-            for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
+            for rows, descending in (
+                (sets.loss_rows, False), (sets.gain9_rows, True), (sets.gain10_rows, True),
+            ):
                 for order in (rng.permutation(len(rows)), np.arange(len(rows))[::-1]):
-                    assert by_value(rows[order]).tobytes() == rows.tobytes()
+                    assert by_value(rows[order], descending).tobytes() == rows.tobytes()
 
 
 class TestColumnarSets:
@@ -686,6 +719,16 @@ class TestColumnarSets:
         ]
         for ref in refs:
             assert_limit_reads_a_prefix(ref)
+
+    def test_gain_stops_past_a_short_set_read_the_whole_set(self, rng):
+        # every gain set of n positions holds at most n(n + 1)/2 rows, so
+        # stops of 63**2 gains walk each set to its end
+        for n in range(1, 21):
+            for component in ComponentKind:
+                ref = reference_config(component, rng.integers(0, 7, size=n))
+                assert len(ref.base_sets.gain9_rows) < AC_POSITIONS ** 2
+                assert_limit_reads_a_prefix(
+                    ref, (limit_stops(ref)[0], AC_POSITIONS ** 2, AC_POSITIONS ** 2))
 
     def test_limit_prefixes_equal_the_full_sets(self, rng):
         # the sums a limit maximized, against the entries of build_sets:
@@ -712,16 +755,18 @@ class TestColumnarSets:
     def test_entries_follow_the_exact_value_order(self, exponents, component):
         # the integer sort key must agree with exact (value, kind, p, r, s) order
         ref = reference_config(component, exponents)
+        # losses ascending, gains descending
         for refinement in Refinement:
             sets = build_sets(ref, refinement)
-            for rows, entries in (
-                (sets.loss_rows, sets.losses),
-                (sets.gain9_rows, sets.gains9),
-                (sets.gain10_rows, sets.gains10),
+            for rows, entries, descending in (
+                (sets.loss_rows, sets.losses, False),
+                (sets.gain9_rows, sets.gains9, True),
+                (sets.gain10_rows, sets.gains10, True),
             ):
                 exact = sorted(
-                    (Fraction(bits, width), kind, p, r, s, m)
-                    for kind, p, r, s, _, width, bits, m in rows.tolist()
+                    ((Fraction(bits, width), kind, p, r, s, m)
+                     for kind, p, r, s, _, width, bits, m in rows.tolist()),
+                    reverse=descending,
                 )
                 assert [
                     (Fraction(e.value, SCALE), KIND_ORDER.index(e.op_kind), e.position,

@@ -418,6 +418,15 @@ class TestToyOracle:
         with pytest.raises(ParameterError):
             toy_oracle(2, ComponentKind.LUMINANCE, (0, 1, 0))
 
+    @pytest.mark.parametrize("exponents", [[1, 1.9, 0], [1, 2.0, 0], [1, "3", 0], [1.9, 2.5, 0.2]])
+    def test_refuses_non_integer_exponents(self, exponents):
+        with pytest.raises(ParameterError):
+            toy_oracle(3, ComponentKind.LUMINANCE, exponents)
+
+    def test_accepts_numpy_integer_exponents(self, component):
+        exponents = np.array([1, 2, 0], dtype=np.int8)
+        assert toy_oracle(3, component, exponents) == toy_oracle(3, component, [1, 2, 0])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, component, n):
         rng = np.random.default_rng(n)
