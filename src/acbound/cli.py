@@ -8,6 +8,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .bound_engine import (
 from .entropy_model import (
     ComponentKind, ParameterError, crude_bound, sequence_length, symbolize, table_for,
 )
-from .quantization import pow2_table, scaled_annex_k
+from .quantization import QuantTable, pow2_table, scaled_annex_k
 from .transform import level_shift
 from .verification import (
     SearchConfig,
@@ -41,6 +42,7 @@ _COMPONENTS = {
     "chrominance": (ComponentKind.CHROMINANCE,),
     "both": (ComponentKind.LUMINANCE, ComponentKind.CHROMINANCE),
 }
+_SINGLE_COMPONENTS = [k for k in _COMPONENTS if k != "both"]
 
 # the levels each --refinement choice runs; the reported result is the tightest
 _REFINEMENTS = {
@@ -80,16 +82,25 @@ def _parse_sf(text: str) -> Fraction:
         raise ParameterError(f"cannot parse scale factor {text!r}: {exc}") from None
 
 
-def _emit(lines: list[str], manifest: dict) -> None:
-    for line in lines:
-        print(line)
-    print(f"# manifest: {json.dumps(manifest, sort_keys=True)}")
+def _single_table(args) -> tuple[Fraction, ComponentKind, QuantTable]:
+    sf = _parse_sf(args.sf)
+    component = _COMPONENTS[args.component][0]
+    return sf, component, scaled_annex_k(component, sf)
+
+
+class _Report(NamedTuple):
+    """What a command found; ``main`` prints it and maps ``ok`` to the exit status."""
+
+    manifest: dict
+    payload: dict      # the --json body beside the manifest
+    lines: list[str]   # the text or CSV body above the manifest line
+    ok: bool = True
 
 
 # -- limits ------------------------------------------------------------------
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> _Report:
     sf_texts = args.sf or list(PUBLISHED_SF_SET)
     components = _COMPONENTS[args.component]
     # every table before any limit, so a bad sf is reported before any work
@@ -98,50 +109,26 @@ def cmd_limits(args) -> int:
         "sf": sf_texts, "component": args.component, "refinement": args.refinement,
     })
 
-    rows = []
-    for text, qs in zip(sf_texts, tables):
-        row = {"sf": text}
-        for comp, q in zip(components, qs):
-            row[comp.value] = min(
-                (upper_limit(comp, q, r) for r in _REFINEMENTS[args.refinement]),
-                key=lambda res: res.limit,
-            )
-        rows.append(row)
-
-    if args.json:
-        payload = {
-            "manifest": manifest,
-            "crude_bound": crude_bound(),
-            "limits": [
-                {
-                    "sf": row["sf"],
-                    **{
-                        comp.value: row[comp.value].to_json_dict()
-                        for comp in components
-                    },
-                }
-                for row in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
+    levels = _REFINEMENTS[args.refinement]
+    rows = [
+        (text, [min((upper_limit(comp, q, r) for r in levels), key=lambda res: res.limit)
+                for comp, q in zip(components, qs)])
+        for text, qs in zip(sf_texts, tables)
+    ]
+    payload = {"crude_bound": crude_bound(), "limits": [
+        {"sf": text, **{c.value: res.to_json_dict() for c, res in zip(components, results)}}
+        for text, results in rows
+    ]}
     names = [comp.value for comp in components]
     if args.csv:
         lines = ["sf," + ",".join(names)]
-        for row in rows:
-            cells = ",".join(str(row[comp.value].limit) for comp in components)
-            lines.append(f"{row['sf']},{cells}")
-        _emit(lines, manifest)
-        return 0
-
-    header = f"{'scale factor':>12s}" + "".join(f"{n:>14s}" for n in names)
-    lines = [header]
-    for row in rows:
-        cells = "".join(f"{row[comp.value].limit:>14d}" for comp in components)
-        lines.append(f"{row['sf']:>12s}" + cells)
-    _emit(lines, manifest)
-    return 0
+        lines += [f"{text}," + ",".join(str(res.limit) for res in results)
+                  for text, results in rows]
+    else:
+        lines = [f"{'scale factor':>12s}" + "".join(f"{n:>14s}" for n in names)]
+        lines += [f"{text:>12s}" + "".join(f"{res.limit:>14d}" for res in results)
+                  for text, results in rows]
+    return _Report(manifest, payload, lines)
 
 
 # -- encode ------------------------------------------------------------------
@@ -174,19 +161,13 @@ def _read_block_file(path: str) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def cmd_encode(args) -> int:
-    sf = _parse_sf(args.sf)
-    component = _COMPONENTS[args.component][0]
-    q = scaled_annex_k(component, sf)  # before the file: a bad sf is reported first
+def cmd_encode(args) -> _Report:
+    sf, component, q = _single_table(args)  # before the file: a bad sf is reported first
     raw = _read_block_file(args.block_file)
     report = encode_block(level_shift(raw), q, component)
     manifest = _manifest("encode", {
         "block_file": args.block_file, "sf": args.sf, "component": args.component,
     })
-    if args.json:
-        print(json.dumps({"manifest": manifest, "report": report.to_json_dict()},
-                         indent=2, sort_keys=True))
-        return 0
     lines = [
         f"component:      {component.value}",
         f"scale factor:   {sf}",
@@ -196,8 +177,7 @@ def cmd_encode(args) -> int:
         f"eob present:    {report.symbols.has_eob}",
         "symbols:        " + " ".join(f"({r},{s})" for r, s in report.symbols.symbols),
     ]
-    _emit(lines, manifest)
-    return 0
+    return _Report(manifest, {"report": report.to_json_dict()}, lines)
 
 
 # -- verify ------------------------------------------------------------------
@@ -208,9 +188,7 @@ def _check(checks: list[dict], name: str, ok: bool, detail: str = "") -> None:
 
 
 def _verify_deltas(args, checks: list[dict]) -> None:
-    sf = _parse_sf(args.sf)
-    component = _COMPONENTS[args.component][0]
-    q = scaled_annex_k(component, sf)
+    sf, component, q = _single_table(args)
     ref = reference_length(component, pow2_table(q))
     # the checks read the exact prefix sums the limit maximized over
     result = solve_limit(ref, Refinement.BASE, sf=sf)
@@ -260,29 +238,20 @@ def _verify_fuzz(args, checks: list[dict]) -> None:
             _check(checks, f"fuzz {component.value} sf={text}", ok, detail)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> _Report:
     parameters = {k: v for k, v in vars(args).items()
                   if k not in ("cmd", "func", "run_suite", "json", "seed")}
     manifest = _manifest("verify", parameters, seed=getattr(args, "seed", None))
     checks: list[dict] = []
     args.run_suite(args, checks)
     ok = all(check["ok"] for check in checks)
-    if args.json:
-        print(json.dumps({"manifest": manifest, "ok": ok, "checks": checks},
-                         indent=2, sort_keys=True))
-    else:
-        lines = []
-        for check in checks:
-            suffix = f" ({check['detail']})" if check["detail"] else ""
-            lines.append(f"{'PASS' if check['ok'] else 'FAIL'} {check['name']}{suffix}")
-        _emit(lines, manifest)
-    return 0 if ok else 1
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}"
+             + (f" ({c['detail']})" if c["detail"] else "") for c in checks]
+    return _Report(manifest, {"ok": ok, "checks": checks}, lines, ok)
 
 
-def cmd_search(args) -> int:
-    sf = _parse_sf(args.sf)
-    component = _COMPONENTS[args.component][0]
-    q = scaled_annex_k(component, sf)
+def cmd_search(args) -> _Report:
+    sf, component, q = _single_table(args)
     cfg = SearchConfig(
         component, sf, iterations=args.iterations, restarts=args.restarts,
         seed=args.seed, mutation=args.mutation,
@@ -293,10 +262,6 @@ def cmd_search(args) -> int:
         "iterations": args.iterations, "restarts": args.restarts,
         "mutation": args.mutation,
     }, seed=cfg.seed)
-    if args.json:
-        print(json.dumps({"manifest": manifest, "report": report.to_json_dict()},
-                         indent=2, sort_keys=True))
-        return 0
     gap = (report.limit - report.ac_bits) / report.ac_bits
     lines = [
         f"best ac bits:   {report.ac_bits}",
@@ -305,8 +270,14 @@ def cmd_search(args) -> int:
         "block:",
     ]
     lines.extend("  " + " ".join(f"{v + 128:3d}" for v in row) for row in report.block)
-    _emit(lines, manifest)
-    return 0
+    return _Report(manifest, {"report": report.to_json_dict()}, lines)
+
+
+def _output_group(parser: argparse.ArgumentParser):
+    # every command takes --json; limits adds --csv to the same exclusive group
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,17 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="use the published scale-factor set")
     p.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     p.add_argument("--refinement", choices=list(_REFINEMENTS), default="best")
-    output = p.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true")
-    output.add_argument("--csv", action="store_true")
+    _output_group(p).add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("encode", help="encode one 8x8 block from a text file")
     p.add_argument("block_file", help="8 lines of 8 raw samples in 0..255")
     p.add_argument("--sf", required=True)
-    p.add_argument("--component", choices=[k for k in _COMPONENTS if k != "both"],
-                   default="lum")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--component", choices=_SINGLE_COMPONENTS, default="lum")
+    _output_group(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -343,16 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("deltas", help="check the enumeration against known values")
     v.add_argument("--sf", default="1")
-    v.add_argument("--component", choices=[k for k in _COMPONENTS if k != "both"],
-                   default="chroma")
-    v.add_argument("--json", action="store_true")
+    v.add_argument("--component", choices=_SINGLE_COMPONENTS, default="chroma")
+    _output_group(v)
     v.set_defaults(func=cmd_verify, run_suite=_verify_deltas)
 
     v = vsub.add_parser("toy", help="exact relaxed maximum against the engine limit")
     v.add_argument("--n", type=int, default=4, help="number of AC positions, 1..63")
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
     v.add_argument("--exponents", help="comma-separated exponent vector")
-    v.add_argument("--json", action="store_true")
+    _output_group(v)
     v.set_defaults(func=cmd_verify, run_suite=_verify_toy)
 
     v = vsub.add_parser("fuzz", help="random blocks must stay under the limit")
@@ -360,34 +327,43 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--sf", help="single scale factor; defaults to the published set")
     v.add_argument("--component", choices=sorted(_COMPONENTS), default="both")
-    v.add_argument("--json", action="store_true")
+    _output_group(v)
     v.set_defaults(func=cmd_verify, run_suite=_verify_fuzz)
 
     p = sub.add_parser("search", help="hill-climb for long-coded blocks")
     p.add_argument("--sf", required=True)
-    p.add_argument("--component", choices=[k for k in _COMPONENTS if k != "both"],
-                   default="lum")
+    p.add_argument("--component", choices=_SINGLE_COMPONENTS, default="lum")
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--mutation", choices=["single_pixel", "pixel_pair"],
                    default="pixel_pair")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    _output_group(p)
     p.set_defaults(func=cmd_search)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; exit 0 when every check held, 1 when one failed,
-    2 on bad input (``ParameterError``).  Any other exception is a fault
-    of the program and propagates."""
+    """Run one command and print its report, after all of its work is done.
+
+    Exit 0 when every check held, 1 when one failed, 2 on bad input
+    (``ParameterError``), with nothing on stdout.  Any other exception is
+    a fault of the program and propagates."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        body = {"manifest": report.manifest, **report.payload}
+        print(json.dumps(body, indent=2, sort_keys=True))
+    else:
+        for line in report.lines:
+            print(line)
+        print(f"# manifest: {json.dumps(report.manifest, sort_keys=True)}")
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -4,14 +4,17 @@ Three harnesses bracket the (unknown) true maxima: a full single-block
 encoding pipeline and a random-restart hill climb over pixel blocks from
 below, and from above an exact oracle for the energy relaxation the
 engine bounds, at any number of positions up to 63.  Blocks are costed
-by :func:`_ac_sizes` (also used by ``encode_block``), whose size of a
-truncated quotient is the binary exponent of the quotient itself, floored
-at 0, then densely by :func:`ac_bits_from_sizes`: an int8 running maximum
-along each row gives every cell's zero run, one more column per row holds
-the EOB as a twelfth code, and one flat lookup in an int16 (run, code)
-table gives the bits.  There is one costing kernel; the stage functions
-of ``transform``, ``quantization`` and ``entropy_model`` stay the
-independent reference the tests check it against.
+by :func:`_ac_sizes`, whose size of a truncated quotient is the binary
+exponent of the quotient itself, floored at 0, then densely by
+:func:`ac_bits_from_sizes`: an int8 running maximum along each row gives
+every cell's zero run, one more column per row holds the EOB as a
+twelfth code, and one flat lookup in an int16 (run, code) table gives
+the bits.  The fuzz and the search cost their batches with this kernel
+alone; ``encode_block`` takes its sizes from ``_ac_sizes`` but counts
+its bits through ``symbolize`` and ``sequence_length``, so they are the
+bits of the symbols it reports.  The stage functions of
+``transform``, ``quantization`` and ``entropy_model`` stay the
+independent reference the tests check the kernel against.
 
 The hill climb is speculative: each restart draws all its moves in one
 call before it climbs, then scores the next ``CLIMB_WINDOW`` candidates,
@@ -81,7 +84,7 @@ class EncodeReport:
     ac_bits: int
     limit: int
     slack: int
-    block: np.ndarray | None = None
+    block: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,7 +96,7 @@ class EncodeReport:
             "ac_bits": self.ac_bits,
             "limit": self.limit,
             "slack": self.slack,
-            "block": None if self.block is None else [[int(v) for v in row] for row in self.block],
+            "block": [[int(v) for v in row] for row in self.block],
         }
 
 

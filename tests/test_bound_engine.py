@@ -794,6 +794,21 @@ class TestColumnarSets:
             else:
                 assert solve_limit(ref, refinement) == solve_limit(ref, sets=sets)
 
+    @pytest.mark.parametrize("field, stop", [("gain9_rows", 15), ("gain10_rows", 3)])
+    def test_gain_exhaustion_on_cut_sets(self, field, stop):
+        # the sets the engine builds always hold the gains a limit reads, so
+        # only sets a caller cuts short reach this branch
+        ref, sets = chroma_sf1_sets()
+        assert ref.n_positions == 63 and limit_stops(ref) == (54, 15, 3)
+        rows = getattr(sets, field)
+        assert (rows["multiplicity"][:stop] == 1).all()  # one copy per row
+        with pytest.raises(LossSetExhaustedError,
+                           match="^gain sets too small for the admissible pairs$"):
+            solve_limit(ref, sets=dataclasses.replace(sets, **{field: rows[:stop - 1]}))
+        assert solve_limit(ref, sets=dataclasses.replace(sets, **{field: rows[:stop]})) == (
+            solve_limit(ref)
+        )
+
     @pytest.mark.parametrize("exponents", [[0] * 63, [6] * 63, [k // 10 for k in range(63)]])
     def test_limit_path_builds_no_entry(self, monkeypatch, exponents):
         built = []

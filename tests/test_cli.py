@@ -144,8 +144,9 @@ class TestLimits:
     ["encode", "--sf", "2", "missing.txt"],
 ])
 def test_bad_input_exits_2(capsys, argv):
-    code, _, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
     assert err.count("error:") == 1
     assert "Traceback" not in err
 
@@ -292,6 +293,19 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "deltas"])
         assert code == 1
         assert out.splitlines()[0] == "FAIL reference length (len=350)"
+
+    def test_toy_json_pinned(self, capsys, monkeypatch):
+        # a luminance exponent vector of 63 positions, as the CI step runs it
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        exponents = ("3,3,3,3,3,4,3,3,3,4,4,4,4,4,5,4,4,4,4,4,5,5,5,4,5,5,5,5,5,5,5,5,"
+                     "5,6,6,6,6,6,6,6,6,5,5,6,6,6,6,6,6,6,6,6,5,6,6,6,6,6,6,6,6,6,6")
+        code, out, _ = run(capsys, [
+            "verify", "toy", "--n", "63", "--component", "lum", "--exponents", exponents, "--json",
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "12b15b5b698849d1f938d8eb7b76328d55fdba344ff087010e69128cbf15d8f7"
+        )
 
     def test_toy_suite(self, capsys):
         code, out, _ = run(capsys, ["verify", "toy", "--n", "2"])
