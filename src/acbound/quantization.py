@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .entropy_model import AC_POSITIONS, ComponentKind, ParameterError
 from .transform import RASTER_OF_ZIGZAG
@@ -126,26 +125,3 @@ def quantize(value, q: int):
         return sign * int(abs(value) // q)
     return math.trunc(value / q)
 
-
-def load_quant_table(path, component: ComponentKind) -> QuantTable:
-    """Read a table file: an ``order: raster`` or ``order: zigzag``
-    header line, then 64 integers, the DC factor first."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParameterError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].strip().startswith("order:"):
-        raise ParameterError("missing 'order: raster|zigzag' header line")
-    order = lines[0].split(":", 1)[1].strip()
-    if order not in ("raster", "zigzag"):
-        raise ParameterError(f"unknown order {order!r}")
-    try:
-        values = [int(tok) for ln in lines[1:] for tok in ln.split()]
-    except ValueError as exc:
-        raise ParameterError(f"non-integer entry in quantization table: {exc}") from exc
-    if len(values) != 64:
-        raise ParameterError(f"expected 64 entries, got {len(values)}")
-    if order == "raster":
-        values = [values[i] for i in RASTER_OF_ZIGZAG]
-    return QuantTable(component, tuple(values[1:]), q00=values[0])

@@ -6,7 +6,7 @@ below, and from above an exact oracle for the energy relaxation the
 engine bounds, at any number of positions up to 63.  Blocks are costed
 by :func:`_ac_sizes`, whose size of a truncated quotient is the binary
 exponent of the quotient itself, floored at 0, then densely by
-:func:`ac_bits_from_sizes`: an int8 running maximum along each row gives
+:func:`_ac_bits`: an int8 running maximum along each row gives
 every cell's zero run, one more column per row holds the EOB as a
 twelfth code, and one flat lookup in an int16 (run, code) table gives
 the bits.  The fuzz and the search cost their batches with this kernel
@@ -194,20 +194,6 @@ def _columns(width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ac_bits(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
-    """:func:`ac_bits_from_sizes` without its checks."""
-    n, width = sizes.shape
-    numbers, offsets = _columns(width)
-    index = np.empty((n, width + 1), dtype=np.int16)
-    index[:, :width] = sizes
-    index[:, width] = _EOB_CODE
-    after = np.zeros((n, width + 1), dtype=np.int8)  # column 0: no nonzero yet
-    np.maximum.accumulate((sizes > 0) * numbers, axis=1, out=after[:, 1:])
-    index += offsets
-    index -= np.multiply(after, _EOB_CODE + 1, dtype=np.int16)  # int16: after * 12 wraps int8 from 11
-    return _code_lengths(component).take(index).sum(axis=1, dtype=np.int64)
-
-
-def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
     """Coded AC bits of many size vectors, shape (N, width) for width 1..63,
     as int64.
 
@@ -220,15 +206,18 @@ def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarra
     ``12 * (k - after) + code`` is built in place in the int16 code matrix;
     one lookup and one row sum give the bits.
 
-    Sizes outside 0..MAX_SIZE raise ``ParameterError``: their flat index
-    would read another cell.  So does any shape but (N, 1..63): the runs of
-    a 64th column are not in the table."""
-    sizes = np.asarray(sizes)
-    if sizes.ndim != 2 or not 1 <= sizes.shape[1] <= AC_POSITIONS:
-        raise ParameterError(f"sizes must have shape (N, 1..{AC_POSITIONS}), not {sizes.shape}")
-    if sizes.size and (sizes.min() < 0 or sizes.max() > MAX_SIZE):
-        raise ParameterError(f"sizes outside 0..{MAX_SIZE}")
-    return _ac_bits(sizes, component)
+    Nothing is checked: a size outside 0..MAX_SIZE, or a 64th column, would
+    read another cell, so callers pass sizes they have bounded."""
+    n, width = sizes.shape
+    numbers, offsets = _columns(width)
+    index = np.empty((n, width + 1), dtype=np.int16)
+    index[:, :width] = sizes
+    index[:, width] = _EOB_CODE
+    after = np.zeros((n, width + 1), dtype=np.int8)  # column 0: no nonzero yet
+    np.maximum.accumulate((sizes > 0) * numbers, axis=1, out=after[:, 1:])
+    index += offsets
+    index -= np.multiply(after, _EOB_CODE + 1, dtype=np.int16)  # int16: after * 12 wraps int8 from 11
+    return _code_lengths(component).take(index).sum(axis=1, dtype=np.int64)
 
 
 def ac_bits_batch(blocks: np.ndarray, q: QuantTable) -> np.ndarray:

@@ -5,7 +5,8 @@ derivation assumes, invert the DCT, the zigzag scan and symbolization, draw
 random reduced configurations for the decomposition identity, sum the
 copies of delta entries, and build one reference's gain sets directly
 over every (position, run) pair, which the engine's cached gain terms
-must reproduce.
+must reproduce.  ``ac_bits_from_sizes`` is the costing kernel behind a
+check of its inputs, for the tests that cost size vectors directly.
 """
 
 import heapq
@@ -16,8 +17,11 @@ import numpy as np
 
 from acbound import bound_engine
 from acbound.bound_engine import REFERENCE_SIZE
-from acbound.entropy_model import AC_POSITIONS, ParameterError, SymbolSequence, table_for
+from acbound.entropy_model import (
+    AC_POSITIONS, MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, table_for,
+)
 from acbound.transform import BLOCK_SIZE, DCT_MATRIX, PIXEL_MIN, ZIGZAG_OF_RASTER
+from acbound.verification import _ac_bits
 
 AC_ENERGY_BUDGET = float(2**20)
 
@@ -72,6 +76,21 @@ def desymbolize(seq: SymbolSequence, total: int = AC_POSITIONS) -> list[int]:
         raise ParameterError("symbol sequence does not fit the block")
     sizes.extend([0] * (total - len(sizes)))
     return sizes
+
+
+def ac_bits_from_sizes(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
+    """Coded AC bits of many size vectors, shape (N, width) for width 1..63,
+    as int64: the package's kernel ``_ac_bits``, behind checks.
+
+    Sizes outside 0..MAX_SIZE raise ``ParameterError``: their flat index
+    would read another cell.  So does any shape but (N, 1..63): the runs of
+    a 64th column are not in the table."""
+    sizes = np.asarray(sizes)
+    if sizes.ndim != 2 or not 1 <= sizes.shape[1] <= AC_POSITIONS:
+        raise ParameterError(f"sizes must have shape (N, 1..{AC_POSITIONS}), not {sizes.shape}")
+    if sizes.size and (sizes.min() < 0 or sizes.max() > MAX_SIZE):
+        raise ParameterError(f"sizes outside 0..{MAX_SIZE}")
+    return _ac_bits(sizes, component)
 
 
 def random_reduced_sizes(rng: np.random.Generator, ref) -> list[int]:

@@ -42,8 +42,10 @@ from acbound.quantization import (
     pow2_table,
     scaled_annex_k,
 )
-from acbound.verification import ac_bits_from_sizes, toy_oracle
-from references import by_value, gain_rows, prefix_sums, random_reduced_sizes
+from acbound.verification import toy_oracle
+from references import (
+    ac_bits_from_sizes, by_value, gain_rows, prefix_sums, random_reduced_sizes,
+)
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
 KIND_ORDER = sorted(OpKind, key=lambda kind: kind.value)  # kind rank -> kind
@@ -105,6 +107,10 @@ class TestReferenceLength:
     def test_rejects_an_empty_vector(self):
         with pytest.raises(ParameterError):
             reference_config(ComponentKind.LUMINANCE, ())
+
+    def test_full_table_needs_63_exponents(self):
+        with pytest.raises(ParameterError, match="^expected 63 exponents, got 62$"):
+            reference_length(ComponentKind.LUMINANCE, (0,) * 62)
 
     @pytest.mark.parametrize("exponents", [
         [1, 1.9, 0], [1, 2.0, 0], [1, "3", 0], [1.9, 2.5, 0.2], ["3", "2"],
@@ -794,16 +800,20 @@ class TestColumnarSets:
             else:
                 assert solve_limit(ref, refinement) == solve_limit(ref, sets=sets)
 
-    @pytest.mark.parametrize("field, stop", [("gain9_rows", 15), ("gain10_rows", 3)])
+    @pytest.mark.parametrize("field, stop",
+                             [("gain9_rows", 15), ("gain10_rows", 3), ("loss_rows", 54)])
     def test_gain_exhaustion_on_cut_sets(self, field, stop):
-        # the sets the engine builds always hold the gains a limit reads, so
-        # only sets a caller cuts short reach this branch
+        # the sets the engine builds always hold the copies a limit reads, so
+        # only sets a caller cuts short reach either half of this check
         ref, sets = chroma_sf1_sets()
         assert ref.n_positions == 63 and limit_stops(ref) == (54, 15, 3)
         rows = getattr(sets, field)
         assert (rows["multiplicity"][:stop] == 1).all()  # one copy per row
-        with pytest.raises(LossSetExhaustedError,
-                           match="^gain sets too small for the admissible pairs$"):
+        if field == "loss_rows":
+            match = f"^needed {stop} loss copies, have {stop - 1}$"
+        else:
+            match = "^gain sets too small for the admissible pairs$"
+        with pytest.raises(LossSetExhaustedError, match=match):
             solve_limit(ref, sets=dataclasses.replace(sets, **{field: rows[:stop - 1]}))
         assert solve_limit(ref, sets=dataclasses.replace(sets, **{field: rows[:stop]})) == (
             solve_limit(ref)
@@ -1155,6 +1165,12 @@ class TestDecompose:
         with pytest.raises(ParameterError):
             decompose([10] * 63, ref)
 
+    @pytest.mark.parametrize("n", [62, 64])
+    def test_rejects_the_wrong_number_of_sizes(self, n):
+        ref, _ = chroma_sf1_sets()
+        with pytest.raises(ParameterError, match=f"^expected 63 sizes, got {n}$"):
+            decompose([8] * n, ref)
+
     def test_rejects_sizes_below_exponent(self):
         ref, _ = chroma_sf1_sets()
         target = [0] * 63
@@ -1269,8 +1285,6 @@ class TestDecompose:
 
 class TestSoundnessAgainstDirectEnumeration:
     def test_random_reduced_configurations_stay_under_limits(self, component, rng):
-        from acbound.verification import ac_bits_from_sizes
-
         per_setting = 17_000  # about 1e5 vectors over the six settings
         for sf in (Fraction(1, 64), Fraction(1, 6), Fraction(1)):
             q = scaled_annex_k(component, sf)

@@ -123,6 +123,13 @@ class TestLimits:
         assert err == "error: scale factor 2 outside [1/64, 1]\n"
 
 
+# block files the bad-input cases read, written to the working directory
+BAD_BLOCK_FILES = {
+    "seven_lines.txt": "0 0 0 0 0 0 0 0\n" * 7,
+    "short_line.txt": "0 0 0 0 0 0 0 0\n" * 3 + "0 0 0 0 0 0 0\n" + "0 0 0 0 0 0 0 0\n" * 4,
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "toy", "--n", "0"],
     ["verify", "toy", "--exponents", "7,7"],
@@ -142,8 +149,13 @@ class TestLimits:
     ["search", "--sf", "1", "--seed", "-1"],
     ["encode", "--sf", "1", str(Path(__file__).parent)],
     ["encode", "--sf", "2", "missing.txt"],
+    ["encode", "--sf", "1", "seven_lines.txt"],
+    ["encode", "--sf", "1", "short_line.txt"],
 ])
-def test_bad_input_exits_2(capsys, argv):
+def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_BLOCK_FILES.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

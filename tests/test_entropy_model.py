@@ -14,7 +14,7 @@ from acbound.entropy_model import (
     symbolize,
     table_for,
 )
-from references import desymbolize
+from references import ac_bits_from_sizes, desymbolize
 
 CHROMA = table_for(ComponentKind.CHROMINANCE)
 LUM = table_for(ComponentKind.LUMINANCE)
@@ -113,6 +113,14 @@ class TestSymbolize:
         with pytest.raises(ParameterError):
             symbolize([size] + [0] * 62)
 
+    @pytest.mark.parametrize("sizes, match", [
+        ([0] * 62, "^expected 63 sizes, got 62$"),
+        ([11] + [0] * 62, "^size 11 outside 0..10$"),
+    ], ids=["62-sizes", "size-11"])
+    def test_rejects_a_vector_outside_the_contract(self, sizes, match):
+        with pytest.raises(ParameterError, match=match):
+            symbolize(sizes)
+
     def test_numpy_integer_sizes(self):
         sizes = np.array([3, 0, 0, 7] + [0] * 59, dtype=np.uint8)
         seq = symbolize(sizes)
@@ -156,10 +164,6 @@ class TestSequenceLength:
 
 class TestBulkInvariants:
     def test_round_trip_and_additivity_at_volume(self):
-        import numpy as np
-
-        from acbound.verification import ac_bits_from_sizes
-
         rng = np.random.default_rng(9)
         # skew toward zeros so realistic run structures occur
         raw = rng.integers(0, 14, size=(10_000, AC_POSITIONS))

@@ -7,8 +7,8 @@ from acbound.bound_engine import reference_length, upper_limit
 from acbound.entropy_model import ComponentKind, ParameterError
 from acbound.quantization import (
     K1_LUMINANCE,
+    K2_CHROMINANCE,
     annex_k_table,
-    load_quant_table,
     pow2_table,
     quantize,
     scale_table,
@@ -43,6 +43,11 @@ class TestScaleTable:
         base = annex_k_table(ComponentKind.LUMINANCE)
         with pytest.raises(ParameterError):
             scale_table(base, Fraction(sf))
+
+    def test_rejects_base_entries_above_255(self):
+        base = QuantTable(ComponentKind.LUMINANCE, (256,) + (1,) * 62, q00=1)
+        with pytest.raises(ParameterError, match="^base table entries must lie in 1..255$"):
+            scale_table(base, 1)
 
     def test_records_sf(self):
         q = scaled_annex_k(ComponentKind.LUMINANCE, Fraction(1, 4))
@@ -98,6 +103,15 @@ class TestPow2Table:
                                         (("3",) * 63, 1)])
     def test_rejects_non_integer_factors(self, q, q00):
         with pytest.raises(ParameterError, match="must be integers"):
+            QuantTable(ComponentKind.LUMINANCE, q, q00=q00)
+
+    @pytest.mark.parametrize("q, q00, match", [
+        ((1,) * 62, 1, "^expected 63 AC factors, got 62$"),
+        ((0,) + (1,) * 62, 1, "^quantization factors must be >= 1$"),
+        ((1,) * 63, 0, "^quantization factors must be >= 1$"),
+    ], ids=["62-factors", "ac-factor-0", "dc-factor-0"])
+    def test_rejects_factor_counts_and_zeros(self, q, q00, match):
+        with pytest.raises(ParameterError, match=match):
             QuantTable(ComponentKind.LUMINANCE, q, q00=q00)
 
 
@@ -166,46 +180,15 @@ class TestReducedConstruction:
                 assert quantize(coeff, q.factor(k)) == quantize(scaled, 2 ** c[k - 1])
 
 
-def table_text(order, values):
-    """A table file: the order header, then the 64 integers 8 per line."""
-    rows = np.reshape(values, (8, 8)).tolist()
-    return "\n".join([f"order: {order}"] + [" ".join(map(str, row)) for row in rows]) + "\n"
+class TestAnnexK:
+    @pytest.mark.parametrize("component, raster", [
+        (ComponentKind.LUMINANCE, K1_LUMINANCE), (ComponentKind.CHROMINANCE, K2_CHROMINANCE),
+    ], ids=["lum", "chroma"])
+    def test_zigzag_layout_matches_source(self, component, raster):
+        q = annex_k_table(component)
+        assert zigzag_unscan([q.q00, *q.q]).ravel().tolist() == list(raster)
 
-
-class TestTableFiles:
-    def test_round_trip_both_orders(self, tmp_path, component):
-        q = scaled_annex_k(component, Fraction(1, 2))
-        zigzag = [q.q00, *q.q]
-        for order, values in (("zigzag", zigzag), ("raster", zigzag_unscan(zigzag))):
-            path = tmp_path / f"table-{order}.txt"
-            path.write_text(table_text(order, values))
-            loaded = load_quant_table(path, component)
-            assert loaded.q == q.q
-            assert loaded.q00 == q.q00
-
-    @pytest.mark.parametrize("name, contents", [
-        ("missing.txt", None),                          # no such file
-        ("", None),                                     # the directory itself
-        ("bytes.txt", b"order: raster\n\xff\xfe\n"),   # not UTF-8
-    ])
-    def test_unreadable_file(self, tmp_path, name, contents):
-        path = tmp_path / name
-        if contents is not None:
-            path.write_bytes(contents)
-        with pytest.raises(ParameterError, match="cannot read"):
-            load_quant_table(path, ComponentKind.LUMINANCE)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text(" ".join(["1"] * 64))
-        with pytest.raises(ParameterError):
-            load_quant_table(path, ComponentKind.LUMINANCE)
-
-    def test_annex_k_raster_matches_source(self, tmp_path):
-        q = annex_k_table(ComponentKind.LUMINANCE)
-        path = tmp_path / "k1.txt"
-        path.write_text(table_text("raster", K1_LUMINANCE))
-        loaded = load_quant_table(path, ComponentKind.LUMINANCE)
-        assert (loaded.q00, loaded.q) == (q.q00, q.q)
+    def test_luminance_walks_the_top_left_corner(self):
         # the zigzag walk of the source's top-left corner
-        assert loaded.q[:9] == (11, 12, 14, 12, 10, 16, 14, 13, 14)
+        q = annex_k_table(ComponentKind.LUMINANCE)
+        assert q.q[:9] == (11, 12, 14, 12, 10, 16, 14, 13, 14)

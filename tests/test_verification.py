@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acbound import verification
+from acbound.bound_engine import Refinement
 from acbound.entropy_model import (
     MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length, symbolize, table_for,
 )
@@ -22,7 +23,6 @@ from acbound.verification import (
     MAX_TRIALS,
     SearchConfig,
     ac_bits_batch,
-    ac_bits_from_sizes,
     adversarial_search,
     encode_block,
     soundness_fuzz,
@@ -30,7 +30,7 @@ from acbound.verification import (
     toy_oracle,
 )
 from acbound.verification import _ac_sizes, _mutations
-from references import random_reduced_sizes
+from references import ac_bits_from_sizes, random_reduced_sizes
 
 
 class TestEncodeBlock:
@@ -268,6 +268,16 @@ class TestAdversarialSearch:
         report = adversarial_search(cfg, q)
         assert report.ac_bits <= 349
 
+    def test_component_mismatch_is_refused_before_any_block(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("a block was scored")
+
+        monkeypatch.setattr(verification, "ac_bits_batch", started)
+        q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
+        cfg = SearchConfig(ComponentKind.LUMINANCE, Fraction(1), iterations=1, restarts=1)
+        with pytest.raises(ParameterError, match="^component and quantization table disagree$"):
+            adversarial_search(cfg, q)
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SearchConfig(ComponentKind.LUMINANCE, iterations=0)
@@ -426,6 +436,31 @@ class TestToyOracle:
     def test_accepts_numpy_integer_exponents(self, component):
         exponents = np.array([1, 2, 0], dtype=np.int8)
         assert toy_oracle(3, component, exponents) == toy_oracle(3, component, [1, 2, 0])
+
+    def test_refinement_ordering_is_checked(self, monkeypatch):
+        solve_limit = verification.solve_limit
+
+        def raised_maxconfig(ref, refinement):
+            result = solve_limit(ref, refinement)
+            if refinement is Refinement.MAXCONFIG:
+                return dataclasses.replace(result, limit=result.limit + 1000)
+            return result
+
+        monkeypatch.setattr(verification, "solve_limit", raised_maxconfig)
+        with pytest.raises(AssertionError, match="^refinement ordering violated: "):
+            toy_oracle(2, ComponentKind.LUMINANCE)
+
+    # the engine falls below the exact maximum of its own relaxation at
+    # these vectors: losses that lengthen the block
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
+    @pytest.mark.parametrize("n, component, exponents", [
+        (2, ComponentKind.LUMINANCE, (6, 2)),
+        (2, ComponentKind.CHROMINANCE, (6, 2)),
+        (4, ComponentKind.LUMINANCE, (1, 1, 4, 2)),
+    ], ids=["lum-6-2", "chroma-6-2", "lum-1-1-4-2"])
+    def test_engine_dominates_exact_maximum_where_losses_lengthen(self, n, component, exponents):
+        exact, limit = toy_oracle(n, component, exponents)
+        assert limit >= exact
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, component, n):
