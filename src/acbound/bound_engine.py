@@ -19,8 +19,20 @@ accounting over the coefficient ball forces every promotion to be paid
 for: ``a`` size-9 and ``b`` size-10 promotions require at least
 ``3a + 15b`` demoted positions, and ``4a + 16b`` is bounded by the
 number of AC positions.  The limit is the reference length plus the
-maximum, over feasible (a, b), of the a+b largest gains minus the sum of
-the ``3a + 15b`` smallest losses.
+maximum, over feasible (a, b), of the a+b largest gains minus the least
+sum of at least ``m = 3a + 15b`` loss copies.
+
+A loss copy can be negative: a demotion or a kept coefficient behind a
+run can code longer than the reference span it replaces.  A
+configuration with a and b promotions takes u >= m copies of its loss
+set, and its length is the reference length plus its gains less their
+sum.  Let L(i) sum the i smallest copies and k count the negative ones:
+L falls up to i = k and never after, so the u copies sum to at least
+L(u) >= L(max(m, k)), which the pair is charged (L(m) when k = 0).  So
+a limit reads every negative copy, which sort first: a loss prefix runs
+on past its count while its copies are negative, a stopped loss walk
+runs on through the negative rows, and the loss head serves a limit
+only if its last row is not negative.
 
 Three nested refinement levels are computed.  The base level excludes
 promotion gains in the maximal-length (escape) Huffman region whenever a
@@ -36,58 +48,55 @@ enumeration and the maxconfig level alike.  Only patterns with a run
 and a size above 2 can be dominated, so the test is computed for those
 alone, from exponent-free terms cached per component and length, and
 scattered into the array.  A ``ReferenceConfig`` holds all state derived
-from it, each part built on first use and freed with the reference: the
-reference sizes and the prefix sums of their costs as numpy arrays, the
-dominance array, the head of the base delta sets a limit reads and, for
-readers of whole sets, the full base sets.  One builder per operation
-family turns operation instances into rows.  The loss builders do not
-read the exponents: they end in the terms of the bits, which one
-function evaluates against a reference's prefix sums.  Enumeration calls
-them once per component and length, for a loss template, and
-decomposition on the operations of one target, so each delta formula is
-written once.  Code lengths come from the component's one
+from it.  One builder per operation family turns operation instances
+into the columns of their rows.  The loss builders do not read the
+exponents: they end in the terms of the bits, which one function
+evaluates against a reference's prefix sums.  Enumeration calls them
+once per component and length, for a loss template and the gain keys,
+and decomposition on the operations of one target, so each delta formula
+is written once.  Code lengths come from the component's one
 ``CodeLengthTable.lengths`` array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
 total and its copy count.  A set is ordered by one unique int64 key: the
-exact value tier ``(bits << 12) // width`` above the packed kind,
-position, run and size.  The same tier names a value in the capacity
-walk.  The loss template holds every loss row some reference of that
-length can hold, with the columns that do not depend on the exponents,
-in blocks a reference picks by its size at each position; a reference
-computes only the bits and keys of the rows it holds.  A gain's width is
-1, so its key is ``bits << 31`` above the packed columns and holds its
-whole row; the keys, but for the position field, depend only on the run
-and the reference size, and are cached per component and length with
-their escape flags, so a reference gathers them by its sizes, drops the
-dominated escape-region ones, and sorts the keys largest first.
+exact value tier ``(bits << 12) // width``, which also names a value in
+the capacity walk, above 31 low bits packing kind, position, run, size,
+start and width.  The key holds every column of its row, the bits read
+back from the tier, so one decoder, ``_key_rows``, builds every row the
+engine makes.  The loss template holds every loss row some reference of
+that length can hold, as the terms of its bits and the low bits of its
+key, in blocks a reference picks by its size at each position; a
+reference computes the keys of the rows it holds, then sorts, cuts and
+decodes them.  A gain's key but for its position and start fields
+depends only on the run and the reference size; the keys are cached per
+component and length with their escape flags, so a reference gathers
+them by its sizes, drops the dominated escape-region ones, sorts the
+keys largest first and decodes them.
 
 One pipeline makes every level: ``enumerate_deltas`` makes the base
 sets, ``refine_maxconfig`` and ``refine_capacity`` prune them, and
-``build_sets`` runs the stages a level needs.  A limit reads the
-smallest losses and the largest gains, so loss sets are stored smallest
-first and gain sets largest first, and every stage reads a set from its
-start.  The maxconfig level is one boolean mask over the rows.  The
-capacity level walks each set keeping, per value tier, an integer
-bitmask of the positions already covered; an entry keeps as many copies
-as its footprint adds to that mask.  A gain's footprint is its own
+``build_sets`` runs the stages a level needs.  Loss sets are stored
+smallest first and gain sets largest first, and every stage reads a set
+from its start.  The maxconfig level is one boolean mask over the
+rows.  The capacity level walks each set keeping, per value tier, an
+integer bitmask of the positions already covered; an entry keeps as many
+copies as its footprint adds to that mask.  A gain's footprint is its own
 position, so a gain set keeps the first gain of each value and position.
 
 A limit reads only the first ``max(3a + 15b)``, ``max(a)`` and
-``max(b)`` copies of the three sets, (54, 15, 3) at n = 63, so it asks
-``build_sets`` for those stops and starts from the reference's head.
-Only the loss head is cut short: one ``np.argpartition`` picks the
-``_LOSS_HEAD`` smallest keys among the rows with runs of at most
-``_RUN_BOUND`` (10) and the EOBs, a third of the rows at n = 63, and
-only those rows are sorted and built.  A row of run r replaces the
-reference cost of r + 1 consecutive positions, so its tier is at least
-that of the cheapest such window less the longest code of run r the
-reference can take, over the row's width.  The head keeps the rows
-below that floor, which keys order first, so it is a prefix of the full
-order.  Only a loss walk that runs past it, or has no stop, is made from
-the full order: every limit reads, from each set, the first rows of what
-``build_sets`` returns without stops.
+``max(b)`` copies of the three sets, (54, 15, 3) at n = 63, and the
+negative loss copies, so it asks ``build_sets`` for those stops and
+starts from the reference's head.  Only the loss head is cut short: one
+``np.partition`` picks the ``_LOSS_HEAD`` smallest keys among the rows
+with runs of at most ``_RUN_BOUND`` (10) and the EOBs, a third of the
+rows at n = 63, and keeps those below ``_long_run_floor``, a floor on
+the tier of every longer-run row.  Keys order by tier first, so the head
+is a prefix of the full order, and only its keys are sorted and
+decoded.  Only a loss walk that runs past it, a head whose last row is
+negative, or a walk without a stop is made from the full order: every
+limit reads, from each set, the first rows of what ``build_sets``
+returns without stops.
 
 The engine computes exactly in integer units of ``1/SCALE`` bits, where
 ``SCALE = lcm(1..63)`` is divisible by every width.  ``SCALE`` has 89
@@ -99,9 +108,9 @@ objective is read.  ``DeltaEntry`` objects are built only when a set's
 entry tuples are read.
 
 ``decompose`` returns the same rows for the operations of one target,
-each carrying all its copies, so a row's copies sum to its ``bits``
-total and ``recompose_length`` is an integer sum: the reference length
-minus the loss bits plus the gain bits.
+decoded from their keys, each carrying all its copies, so a row's copies
+sum to its ``bits`` total and ``recompose_length`` is an integer sum: the
+reference length minus the loss bits plus the gain bits.
 """
 
 from __future__ import annotations
@@ -112,7 +121,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -283,9 +292,10 @@ class LossGainSets:
     Each multiset is a ``_ROW`` record array in (value, kind, position,
     runlength, size) order, ascending for losses and descending for gains,
     which the refinements keep; the engine reads only the rows, a limit
-    only the first ones.  The ``losses``, ``gains9`` and ``gains10`` tuples show the same rows to a reader as ``DeltaEntry``
-    records, in the same order; each is built on first read, so the limit
-    path never builds one.  The value order is exact: see ``_tier``.
+    only the first ones.  The ``losses``, ``gains9`` and ``gains10``
+    tuples show the same rows to a reader as ``DeltaEntry`` records, in
+    the same order; each is built on first read, so the limit path never
+    builds one.  The value order is exact: see ``_tier``.
     The sets a limit reads may hold only the head of the loss order (see
     ``build_sets``).  Compared by identity.
     """
@@ -314,12 +324,13 @@ class BoundResult:
     """A limit, the objective it maximizes and the prefix sums it read.
 
     ``scaled_objective`` maps each admissible pair (a, b) to
-    ``gain9_prefix[a] + gain10_prefix[b] - loss_prefix[3a + 15b]``.  All
-    are exact ints in units of ``1/SCALE`` bits: ``loss_prefix[n]`` sums
-    the n smallest loss copies, ``gain9_prefix[a]`` and
-    ``gain10_prefix[b]`` the a largest size-9 and b largest size-10 gains,
-    each up to the largest count a pair reads.  ``objective`` shows the
-    objective as ``Fraction`` bits, built on first read.
+    ``gain9_prefix[a] + gain10_prefix[b] - loss_prefix[max(3a + 15b, k)]``,
+    k the number of negative loss copies.  All are exact ints in units of
+    ``1/SCALE`` bits: ``loss_prefix[n]`` sums the n smallest loss copies,
+    ``gain9_prefix[a]`` and ``gain10_prefix[b]`` the a largest size-9 and b
+    largest size-10 gains, each up to the largest count a pair reads, and
+    the loss prefix on to k.  ``objective`` shows the objective as
+    ``Fraction`` bits, built on first read.
     """
 
     component: ComponentKind
@@ -386,8 +397,8 @@ def reference_length(component: ComponentKind, exponents) -> ReferenceConfig:
 @functools.cache
 def _admissible(n_positions: int):
     """The (a, b) promotion counts the ball constraint allows, the loss
-    copies ``3a + 15b`` each is charged, and the counts (loss copies,
-    size-9 gains, size-10 gains) a limit reads.
+    copies ``3a + 15b`` each forces, and the counts (loss copies, size-9
+    gains, size-10 gains) a limit reads.
 
     ``a`` size-9 and ``b`` size-10 coefficients consume ``4a + 16b`` of
     the ``n + 1`` available energy units; for the 63-position block this
@@ -434,12 +445,6 @@ def _loss_bits(prefix: np.ndarray, hi, lo, sub):
     """The bits of loss rows from their builder terms and a reference's
     ``prefix``."""
     return prefix.take(hi) - prefix.take(lo) - sub
-
-
-def _costed(ref: ReferenceConfig, family):
-    """A loss builder's columns with the terms replaced by ``ref``'s bits."""
-    *columns, hi, lo, sub = family
-    return (*columns, _loss_bits(ref.prefix, hi, lo, sub))
 
 
 def _promotions(table: CodeLengthTable, p, r, size, step):
@@ -559,22 +564,6 @@ def _kind_ranks(kinds, run):
     return np.where(run > 0, with_run, bare)
 
 
-def _rows(families) -> np.ndarray:
-    """The rows of the given families of entries, in order, each family
-    given as the columns (kind, position, run, size, start, width, bits)
-    a builder returns, scalars broadcast.  Rows start zeroed, so their
-    padding bytes are too."""
-    rows = np.zeros(sum(len(family[-1]) for family in families), _ROW)
-    lo = 0
-    for kind, position, run, size, start, width, bits in families:
-        part = rows[lo:lo + len(bits)]
-        part["kind"], part["position"], part["run"], part["size"] = kind, position, run, size
-        part["start"], part["width"], part["bits"] = start, width, bits
-        part["multiplicity"] = width
-        lo += len(bits)
-    return rows
-
-
 def _tier(bits, width) -> np.ndarray:
     """The exact value tier ``(bits << 12) // width``, int64: rows share a
     tier exactly when they share a value.
@@ -587,45 +576,46 @@ def _tier(bits, width) -> np.ndarray:
     return (np.asarray(bits, dtype=np.int64) << 12) // width
 
 
-def _tiers(rows: np.ndarray) -> np.ndarray:
-    return _tier(rows["bits"], rows["width"])
-
-
-def _low_key(kind, position, run, size) -> np.ndarray:
-    """The 19 low bits of the sort key: kind (3 bits), position (6), run
-    (6) and size (4)."""
-    low = np.asarray(kind, dtype=np.int32) << 16
-    low |= np.asarray(position, dtype=np.int32) << 10
-    low |= np.asarray(run, dtype=np.int32) << 4
-    low |= size
+def _low_key(kind, position, run, size, start, width) -> np.ndarray:
+    """The 31 low bits of the sort key, int32: kind (3 bits), position (6),
+    run (6), size (4), start (6) and width (6), from the top.  Starts and
+    widths are at most 63."""
+    low = np.asarray(kind, dtype=np.int32) << 28
+    for column, shift in ((position, 22), (run, 16), (size, 12), (start, 6), (width, 0)):
+        low |= np.asarray(column, dtype=np.int32) << shift
     return low
 
 
-def _sort_key(bits, width, low) -> np.ndarray:
+def _sort_key(bits, low) -> np.ndarray:
     """The int64 key that orders a set by value, kind, position, run and
-    size: the value tier above the 19 low bits of ``_low_key``, below
-    2**47.  No two rows of a set share kind, position, run and size, so
-    the key is unique and the order does not depend on the sort
-    algorithm.  A gain's width is 1, so its key is ``bits << 31 | low``
-    and holds every column of its row (see ``_gain_rows``)."""
-    return _tier(bits, width) << 19 | low
+    size: the value tier above the 31 low bits of ``_low_key``, below
+    2**59 in magnitude.  No two rows of a set share kind, position, run
+    and size, so the key is unique, start and width never decide the
+    order, and the order does not depend on the sort algorithm.  The key
+    holds every column of its row (see ``_key_rows``)."""
+    return _tier(bits, low & 63) << 31 | low
 
 
-def _gain_rows(key: np.ndarray) -> np.ndarray:
-    """The gain rows of gain keys, in their order, each column read back
-    from the fields ``_low_key`` packs, and the bits from above them."""
-    position = key >> 10 & 63
-    return _rows([(key >> 16 & 7, position, key >> 4 & 63, key & 15, position, 1, key >> 31)])
+def _key_rows(key: np.ndarray) -> np.ndarray:
+    """The rows of sort keys, in their order, each carrying all its
+    copies (``multiplicity == width``): the one builder of ``_ROW``
+    records.  Rows start zeroed, so their padding bytes are too.
 
-
-def _smallest(key: np.ndarray, head: int | None = None) -> np.ndarray:
-    """Indices of the ``head`` smallest keys, or of all without ``head``,
-    in ascending key order.  Keys are unique, so the head is the start of
-    the full order."""
-    if head is None or head >= len(key):
-        return np.argsort(key)
-    part = np.argpartition(key, head - 1)[:head]
-    return part[np.argsort(key[part])]
+    Each column is read back from its field of ``_low_key``, and the bits
+    from the tier t: it lies less than 1 below ``bits * 4096 / width``,
+    so ``t * width / 4096`` lies less than ``width / 4096 < 1`` below the
+    integer bits, and the bits are its ceiling.
+    """
+    rows = np.zeros(len(key), _ROW)
+    width = key & 63
+    rows["kind"] = key >> 28 & 7
+    rows["position"] = key >> 22 & 63
+    rows["run"] = key >> 16 & 63
+    rows["size"] = key >> 12 & 15
+    rows["start"] = key >> 6 & 63
+    rows["width"] = rows["multiplicity"] = width
+    rows["bits"] = -(-(key >> 31) * width >> 12)
+    return rows
 
 
 def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
@@ -637,10 +627,11 @@ def _delta_entries(rows: np.ndarray) -> tuple[DeltaEntry, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _LossTemplate:
-    """Every loss row some reference of n positions can hold, with each
-    column that does not depend on the exponents, as read-only arrays of
-    8 or 16 bits: the row columns and the builders' bit terms ``hi``,
-    ``lo`` and ``sub``; and ``low``, the 19 low bits of the sort key.
+    """Every loss row some reference of n positions can hold, as
+    read-only arrays of what does not depend on the exponents: the
+    builders' bit terms ``hi``, ``lo`` and ``sub`` in 8 or 16 bits, and
+    ``low``, the 31 low bits of the sort key, which pack every other
+    column of the row.
 
     The rows come in blocks a reference picks by its size v at each
     position p; block b of p starts at row ``blocks_at[p - 1, b]``.
@@ -650,12 +641,6 @@ class _LossTemplate:
     those of size v; block 14 the OP4 EOB after p, if p < n.
     """
 
-    kind: np.ndarray
-    position: np.ndarray
-    run: np.ndarray
-    size: np.ndarray
-    start: np.ndarray
-    width: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
     sub: np.ndarray
@@ -685,15 +670,11 @@ def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
     s, r = np.divmod(k, q - 1)
     kept = _kept(table, q, r + 1, s + _MIN_SBAR)
     families = (demotions, kept, _eobs(table, n, np.arange(1, n)))
-    total = sum(len(family[1]) for family in families)
-    columns = [np.empty(total, np.uint8) for _ in range(8)] + [np.empty(total, np.int16)]
-    at = 0
-    for family in families:
-        rows = len(family[1])
-        for column, values in zip(columns, family):
-            column[at:at + rows] = values
-        at += rows
-    template = _LossTemplate(*columns, _low_key(*columns[:4]), blocks_at)
+    low, hi, lo, sub = (np.concatenate(parts) for parts in zip(*(
+        np.broadcast_arrays(_low_key(*family[:6]), *family[6:]) for family in families
+    )))
+    template = _LossTemplate(hi.astype(np.uint8), lo.astype(np.uint8), sub.astype(np.int16),
+                             low, blocks_at)
     for array in vars(template).values():
         array.setflags(write=False)
     return template
@@ -788,32 +769,32 @@ def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
     """``ref``'s loss rows in value order, or the start of that order.
 
     From the template, a reference computes only what its exponents fix:
-    which rows it holds, their bits and their tier.  A head is the
-    ``head`` smallest rows with runs of at most ``_RUN_BOUND`` (and the
-    EOBs), cut below ``_long_run_floor``: every longer-run row has a tier
-    of at least the floor, and keys order by tier first, so the head is
-    the start of the full order.
+    which rows it holds and their keys, which it sorts and decodes.  A
+    head is the ``head`` smallest rows with runs of at most ``_RUN_BOUND``
+    (and the EOBs), cut below ``_long_run_floor``: every longer-run row has
+    a tier of at least the floor, and keys order by tier first, so the
+    head is the start of the full order.
     """
     n = ref.n_positions
     t = _loss_template(ref.component, n)
     i = _held(t, ref.sbar_array, n if head is None else _RUN_BOUND)
-    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
-    key = _sort_key(bits, t.width.take(i), t.low.take(i))
-    order = _smallest(key, head)
+    key = _sort_key(_loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i)),
+                    t.low.take(i))
+    if head is not None and head < len(key):
+        key = np.partition(key, head - 1)[:head]
+    key.sort()
     floor = None if head is None else _long_run_floor(ref, _RUN_BOUND)
-    if floor is not None:  # a key's tier sits above its 19 low bits
-        order = order[:np.searchsorted(key.take(order), floor << 19)]
-    j = i.take(order)
-    columns = (t.kind, t.position, t.run, t.size, t.start, t.width)
-    return _rows([(*(c.take(j) for c in columns), bits.take(order))])
+    if floor is not None:  # a key's tier sits above its 31 low bits
+        key = key[:np.searchsorted(key, floor << 31)]
+    return _key_rows(key)
 
 
 class _GainTerms(NamedTuple):
     """The exponent-free terms of the gain sets of n positions, as
     read-only arrays.
 
-    A promotion's bits, escape flag and sort key but for its position
-    field depend on its run r and reference size v alone.  Per step, one
+    A promotion's bits, escape flag and sort key but for its position and
+    start fields depend on its run r and reference size v alone.  Per step, one
     row per r = 0..n-1 and v = 2..8, flattened run-major:
 
     * ``keys[step - 1]``: the sort key (``_sort_key``) at position 0;
@@ -824,7 +805,7 @@ class _GainTerms(NamedTuple):
 
     * ``at``: the pair's position, p - 1 from 0;
     * ``pick``: ``7 * r`` less the smallest size;
-    * ``position``: the key's position field, ``p << 10``;
+    * ``position``: the key's position and start fields, ``p << 22 | p << 6``;
     * ``cell``: the flat index of ``[p, r, 0]`` in a dominance array.
     """
 
@@ -843,13 +824,13 @@ def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
                                       np.arange(_MIN_SBAR, REFERENCE_SIZE + 1))
     keys, escapes = [], []
     for step in _PROMOTION:
-        kind, _, run, size, _, width, bits = _promotions(table, 0, runs, sizes, step)
-        keys.append(_sort_key(bits, width, _low_key(kind, 0, run, size)).ravel())
-        escapes.append(escape[run, size].ravel())
+        *columns, bits = _promotions(table, 0, runs, sizes, step)
+        keys.append(_sort_key(bits, _low_key(*columns)).ravel())
+        escapes.append(escape[runs, sizes + step].ravel())
     p, r = np.tril_indices(n)
     p += 1  # r zeros ahead of position p, 0 <= r < p
     terms = _GainTerms(tuple(keys), tuple(escapes), p - 1, r * _SBAR_COUNT - _MIN_SBAR,
-                       p << 10, (p * n + r) * (MAX_SIZE + 1))
+                       p << 22 | p << 6, (p * n + r) * (MAX_SIZE + 1))
     for array in (*keys, *escapes, *terms[2:]):
         array.setflags(write=False)
     return terms
@@ -858,18 +839,18 @@ def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
 def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
     """``ref``'s size-9 and size-10 gain rows, largest first: every
     promotion, less the escape-region ones the replacement test
-    dominates.  A key's position field is 0 before its position is
-    added."""
+    dominates.  A key's position and start fields are 0 before its
+    position is added."""
     t = _gain_terms(ref.component, ref.n_positions)
     v = ref.sbar_array.take(t.at)
     i, cell = t.pick + v, t.cell + v
     dominated = ref.dominance.ravel()
-    gains = []
+    keys = []
     for step, key, escape in zip(_PROMOTION, t.keys, t.escapes):
         kept = np.flatnonzero(~(escape.take(i) & dominated.take(cell + step)))
-        key = np.sort(key.take(i.take(kept)) | t.position.take(kept))
-        gains.append(_gain_rows(key[::-1].copy()))  # contiguous, read faster
-    return gains
+        keys.append(np.sort(key.take(i.take(kept)) | t.position.take(kept))[::-1])
+    rows = _key_rows(np.concatenate(keys))  # one decode of contiguous keys
+    return [rows[:len(keys[0])], rows[len(keys[0]):]]
 
 
 def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainSets:
@@ -899,25 +880,27 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
     return LossGainSets(_loss_rows(ref, head), *_gain_sets(ref), Refinement.BASE, census)
 
 
-def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
+def _capacity_walk(rows: np.ndarray, stop: float = math.inf, run_on: bool = False) -> np.ndarray:
     """The rows of a set the capacity rule keeps, with their copy counts.
 
     Walks ``rows`` in order, keeping per value tier a bitmask of the
     positions already covered; an entry keeps the copies its footprint
-    adds to that mask.  Stops once ``stop`` copies are held, so the
-    columns are read 64 rows at a time: a limit's walk stops within the
-    first few dozen rows of a set.
+    adds to that mask.  Stops once ``stop`` copies are held, with
+    ``run_on`` only at a row that is not negative, so a stopped loss walk
+    holds every negative copy.  The columns are read 64 rows at a time: a
+    limit's walk stops within the first few dozen rows of a set.
     """
     covered: dict[int, int] = {}
     kept: list[int] = []
     copies: list[int] = []
     held = 0
     columns = chain.from_iterable(
-        zip(_tiers(part).tolist(), part["start"].tolist(), part["width"].tolist())
+        zip(_tier(part["bits"], part["width"]).tolist(), part["start"].tolist(),
+            part["width"].tolist())
         for part in (rows[at:at + 64] for at in range(0, len(rows), 64))
     )
     for i, (tier, start, width) in enumerate(columns):
-        if held >= stop:
+        if held >= stop and (tier >= 0 or not run_on):
             break
         footprint = ((1 << width) - 1) << start
         mask = covered.get(tier, 0)
@@ -943,8 +926,8 @@ def refine_capacity(sets: LossGainSets,
     gain's footprint is its own position.  Footprints of reduced entries
     keep their original extent; only the copy counts feed a limit's prefix
     sums.  Each walk stops once it holds its count of ``stops`` (losses,
-    size-9 gains, size-10 gains), so a set may then hold only its first
-    copies.
+    size-9 gains, size-10 gains), the loss walk only past the negative
+    rows, so a set may then hold only its first copies.
     """
     refinement = (
         Refinement.MAXCONFIG
@@ -952,7 +935,8 @@ def refine_capacity(sets: LossGainSets,
         else Refinement.CAPACITY
     )
     rows = (sets.loss_rows, sets.gain9_rows, sets.gain10_rows)
-    return LossGainSets(*map(_capacity_walk, rows, stops), refinement, sets.census)
+    return LossGainSets(*map(_capacity_walk, rows, stops, (True, False, False)),
+                        refinement, sets.census)
 
 
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
@@ -981,9 +965,11 @@ def build_sets(ref: ReferenceConfig, refinement: Refinement,
     first.  Its loss rows are the first rows of the full order, its gain
     rows all of them, and maxconfig keeps their order, so a loss walk that
     reaches its stop inside them is the full walk: each set holds the first
-    rows of what ``build_sets`` returns without stops.  If the loss walk
-    does not reach its stop, and always without one, the level is made
-    from ``ref.base_sets``, built only then.
+    rows of what ``build_sets`` returns without stops.  The loss walk runs
+    on through the negative rows, so the head serves only if its last row
+    is not negative.  If it is, if the loss walk does not reach its stop,
+    and always without one, the level is made from ``ref.base_sets``,
+    built only then.
     """
     def refined(sets: LossGainSets) -> LossGainSets:
         if refinement is Refinement.BASE:
@@ -993,9 +979,11 @@ def build_sets(ref: ReferenceConfig, refinement: Refinement,
         return refine_capacity(sets, stops)
 
     if stops[0] < math.inf:
-        sets = refined(ref.head_sets)
-        if int(sets.loss_rows["multiplicity"].sum()) >= stops[0]:
-            return sets
+        head = ref.head_sets
+        if len(head.loss_rows) and head.loss_rows["bits"][-1] >= 0:
+            sets = refined(head)
+            if int(sets.loss_rows["multiplicity"].sum()) >= stops[0]:
+                return sets
     return refined(ref.base_sets)
 
 
@@ -1005,12 +993,20 @@ def _values(rows: np.ndarray) -> list[int]:
     return [bits * (SCALE // width) for bits, width in columns]
 
 
-def _prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
+def _prefix(rows: np.ndarray, count: int, run_on: bool = False) -> tuple[int, ...]:
     """prefix[i] = sum of the first i copies of a set, i = 0..count: the
-    i smallest losses or the i largest gains."""
-    rows = rows[:count]  # every row carries at least one copy
+    i smallest losses or the i largest gains.  With ``run_on`` the prefix
+    runs on past ``count`` while the copies are negative, so a loss
+    prefix holds every loss that lengthens the block."""
+    end = count  # every row carries at least one copy
+    if run_on and end < len(rows) and rows["bits"][end] < 0:  # negative rows sort first
+        end += int(np.count_nonzero(rows["bits"][end:] < 0))
+    rows = rows[:end]
     copies = chain.from_iterable(map(repeat, _values(rows), rows["multiplicity"].tolist()))
-    return tuple(accumulate(islice(copies, count), initial=0))
+    first = islice(copies, count)
+    if run_on:
+        first = chain(first, takewhile(lambda value: value < 0, copies))
+    return tuple(accumulate(first, initial=0))
 
 
 def solve_limit(
@@ -1028,15 +1024,17 @@ def solve_limit(
     pairs, charged, counts = _admissible(ref.n_positions)
     if sets is None:
         sets = build_sets(ref, refinement, counts)
-    losses, gains9, gains10 = map(
-        _prefix, (sets.loss_rows, sets.gain9_rows, sets.gain10_rows), counts)
     max_n, max_a, max_b = counts
-    if len(losses) <= max_n:
-        raise LossSetExhaustedError(f"needed {max_n} loss copies, have {len(losses) - 1}")
+    losses = _prefix(sets.loss_rows, max_n, run_on=True)
+    gains9, gains10 = _prefix(sets.gain9_rows, max_a), _prefix(sets.gain10_rows, max_b)
+    k = losses.index(min(losses))  # the negative copies: the sums fall while they last
+    if len(losses) <= max(max_n, k):
+        raise LossSetExhaustedError(f"needed {max(max_n, k)} loss copies, have {len(losses) - 1}")
     if len(gains9) <= max_a or len(gains10) <= max_b:
         raise LossSetExhaustedError("gain sets too small for the admissible pairs")
 
-    scaled = {(a, b): gains9[a] + gains10[b] - losses[c] for (a, b), c in zip(pairs, charged)}
+    least = (losses[k],) * k + losses[k:]  # least[c] = losses[max(c, k)]
+    scaled = {(a, b): gains9[a] + gains10[b] - least[c] for (a, b), c in zip(pairs, charged)}
     argmax = max(scaled, key=scaled.__getitem__)
     limit = ref.ref_len - (-scaled[argmax] // SCALE)
     return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, scaled, argmax, limit,
@@ -1105,18 +1103,19 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     kept = ~demoted & (r > 0)
     quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
     table = table_for(ref.component)
-    families = [
-        _costed(ref, _demotions(table, p[demoted], r[demoted], quantized[demoted])),
-        _costed(ref, _kept(table, p[kept], r[kept], ref.sbar_array[p[kept] - 1])),
-    ]
+    losses = [_demotions(table, p[demoted], r[demoted], quantized[demoted]),
+              _kept(table, p[kept], r[kept], ref.sbar_array[p[kept] - 1])]
+    last = p.max(initial=0)
+    if last < n:
+        losses.append(_eobs(table, n, np.array([last])))
+    families = [(*loss[:6], _loss_bits(ref.prefix, *loss[6:])) for loss in losses]
     for step in _PROMOTION:
         promoted = S == REFERENCE_SIZE + step
         p_up = p[promoted]
         families.append(_promotions(table, p_up, r[promoted], ref.sbar_array[p_up - 1], step))
-    last = p.max(initial=0)
-    if last < n:
-        families.append(_costed(ref, _eobs(table, n, np.array([last]))))
-    rows = _rows(families)
+    rows = _key_rows(np.concatenate([
+        _sort_key(bits, _low_key(*columns)) for *columns, bits in families
+    ]))
     # the EOB first, then by position; lexsort is stable, so a kept
     # coefficient's OP3 stays ahead of its OP6
     return rows[np.lexsort((rows["position"], rows["kind"] != _KIND_RANK[OpKind.OP4]))]

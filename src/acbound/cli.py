@@ -212,7 +212,7 @@ def _verify_deltas(args, checks: list[dict]) -> None:
 
 def _verify_toy(args, checks: list[dict]) -> None:
     exponents = None
-    if args.exponents:
+    if args.exponents is not None:
         try:
             exponents = tuple(int(t) for t in args.exponents.split(","))
         except ValueError:

@@ -126,7 +126,8 @@ def prefix_sums(sets, counts):
     of ``sets`` for ``counts = (n, a, b)``, in units of 1/SCALE bits.
 
     L(i) sums the i smallest loss copies, G9(i) and G10(i) the i largest
-    gains; a prefix is shorter when its set holds fewer.  Each
+    gains; a prefix is shorter when its set holds fewer, and L runs on past
+    n through every negative loss copy.  Each
     ``DeltaEntry`` contributes its exact value once per copy
     (``multiplicity`` times).  The i smallest copies lie in the i
     smallest entries, since every entry holds at least one copy, so only
@@ -141,6 +142,8 @@ def prefix_sums(sets, counts):
 
 
 def _copy_prefix(entries, count, largest):
+    if not largest:
+        count = max(count, sum(e.multiplicity for e in entries if e.value < 0))
     pick = heapq.nlargest if largest else heapq.nsmallest
     entries = pick(count, entries, key=attrgetter("value"))
     copies = sorted(
@@ -152,8 +155,9 @@ def _copy_prefix(entries, count, largest):
 def by_value(rows: np.ndarray, descending: bool = False) -> np.ndarray:
     """``rows`` sorted by the engine's key: value, kind, position, run
     and size.  Integer indices copy whole rows, padding bytes too."""
-    low = bound_engine._low_key(rows["kind"], rows["position"], rows["run"], rows["size"])
-    order = np.argsort(bound_engine._sort_key(rows["bits"], rows["width"], low))
+    low = bound_engine._low_key(
+        *(rows[name] for name in ("kind", "position", "run", "size", "start", "width")))
+    order = np.argsort(bound_engine._sort_key(rows["bits"], low))
     return rows[order[::-1] if descending else order]
 
 
@@ -169,4 +173,8 @@ def gain_rows(ref, step: int) -> np.ndarray:
     i = np.flatnonzero(~(bound_engine._escape_grid(ref.component)[r, size]
                          & ref.dominance[p, r, size]))
     promotions = bound_engine._promotions(table_for(ref.component), p[i], r[i], sbar[i], step)
-    return by_value(bound_engine._rows([promotions]), descending=True)
+    rows = np.zeros(len(i), bound_engine._ROW)
+    # kind, position, run, size, start, width and bits, and a copy per position
+    for name, column in zip(bound_engine._ROW.names, (*promotions, promotions[5])):
+        rows[name] = column
+    return by_value(rows, descending=True)

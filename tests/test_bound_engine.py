@@ -4,7 +4,7 @@ import heapq
 import math
 import weakref
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -324,15 +324,18 @@ class TestUpperLimit:
             for refinement in Refinement:
                 result = solve_limit(ref, refinement)
                 sets = build_sets(ref, refinement)
-                # the 54 smallest copies lie in the 54 smallest entries
-                losses = sorted(
-                    per_position(e) for e in heapq.nsmallest(54, sets.losses, key=per_position)
-                    for _ in range(e.multiplicity)
-                )
+                # the 54 smallest copies lie in the 54 smallest entries, and
+                # every negative copy in the negative entries
+                negative = sum(e.value < 0 for e in sets.losses)
+                entries = heapq.nsmallest(max(54, negative), sets.losses, key=per_position)
+                losses = list(accumulate(sorted(
+                    per_position(e) for e in entries for _ in range(e.multiplicity)
+                ), initial=0))
                 gains9 = heapq.nlargest(15, map(per_position, sets.gains9))
                 gains10 = heapq.nlargest(3, map(per_position, sets.gains10))
                 for (a, b), value in result.objective.items():
-                    expected = sum(gains9[:a]) + sum(gains10[:b]) - sum(losses[:3 * a + 15 * b])
+                    # the least loss sum over at least the 3a + 15b forced copies
+                    expected = sum(gains9[:a]) + sum(gains10[:b]) - min(losses[3 * a + 15 * b:])
                     assert value == expected, (refinement, a, b)
                 best = max(result.objective.values())
                 assert result.limit == ref.ref_len + math.ceil(best)
@@ -468,11 +471,12 @@ def seen_dedup_gains(entries):
     return tuple(out)
 
 
-def first_copies(entries, stop):
-    """The shortest start of ``entries`` holding ``stop`` copies, or all."""
+def first_copies(entries, stop, run_on=False):
+    """The shortest start of ``entries`` holding ``stop`` copies, and with
+    ``run_on`` every entry of negative value, or all."""
     held = 0
     for k, e in enumerate(entries):
-        if held >= stop:
+        if held >= stop and not (run_on and e.value < 0):
             return entries[:k]
         held += e.multiplicity
     return entries
@@ -555,7 +559,7 @@ def assert_capped_like_the_set_rules(ref, sets):
     assert (capped.losses, capped.gains9, capped.gains10) == whole
     for stops in (limit_stops(ref), (1, 1, 1), (7, 0, 2)):
         capped = refine_capacity(sets, stops)
-        expected = tuple(map(first_copies, whole, stops))
+        expected = tuple(map(first_copies, whole, stops, (True, False, False)))
         assert (capped.losses, capped.gains9, capped.gains10) == expected, stops
 
 
@@ -661,7 +665,7 @@ class TestValueKey:
         bits, width = np.meshgrid(np.arange(lo, hi + 1), np.arange(1, AC_POSITIONS + 1))
         rows = np.zeros(bits.size, bound_engine._ROW)
         rows["bits"], rows["width"] = bits.ravel(), width.ravel()
-        tiers = bound_engine._tiers(rows)
+        tiers = bound_engine._tier(rows["bits"], rows["width"])
         order = np.argsort(tiers)
         tiers = tiers[order].tolist()
         values = [Fraction(b, w) for b, w in zip(rows["bits"][order].tolist(),
@@ -692,6 +696,32 @@ class TestValueKey:
             (Fraction(bits, width), kind, p, r, size)
             for kind, p, r, size, _, width, bits, _ in by_value(rows).tolist()
         ] == exact
+
+    def test_keys_round_trip_to_their_rows(self, rng):
+        # every 63-position template row, costed by a reference with
+        # negative rows, and a grid of field extremes
+        names = ("kind", "position", "run", "size", "start", "width", "bits")
+        cases = []
+        for component in ComponentKind:
+            t = bound_engine._loss_template(component, AC_POSITIONS)
+            low = t.low.astype(np.int64)
+            columns = [low >> shift & mask for shift, mask in
+                       ((28, 7), (22, 63), (16, 63), (12, 15), (6, 63), (0, 63))]
+            assert np.array_equal(bound_engine._low_key(*columns), t.low)
+            ref = reference_config(component, rng.integers(0, 7, size=AC_POSITIONS))
+            bits = bound_engine._loss_bits(ref.prefix, t.hi, t.lo, t.sub)
+            assert (bits < 0).any()
+            cases.append((*columns, bits))
+        cases.append(np.array(list(product(
+            range(8), (0, 63), (0, 62), (0, 10), (0, 63), (1, 63), (-32768, -1, 0, 1, 32767),
+        ))).T)
+        for case in cases:
+            expected = np.zeros(len(case[0]), bound_engine._ROW)
+            for name, column in zip(names, case):
+                expected[name] = column
+            expected["multiplicity"] = expected["width"]
+            key = bound_engine._sort_key(case[-1], bound_engine._low_key(*case[:-1]))
+            assert bound_engine._key_rows(key).tobytes() == expected.tobytes()
 
     def test_sort_ignores_the_input_order(self, rng):
         # a shuffled set sorts back to the same bytes, a gain set read
@@ -924,6 +954,21 @@ class TestLossHead:
         # a head of 1 or 8 rows is too short for the capacity walks, 256 is not
         assert fell_back == (0 if head is None else 12)
 
+    def test_a_head_ending_in_a_negative_row_falls_back(self, monkeypatch):
+        # (6, 0) repeated has 62 negative loss rows, 93 copies: a head of 54
+        # rows holds 77 of them, more than the 54 a limit's walk stops at
+        monkeypatch.setattr(bound_engine, "_LOSS_HEAD", 54)
+        exponents = (6, 0) * 31 + (6,)
+        for component in ComponentKind:
+            ref = reference_config(component, exponents)
+            head = ref.head_sets.loss_rows
+            assert head["bits"][-1] < 0 and head["multiplicity"].sum() > 54
+            for refinement in Refinement:
+                full = reference_config(component, exponents)
+                expected = solve_limit(full, refinement, sets=build_sets(full, refinement))
+                assert solve_limit(ref, refinement) == expected, (component, refinement)
+            assert "base_sets" in ref.__dict__
+
     @pytest.mark.parametrize("head", [1, 8, None])
     def test_short_instances_exhaust_where_the_full_sets_do(self, monkeypatch, rng, head):
         if head is not None:
@@ -1069,7 +1114,8 @@ class TestRunBound:
             floors = scalar_floor(ref, bound)
             assert floor == min(map(min, floors.values()))
             rows = bound_engine._loss_rows(ref)
-            for (kind, _, r, *_), tier in zip(rows.tolist(), bound_engine._tiers(rows).tolist()):
+            tiers = bound_engine._tier(rows["bits"], rows["width"])
+            for (kind, _, r, *_), tier in zip(rows.tolist(), tiers.tolist()):
                 if r > bound:
                     demoted, kept = floors[r]
                     assert tier >= (kept if KIND_ORDER[kind] is OpKind.OP3 else demoted)
@@ -1083,21 +1129,25 @@ class TestRunBound:
         full = bound_engine._loss_rows(ref)
         short = full[full["run"] <= bound_engine._RUN_BOUND]
         floor = bound_engine._long_run_floor(ref, bound_engine._RUN_BOUND)
-        assert floor > bound_engine._tiers(short[bound_engine._LOSS_HEAD - 1:])[0]
+        last = short[bound_engine._LOSS_HEAD - 1]
+        assert floor > bound_engine._tier(last["bits"], last["width"])
         assert len(ref.head_sets.loss_rows) == bound_engine._LOSS_HEAD
 
     @pytest.mark.parametrize("n", [1, 12, 40, 63])
     def test_held_rows_are_the_rows_the_sizes_pick(self, rng, n):
         sizes = 8 - rng.integers(0, 7, size=n)
         t = bound_engine._loss_template(ComponentKind.CHROMINANCE, n)
-        v = sizes[t.position.astype(np.intp) - 1]
-        kind = np.array(KIND_ORDER)[t.kind]
+        # the kind, position, run and size fields of each row's key
+        low = t.low.astype(np.intp)
+        kind = np.array(KIND_ORDER)[low >> 28]
+        position, run, size = low >> 22 & 63, low >> 16 & 63, low >> 12 & 15
+        v = sizes[position - 1]
         eob = kind == OpKind.OP4
         kept = kind == OpKind.OP3
-        picked = eob | np.where(kept, t.size == v, t.size < v)
+        picked = eob | np.where(kept, size == v, size < v)
         for bound in (0, 10, n):
             held = bound_engine._held(t, sizes, bound)
-            expected = np.flatnonzero(picked & (eob | (t.run <= bound)))
+            expected = np.flatnonzero(picked & (eob | (run <= bound)))
             assert np.array_equal(np.sort(held), expected), bound
 
     def test_caches_are_read_only(self):

@@ -145,6 +145,7 @@ BAD_BLOCK_FILES = {
     ["limits", "--sf", "1/0"],
     ["verify", "toy", "--n", "3", "--exponents", "1,x,2"],
     ["verify", "toy", "--n", "2", "--exponents", "1,2,3"],
+    ["verify", "toy", "--n", "2", "--exponents", ""],
     ["verify", "fuzz", "--trials", "10", "--sf", "1", "--seed", "-1"],
     ["search", "--sf", "1", "--seed", "-1"],
     ["encode", "--sf", "1", str(Path(__file__).parent)],

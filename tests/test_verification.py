@@ -450,9 +450,8 @@ class TestToyOracle:
         with pytest.raises(AssertionError, match="^refinement ordering violated: "):
             toy_oracle(2, ComponentKind.LUMINANCE)
 
-    # the engine falls below the exact maximum of its own relaxation at
-    # these vectors: losses that lengthen the block
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
+    # vectors with loss rows that lengthen the block, which no promotion
+    # forces: the limit must charge them too
     @pytest.mark.parametrize("n, component, exponents", [
         (2, ComponentKind.LUMINANCE, (6, 2)),
         (2, ComponentKind.CHROMINANCE, (6, 2)),
@@ -461,6 +460,13 @@ class TestToyOracle:
     def test_engine_dominates_exact_maximum_where_losses_lengthen(self, n, component, exponents):
         exact, limit = toy_oracle(n, component, exponents)
         assert limit >= exact
+
+    def test_engine_dominates_exact_maximum_at_every_short_vector(self, component):
+        # every exponent vector of up to 3 positions, negative loss rows included
+        for n in (1, 2, 3):
+            for exponents in itertools.product(range(7), repeat=n):
+                exact, limit = toy_oracle(n, component, exponents)
+                assert limit >= exact, exponents
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, component, n):
