@@ -29,10 +29,10 @@ set, and its length is the reference length plus its gains less their
 sum.  Let L(i) sum the i smallest copies and k count the negative ones:
 L falls up to i = k and never after, so the u copies sum to at least
 L(u) >= L(max(m, k)), which the pair is charged (L(m) when k = 0).  So
-a limit reads every negative copy, which sort first: a loss prefix runs
-on past its count while its copies are negative, a stopped loss walk
-runs on through the negative rows, and the loss head serves a limit
-only if its last row is not negative.
+a limit reads every negative copy, which sort first: ``solve_limit``
+counts them and sums the first max(54, k) copies, a walk that holds its
+count stops at its first row that is not negative, and the loss head
+serves a limit only if its last row is not negative.
 
 Three nested refinement levels are computed.  The base level excludes
 promotion gains in the maximal-length (escape) Huffman region whenever a
@@ -121,7 +121,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -143,6 +143,7 @@ PROMOTION_COST_10 = 15      # forced demotions per size-10 promotion
 ENERGY_UNITS_9 = 4          # ball-energy units consumed by a size-9 coefficient
 ENERGY_UNITS_10 = 16
 ESCAPE_HUFFMAN_BITS = 15    # huffman lengths >= this form the escape region
+BALL_UNIT = 4 ** (REFERENCE_SIZE - 1)  # ball energy of one reference coefficient, 2**14
 MAX_REPLACED_ZEROS = 3      # the energy identity allows at most 3 same-size copies
 MAX_LOSS_SIZE = 7           # demoted sizes evaluated per position
 SCALE = math.lcm(*range(1, AC_POSITIONS + 1))  # exact-value unit is 1/SCALE bits
@@ -457,14 +458,11 @@ def _promotions(table: CodeLengthTable, p, r, size, step):
 
 @functools.cache
 def _escape_grid(component: ComponentKind) -> np.ndarray:
-    """``[r, s]``: the Huffman code of (r, s) lies in the escape region."""
-    table = table_for(component)
-    return np.array([
-        [False] + [
-            table.huffman_length(r, s) >= ESCAPE_HUFFMAN_BITS for s in range(1, MAX_SIZE + 1)
-        ]
-        for r in range(MAX_RUNLENGTH + 1)
-    ])
+    """``[r, s]``: the Huffman code of (r, s) lies in the escape region.
+    The code of the residual symbol (r mod 16, s) is its total length
+    less the s amplitude bits; size 0 costs 0, so it never escapes."""
+    residual = table_for(component).lengths[np.arange(MAX_RUNLENGTH + 1) % 16]
+    return residual - np.arange(MAX_SIZE + 1) >= ESCAPE_HUFFMAN_BITS
 
 
 # The replacement test covers the sizes s = 3..10.  A zero at q raised to
@@ -880,15 +878,16 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
     return LossGainSets(_loss_rows(ref, head), *_gain_sets(ref), Refinement.BASE, census)
 
 
-def _capacity_walk(rows: np.ndarray, stop: float = math.inf, run_on: bool = False) -> np.ndarray:
+def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
     """The rows of a set the capacity rule keeps, with their copy counts.
 
     Walks ``rows`` in order, keeping per value tier a bitmask of the
     positions already covered; an entry keeps the copies its footprint
-    adds to that mask.  Stops once ``stop`` copies are held, with
-    ``run_on`` only at a row that is not negative, so a stopped loss walk
-    holds every negative copy.  The columns are read 64 rows at a time: a
-    limit's walk stops within the first few dozen rows of a set.
+    adds to that mask.  Once ``stop`` copies are held, stops at the first
+    row that is not negative, so a stopped loss walk holds every negative
+    copy; every gain row is positive, so a gain walk stops at its count.
+    The columns are read 64 rows at a time: a limit's walk stops within
+    the first few dozen rows of a set.
     """
     covered: dict[int, int] = {}
     kept: list[int] = []
@@ -900,7 +899,7 @@ def _capacity_walk(rows: np.ndarray, stop: float = math.inf, run_on: bool = Fals
         for part in (rows[at:at + 64] for at in range(0, len(rows), 64))
     )
     for i, (tier, start, width) in enumerate(columns):
-        if held >= stop and (tier >= 0 or not run_on):
+        if held >= stop and tier >= 0:
             break
         footprint = ((1 << width) - 1) << start
         mask = covered.get(tier, 0)
@@ -926,8 +925,8 @@ def refine_capacity(sets: LossGainSets,
     gain's footprint is its own position.  Footprints of reduced entries
     keep their original extent; only the copy counts feed a limit's prefix
     sums.  Each walk stops once it holds its count of ``stops`` (losses,
-    size-9 gains, size-10 gains), the loss walk only past the negative
-    rows, so a set may then hold only its first copies.
+    size-9 gains, size-10 gains) and has passed the negative rows, so a
+    set may then hold only its first copies.
     """
     refinement = (
         Refinement.MAXCONFIG
@@ -935,8 +934,7 @@ def refine_capacity(sets: LossGainSets,
         else Refinement.CAPACITY
     )
     rows = (sets.loss_rows, sets.gain9_rows, sets.gain10_rows)
-    return LossGainSets(*map(_capacity_walk, rows, stops, (True, False, False)),
-                        refinement, sets.census)
+    return LossGainSets(*map(_capacity_walk, rows, stops), refinement, sets.census)
 
 
 def refine_maxconfig(sets: LossGainSets, ref: ReferenceConfig) -> LossGainSets:
@@ -993,20 +991,12 @@ def _values(rows: np.ndarray) -> list[int]:
     return [bits * (SCALE // width) for bits, width in columns]
 
 
-def _prefix(rows: np.ndarray, count: int, run_on: bool = False) -> tuple[int, ...]:
+def _prefix(rows: np.ndarray, count: int) -> tuple[int, ...]:
     """prefix[i] = sum of the first i copies of a set, i = 0..count: the
-    i smallest losses or the i largest gains.  With ``run_on`` the prefix
-    runs on past ``count`` while the copies are negative, so a loss
-    prefix holds every loss that lengthens the block."""
-    end = count  # every row carries at least one copy
-    if run_on and end < len(rows) and rows["bits"][end] < 0:  # negative rows sort first
-        end += int(np.count_nonzero(rows["bits"][end:] < 0))
-    rows = rows[:end]
+    i smallest losses or the i largest gains."""
+    rows = rows[:count]  # every row carries at least one copy
     copies = chain.from_iterable(map(repeat, _values(rows), rows["multiplicity"].tolist()))
-    first = islice(copies, count)
-    if run_on:
-        first = chain(first, takewhile(lambda value: value < 0, copies))
-    return tuple(accumulate(first, initial=0))
+    return tuple(accumulate(islice(copies, count), initial=0))
 
 
 def solve_limit(
@@ -1025,16 +1015,17 @@ def solve_limit(
     if sets is None:
         sets = build_sets(ref, refinement, counts)
     max_n, max_a, max_b = counts
-    losses = _prefix(sets.loss_rows, max_n, run_on=True)
+    rows = sets.loss_rows
+    k = int(rows["multiplicity"].sum(where=rows["bits"] < 0))  # negative copies, which sort first
+    losses = _prefix(rows, max(max_n, k))
     gains9, gains10 = _prefix(sets.gain9_rows, max_a), _prefix(sets.gain10_rows, max_b)
-    k = losses.index(min(losses))  # the negative copies: the sums fall while they last
     if len(losses) <= max(max_n, k):
         raise LossSetExhaustedError(f"needed {max(max_n, k)} loss copies, have {len(losses) - 1}")
     if len(gains9) <= max_a or len(gains10) <= max_b:
         raise LossSetExhaustedError("gain sets too small for the admissible pairs")
 
-    least = (losses[k],) * k + losses[k:]  # least[c] = losses[max(c, k)]
-    scaled = {(a, b): gains9[a] + gains10[b] - least[c] for (a, b), c in zip(pairs, charged)}
+    scaled = {(a, b): gains9[a] + gains10[b] - losses[c if c > k else k]  # max(c, k), inlined
+              for (a, b), c in zip(pairs, charged)}
     argmax = max(scaled, key=scaled.__getitem__)
     limit = ref.ref_len - (-scaled[argmax] // SCALE)
     return BoundResult(ref.component, sf, sets.refinement, ref.ref_len, scaled, argmax, limit,
@@ -1087,7 +1078,7 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     if len(sizes) != n:
         raise ParameterError(f"expected {n} sizes, got {len(sizes)}")
     energy = sum(1 << (2 * s - 2) for s in sizes if s > 0)
-    if energy >= (n + 1) << (2 * REFERENCE_SIZE - 2):
+    if energy >= (n + 1) * BALL_UNIT:
         raise ParameterError("size vector violates the coefficient-ball budget")
     for p, s in enumerate(sizes, start=1):
         if s != 0 and s <= ref.exponents[p - 1]:

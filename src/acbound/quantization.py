@@ -18,7 +18,6 @@ from .transform import RASTER_OF_ZIGZAG
 
 MIN_SCALE = Fraction(1, 64)
 MAX_SCALE = Fraction(1)
-MAX_SUPPORTED_FACTOR = 121   # the largest annex K factor; keeps every exponent <= 6
 
 
 # Annex K example tables, raster (row-major) order.
@@ -108,11 +107,9 @@ def scaled_annex_k(component: ComponentKind, sf) -> QuantTable:
 
 def pow2_table(q: QuantTable) -> tuple[int, ...]:
     """Exponents C(k) of the power-of-2 reduced table, one per AC
-    position: 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length."""
-    if any(v > MAX_SUPPORTED_FACTOR for v in q.q):
-        raise ParameterError(
-            f"factors above {MAX_SUPPORTED_FACTOR} are outside the supported regime"
-        )
+    position: 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length.  A limit
+    takes exponents of at most 6 (``reference_config`` refuses the rest),
+    so factors 1..127."""
     return tuple(v.bit_length() - 1 for v in q.q)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import transform
 from .bound_engine import (
+    BALL_UNIT,
     Refinement,
     reference_config,
     solve_limit,
@@ -110,10 +112,19 @@ MAX_RESTARTS = 100_000
 MAX_TRIALS = 100_000_000
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's SeedSequence takes non-negative integers only
-    if seed < 0:
-        raise ParameterError(f"seed {seed} must be non-negative")
+def _count(value, name: str, high: int | None = None, low: int = 1) -> int:
+    """``value`` as a plain int in ``low..high``, or ``ParameterError``.
+    Any integer type is accepted (through ``operator.index``); a float,
+    even an integral one, a string or None is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, not {value!r}") from None
+    if value < low:
+        raise ParameterError(f"{name} {value} must be at least {low}")
+    if high is not None and value > high:
+        raise ParameterError(f"at most {high} {name} are supported")
+    return value
 
 
 @dataclass(frozen=True)
@@ -126,13 +137,10 @@ class SearchConfig:
     mutation: str = "pixel_pair"
 
     def __post_init__(self):
-        if self.iterations <= 0 or self.restarts <= 0:
-            raise ParameterError("iterations and restarts must be positive")
-        if self.iterations > MAX_ITERATIONS:
-            raise ParameterError(f"at most {MAX_ITERATIONS} iterations are supported")
-        if self.restarts > MAX_RESTARTS:
-            raise ParameterError(f"at most {MAX_RESTARTS} restarts are supported")
-        _check_seed(self.seed)
+        # numpy's SeedSequence takes non-negative integers only
+        for name, high, low in (("iterations", MAX_ITERATIONS, 1),
+                                ("restarts", MAX_RESTARTS, 1), ("seed", None, 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, high, low))
         if self.mutation not in ("single_pixel", "pixel_pair"):
             raise ParameterError(f"unknown mutation kind {self.mutation!r}")
 
@@ -239,14 +247,14 @@ def ac_bits_batch(blocks: np.ndarray, q: QuantTable) -> np.ndarray:
 
 
 def encode_block(block, q: QuantTable, component: ComponentKind) -> EncodeReport:
-    """Run the full AC pipeline on one block and report its bit cost."""
-    if q.component is not component:
-        raise ParameterError("component and quantization table disagree")
+    """Run the full AC pipeline on one block and report its bit cost.
+    The limit comes first: ``upper_limit`` refuses a table of another
+    component before any block work."""
+    limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
     arr = transform.validate_pixel_block(block)
     sizes = _ac_sizes(arr[None], q)[0].tolist()
     symbols = symbolize(sizes)
     ac_bits = sequence_length(table_for(component), symbols)
-    limit = upper_limit(component, q, Refinement.MAXCONFIG).limit
     return EncodeReport(
         component, q.sf, tuple(sizes), symbols, ac_bits, limit, limit - ac_bits, arr
     )
@@ -282,11 +290,8 @@ def soundness_fuzz(trials: int, q: QuantTable, seed: int = 0) -> dict:
     exceeds it) and ``worst_block``, the first level-shifted block that
     reached the largest cost.
     """
-    if trials <= 0:
-        raise ParameterError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ParameterError(f"at most {MAX_TRIALS} trials are supported")
-    _check_seed(seed)
+    trials = _count(trials, "trials", MAX_TRIALS)
+    seed = _count(seed, "seed", low=0)
     limit = upper_limit(q.component, q, Refinement.MAXCONFIG).limit
     rng = np.random.default_rng(seed)
 
@@ -433,19 +438,18 @@ def toy_oracle(
 
     The exact maximum is the longest coded size vector in {0..10}**n whose
     ball energy, the sum of 4**(s - 1 + C(k)) over the nonzero positions,
-    stays under (n+1) * 2**14: the relaxation the engine bounds.  A dynamic
+    stays under (n+1) * BALL_UNIT: the relaxation the engine bounds.  A dynamic
     program over (position, current zero run) finds it; each state keeps,
     for every total of coded bits, the least energy that reaches it.  State
     (k, r) holds the array of (k - r, 0), so only the run-0 arrays are
     stored.  The engine limit (tightest refinement) must dominate it.
     """
-    if not 1 <= n_positions <= AC_POSITIONS:
-        raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
+    n_positions = _count(n_positions, "positions", AC_POSITIONS)
     ref = reference_config(component, (0,) * n_positions if exponents is None else exponents)
     if ref.n_positions != n_positions:
         raise ParameterError("exponent vector length must match n_positions")
 
-    budget = (n_positions + 1) << 14
+    budget = (n_positions + 1) * BALL_UNIT
     table = table_for(component)
     width = n_positions * int(table.lengths[:n_positions].max()) + 1  # totals 0..width-1
     # after_nonzero[j] is the energy array of state (j, 0); (0, 0) is the empty prefix

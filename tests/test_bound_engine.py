@@ -218,6 +218,17 @@ class TestSignStructure:
             for e in sets.gains9 + sets.gains10:
                 assert Fraction(e.value, SCALE) > 0, e
 
+    def test_every_promotion_costs_a_bit_per_step(self, component):
+        # any gain row of any reference, not only the paper cells': at every
+        # run, a reference size 2..8 promoted by 1 or 2 sizes codes at least
+        # that many bits longer, so every capacity walk over a gain set stops
+        # as soon as it holds its count
+        table = table_for(component)
+        for r in range(AC_POSITIONS):
+            for v in range(2, 9):
+                for step in (1, 2):
+                    assert table.code_length(r, v + step) - table.code_length(r, v) >= step
+
     def test_promotion_sizes_capped(self, component):
         for sf in SF_GRID:
             q = scaled_annex_k(component, sf)
@@ -340,6 +351,22 @@ class TestUpperLimit:
                 best = max(result.objective.values())
                 assert result.limit == ref.ref_len + math.ceil(best)
                 assert result.objective[result.argmax] == best
+
+    @pytest.mark.parametrize("exponents", [(6, 2), (6, 0) * 31 + (6,)])
+    def test_limit_charges_every_negative_copy(self, component, exponents):
+        # k, the copies of the negative loss rows: the loss prefix runs to
+        # max(54, k) copies, is least at k, and each pair is charged
+        # max(3a + 15b, k) copies
+        ref = reference_config(component, exponents)
+        for refinement in Refinement:
+            k = sum(e.multiplicity for e in build_sets(ref, refinement).losses if e.value < 0)
+            result = solve_limit(ref, refinement)
+            losses = result.loss_prefix
+            assert k > 0 and len(losses) == max(limit_stops(ref)[0], k) + 1
+            assert losses.index(min(losses)) == k
+            for (a, b), value in result.scaled_objective.items():
+                charged = losses[max(3 * a + 15 * b, k)]
+                assert value == result.gain9_prefix[a] + result.gain10_prefix[b] - charged
 
     def test_json_payload(self):
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
@@ -534,6 +561,13 @@ class TestDominanceTable:
                             and scalar_dominated(ref, p, r, size)
                         )
                         assert ((p, r, size) in kept) is not dropped, (p, r, size)
+
+
+    def test_escape_grid_matches_the_huffman_lengths(self, component):
+        table = table_for(component)
+        expected = [[s > 0 and table.huffman_length(r, s) >= 15 for s in range(11)]
+                    for r in range(63)]
+        assert bound_engine._escape_grid(component).tolist() == expected
 
 
 class TestCapacityBitmask:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acbound.bound_engine import reference_length, upper_limit
+from acbound.bound_engine import Refinement, reference_length, upper_limit
 from acbound.entropy_model import ComponentKind, ParameterError
 from acbound.quantization import (
     K1_LUMINANCE,
@@ -87,9 +87,19 @@ class TestPow2Table:
             assert all(2 ** e <= v for e, v in zip(c, q.q))
 
     def test_rejects_large_factors(self):
-        table = QuantTable(ComponentKind.LUMINANCE, (122,) * 63, q00=1)
-        with pytest.raises(ParameterError):
-            pow2_table(table)
+        # every factor of 64..127 has exponent 6, and a limit refuses 128,
+        # whose exponent is 7, through its exponent check alone
+        def table(v):
+            return QuantTable(ComponentKind.LUMINANCE, (v,) * 63, q00=1)
+
+        best = Refinement.MAXCONFIG
+        assert upper_limit(ComponentKind.LUMINANCE, table(64), best).limit == 313
+        for v in (122, 127):
+            assert set(pow2_table(table(v))) == {6}
+            assert upper_limit(ComponentKind.LUMINANCE, table(v), best).limit == 313
+        assert set(pow2_table(table(128))) == {7}
+        with pytest.raises(ParameterError, match=r"exponents must lie in 0\.\.6"):
+            upper_limit(ComponentKind.LUMINANCE, table(128), best)
 
     def test_numpy_integer_factors_are_stored_as_ints(self):
         table = QuantTable(ComponentKind.LUMINANCE, tuple(np.full(63, 3)), q00=np.int16(4))

@@ -286,6 +286,19 @@ class TestAdversarialSearch:
         with pytest.raises(ParameterError, match="seed -1"):
             SearchConfig(ComponentKind.LUMINANCE, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("restarts", 1.5), ("seed", 1.5), ("seed", "3"),
+    ])
+    def test_config_refuses_non_integer_counts(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SearchConfig(ComponentKind.LUMINANCE, **{field: value})
+
+    def test_config_stores_numpy_counts_as_ints(self):
+        cfg = SearchConfig(ComponentKind.LUMINANCE, iterations=np.int64(20),
+                           restarts=np.uint8(2), seed=np.int32(5))
+        assert all(type(v) is int for v in (cfg.iterations, cfg.restarts, cfg.seed))
+        assert cfg == SearchConfig(ComponentKind.LUMINANCE, iterations=20, restarts=2, seed=5)
+
     def test_config_bounds_sizes_before_allocating(self):
         SearchConfig(ComponentKind.LUMINANCE, iterations=MAX_ITERATIONS, restarts=MAX_RESTARTS)
         for huge in (MAX_ITERATIONS + 1, 10**12):
@@ -428,6 +441,10 @@ class TestToyOracle:
         with pytest.raises(ParameterError):
             toy_oracle(2, ComponentKind.LUMINANCE, (0, 1, 0))
 
+    def test_refuses_a_float_position_count(self):
+        with pytest.raises(ParameterError, match="positions"):
+            toy_oracle(2.0, ComponentKind.LUMINANCE)
+
     @pytest.mark.parametrize("exponents", [[1, 1.9, 0], [1, 2.0, 0], [1, "3", 0], [1.9, 2.5, 0.2]])
     def test_refuses_non_integer_exponents(self, exponents):
         with pytest.raises(ParameterError):
@@ -540,6 +557,19 @@ class TestSoundnessFuzz:
         q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
         with pytest.raises(ParameterError):
             soundness_fuzz(0, q)
+
+    @pytest.mark.parametrize("trials, seed, field", [
+        (2.5, 0, "trials"), ("100", 0, "trials"), (100, 1.5, "seed"), (100, None, "seed"),
+    ])
+    def test_rejects_non_integer_counts_before_any_limit(self, monkeypatch, trials, seed, field):
+        monkeypatch.setattr(verification, "upper_limit", None)  # a call would fail
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        with pytest.raises(ParameterError, match=field):
+            soundness_fuzz(trials, q, seed)
+
+    def test_numpy_trials_are_reported_as_an_int(self):
+        q = scaled_annex_k(ComponentKind.LUMINANCE, 1)
+        assert type(soundness_fuzz(np.int64(10), q)["trials"]) is int
 
     def test_rejects_a_negative_seed_before_any_limit(self, monkeypatch):
         monkeypatch.setattr(verification, "upper_limit", None)  # a call would fail
