@@ -51,11 +51,12 @@ scattered into the array.  A ``ReferenceConfig`` holds all state derived
 from it.  One builder per operation family turns operation instances
 into the columns of their rows.  The loss builders do not read the
 exponents: they end in the terms of the bits, which one function
-evaluates against a reference's prefix sums.  Enumeration calls them
-once per component and length, for a loss template and the gain keys,
-and decomposition on the operations of one target, so each delta formula
-is written once.  Code lengths come from the component's one
-``CodeLengthTable.lengths`` array.
+evaluates against a reference's prefix sums.  The builders run once per
+component and length, to build the loss template and the gain keys, so
+each delta formula is written once; enumeration and decomposition both
+read those tables, through one loss-key and one promotion-key formula.
+Code lengths come from the component's one ``CodeLengthTable.lengths``
+array.
 
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
@@ -107,10 +108,13 @@ the numbers the limit read; it builds ``Fraction`` values only when its
 objective is read.  ``DeltaEntry`` objects are built only when a set's
 entry tuples are read.
 
-``decompose`` returns the same rows for the operations of one target,
-decoded from their keys, each carrying all its copies, so a row's copies
-sum to its ``bits`` total and ``recompose_length`` is an integer sum: the
-reference length minus the loss bits plus the gain bits.
+``decompose`` returns the same rows for the operations of one target: it
+picks them from the loss template and the gain keys by position, run and
+size, and builds only its EOB, since no template holds the whole-block
+EOB.  The rows are decoded from their keys, each carrying all its
+copies, so a row's copies sum to its ``bits`` total and
+``recompose_length`` is an integer sum: the reference length minus the
+loss bits plus the gain bits.
 """
 
 from __future__ import annotations
@@ -133,6 +137,7 @@ from .entropy_model import (
     CodeLengthTable,
     ComponentKind,
     ParameterError,
+    read_only,
     table_for,
 )
 from .quantization import QuantTable, pow2_table
@@ -210,13 +215,13 @@ class ReferenceConfig:
 
     @functools.cached_property
     def sbar_array(self) -> np.ndarray:
-        return np.array(self.sbar, dtype=np.intp)
+        return read_only(np.array(self.sbar, dtype=np.intp))
 
     @functools.cached_property
     def prefix(self) -> np.ndarray:
         """prefix[i] = sum of len(0, sbar_k) for k = 1..i."""
         lengths = table_for(self.component).lengths
-        return np.concatenate(([0], np.cumsum(lengths[0, self.sbar_array])))
+        return read_only(np.concatenate(([0], np.cumsum(lengths[0, self.sbar_array]))))
 
     @functools.cached_property
     def dominance(self) -> np.ndarray:
@@ -254,9 +259,7 @@ class ReferenceConfig:
             hit |= start_cost + start_rest > terms.target
         dominated = np.zeros(((n + 1) * n, MAX_SIZE + 1), dtype=bool)
         dominated[terms.cells, _TESTED] = hit
-        dominated = dominated.reshape(n + 1, n, MAX_SIZE + 1)
-        dominated.setflags(write=False)
-        return dominated
+        return read_only(dominated.reshape(n + 1, n, MAX_SIZE + 1))
 
     @functools.cached_property
     def base_sets(self) -> LossGainSets:
@@ -363,6 +366,14 @@ class BoundResult:
         }
 
 
+def check_positions(n: int) -> int:
+    """``n``, if the engine supports ``n`` positions, 1 to 63: the one
+    statement of that range."""
+    if not 1 <= n <= AC_POSITIONS:
+        raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
+    return n
+
+
 def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     """Build the reference configuration for an exponent vector.
 
@@ -376,8 +387,7 @@ def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
         exponents = tuple(map(operator.index, exponents))
     except TypeError:
         raise ParameterError("exponents must be integers") from None
-    if not 1 <= len(exponents) <= AC_POSITIONS:
-        raise ParameterError(f"1 to {AC_POSITIONS} positions are supported")
+    check_positions(len(exponents))
     if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
         raise ParameterError(
             f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"
@@ -462,7 +472,7 @@ def _escape_grid(component: ComponentKind) -> np.ndarray:
     The code of the residual symbol (r mod 16, s) is its total length
     less the s amplitude bits; size 0 costs 0, so it never escapes."""
     residual = table_for(component).lengths[np.arange(MAX_RUNLENGTH + 1) % 16]
-    return residual - np.arange(MAX_SIZE + 1) >= ESCAPE_HUFFMAN_BITS
+    return read_only(residual - np.arange(MAX_SIZE + 1) >= ESCAPE_HUFFMAN_BITS)
 
 
 # The replacement test covers the sizes s = 3..10.  A zero at q raised to
@@ -534,7 +544,7 @@ def _replacement_terms(component: ComponentKind, n: int) -> _ReplacementTerms:
     )
     for array in (terms.cells, terms.at, terms.target, terms.alone, terms.tail,
                   *chain.from_iterable(terms.end + terms.start)):
-        array.setflags(write=False)
+        read_only(array)
     return terms
 
 
@@ -674,7 +684,7 @@ def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
     template = _LossTemplate(hi.astype(np.uint8), lo.astype(np.uint8), sub.astype(np.int16),
                              low, blocks_at)
     for array in vars(template).values():
-        array.setflags(write=False)
+        read_only(array)
     return template
 
 
@@ -692,28 +702,28 @@ _HELD_BLOCKS = np.array([[s < v for s in range(1, MAX_LOSS_SIZE + 1)]
 
 
 @functools.cache
-def _run_blocks(t: _LossTemplate, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The start table ``_held`` reads: ``rows[p - 1, b, j] = blocks_at[p
-    - 1, b] + j``, and ``short[p - 1, b, j]``, whether that is one of the
-    rows with runs of at most ``bound`` that block b of p starts with:
-    min(p, bound + 1) for demotions (runs 0..p-1), one fewer for kept
-    coefficients (runs 1..p-1), and the one EOB after p < n."""
-    n = len(t.blocks_at)
+def _short_runs(n: int, bound: int) -> np.ndarray:
+    """``[p - 1, b]``: the rows with runs of at most ``bound`` that block b
+    of p starts with, read-only: min(p, bound + 1) for demotions (runs
+    0..p-1), one fewer for kept coefficients (runs 1..p-1), and the one EOB
+    after p < n."""
     runs = np.minimum(np.arange(1, n + 1), bound + 1)[:, None]
-    counts = np.hstack((runs.repeat(MAX_LOSS_SIZE, axis=1),
-                        (runs - 1).repeat(_SBAR_COUNT, axis=1), np.arange(n)[:, None] < n - 1))
-    j = np.arange(runs.max())
-    rows, short = t.blocks_at[:, :, None] + j, j < counts[:, :, None]
-    for array in (rows, short):
-        array.setflags(write=False)
-    return rows, short
+    return read_only(np.hstack((runs.repeat(MAX_LOSS_SIZE, axis=1),
+                                 (runs - 1).repeat(_SBAR_COUNT, axis=1),
+                                 np.arange(n)[:, None] < n - 1)))
 
 
 def _held(t: _LossTemplate, v: np.ndarray, bound: int) -> np.ndarray:
     """The rows of ``t`` with runs of at most ``bound`` that a reference of
     sizes ``v`` holds: the first rows of each block it holds."""
-    rows, short = _run_blocks(t, bound)
-    return rows[short & _HELD_BLOCKS.take(v, axis=0)[:, :, None]]
+    held = _HELD_BLOCKS.take(v, axis=0)
+    return _ranges(t.blocks_at[held], _short_runs(len(v), bound)[held])
+
+
+def _loss_keys(ref: ReferenceConfig, t: _LossTemplate, i: np.ndarray) -> np.ndarray:
+    """The sort keys of template rows ``i`` in ``ref``."""
+    bits = _loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i))
+    return _sort_key(bits, t.low.take(i))
 
 
 class _LongRuns(NamedTuple):
@@ -741,7 +751,7 @@ def _long_runs(component: ComponentKind, n: int, bound: int) -> _LongRuns:
                       np.maximum.accumulate(lengths[runs, :REFERENCE_SIZE + 1], axis=1),
                       np.column_stack((runs + 1, runs)))
     for array in terms:
-        array.setflags(write=False)
+        read_only(array)
     return terms
 
 
@@ -775,9 +785,7 @@ def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
     """
     n = ref.n_positions
     t = _loss_template(ref.component, n)
-    i = _held(t, ref.sbar_array, n if head is None else _RUN_BOUND)
-    key = _sort_key(_loss_bits(ref.prefix, t.hi.take(i), t.lo.take(i), t.sub.take(i)),
-                    t.low.take(i))
+    key = _loss_keys(ref, t, _held(t, ref.sbar_array, n if head is None else _RUN_BOUND))
     if head is not None and head < len(key):
         key = np.partition(key, head - 1)[:head]
     key.sort()
@@ -830,23 +838,29 @@ def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
     terms = _GainTerms(tuple(keys), tuple(escapes), p - 1, r * _SBAR_COUNT - _MIN_SBAR,
                        p << 22 | p << 6, (p * n + r) * (MAX_SIZE + 1))
     for array in (*keys, *escapes, *terms[2:]):
-        array.setflags(write=False)
+        read_only(array)
     return terms
+
+
+def _gain_keys(terms: _GainTerms, step: int, pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sort keys of the promotions by ``step`` at the pattern pairs
+    ``pairs`` (rows of ``terms``) of a reference of sizes ``v`` there: the
+    key at position 0 with the pair's position and start fields set."""
+    return terms.keys[step - 1].take(terms.pick.take(pairs) + v) | terms.position.take(pairs)
 
 
 def _gain_sets(ref: ReferenceConfig) -> list[np.ndarray]:
     """``ref``'s size-9 and size-10 gain rows, largest first: every
     promotion, less the escape-region ones the replacement test
-    dominates.  A key's position and start fields are 0 before its
-    position is added."""
+    dominates."""
     t = _gain_terms(ref.component, ref.n_positions)
     v = ref.sbar_array.take(t.at)
     i, cell = t.pick + v, t.cell + v
     dominated = ref.dominance.ravel()
     keys = []
-    for step, key, escape in zip(_PROMOTION, t.keys, t.escapes):
+    for step, escape in zip(_PROMOTION, t.escapes):
         kept = np.flatnonzero(~(escape.take(i) & dominated.take(cell + step)))
-        keys.append(np.sort(key.take(i.take(kept)) | t.position.take(kept))[::-1])
+        keys.append(np.sort(_gain_keys(t, step, kept, v.take(kept)))[::-1])
     rows = _key_rows(np.concatenate(keys))  # one decode of contiguous keys
     return [rows[:len(keys[0])], rows[len(keys[0]):]]
 
@@ -875,7 +889,10 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
         "op1": MAX_LOSS_SIZE * n, "op2": MAX_LOSS_SIZE * runs, "op3": runs, "op4": n - 1,
         "op5a": n, "op5b": n, "op6a": runs, "op6b": runs,
     }
-    return LossGainSets(_loss_rows(ref, head), *_gain_sets(ref), Refinement.BASE, census)
+    sets = LossGainSets(_loss_rows(ref, head), *_gain_sets(ref), Refinement.BASE, census)
+    for rows in (sets.loss_rows, sets.gain9_rows, sets.gain10_rows):
+        read_only(rows)
+    return sets
 
 
 def _capacity_walk(rows: np.ndarray, stop: float = math.inf) -> np.ndarray:
@@ -1089,24 +1106,26 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     sizes = np.array(sizes, dtype=np.intp)
     p = np.flatnonzero(sizes) + 1
     r = np.diff(p, prepend=0) - 1  # zeros ahead of each nonzero position
-    S = sizes[p - 1]
+    S, v = sizes[p - 1], ref.sbar_array[p - 1]
     demoted = S < REFERENCE_SIZE
     kept = ~demoted & (r > 0)
-    quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
-    table = table_for(ref.component)
-    losses = [_demotions(table, p[demoted], r[demoted], quantized[demoted]),
-              _kept(table, p[kept], r[kept], ref.sbar_array[p[kept] - 1])]
+    # the template row of each loss at p: a demotion to quantized size
+    # s = S + v - 8 is row r of block s - 1, a kept coefficient of
+    # reference size v row r - 1 of block MAX_LOSS_SIZE - _MIN_SBAR + v
+    block = np.where(demoted, S + v - REFERENCE_SIZE - 1, MAX_LOSS_SIZE - _MIN_SBAR + v)
+    lost = demoted | kept
+    t = _loss_template(ref.component, n)
+    keys = [_loss_keys(ref, t, (t.blocks_at[p - 1, block] + r - kept)[lost])]
     last = p.max(initial=0)
     if last < n:
-        losses.append(_eobs(table, n, np.array([last])))
-    families = [(*loss[:6], _loss_bits(ref.prefix, *loss[6:])) for loss in losses]
+        *columns, hi, lo, sub = _eobs(table_for(ref.component), n, last)
+        keys.append(_sort_key(_loss_bits(ref.prefix, hi, lo, sub), _low_key(*columns)))
+    gains = _gain_terms(ref.component, n)
+    pairs = p * (p - 1) // 2 + r  # the row of (p, r) in np.tril_indices order
     for step in _PROMOTION:
         promoted = S == REFERENCE_SIZE + step
-        p_up = p[promoted]
-        families.append(_promotions(table, p_up, r[promoted], ref.sbar_array[p_up - 1], step))
-    rows = _key_rows(np.concatenate([
-        _sort_key(bits, _low_key(*columns)) for *columns, bits in families
-    ]))
+        keys.append(_gain_keys(gains, step, pairs[promoted], v[promoted]))
+    rows = _key_rows(np.concatenate(keys, axis=None))
     # the EOB first, then by position; lexsort is stable, so a kept
     # coefficient's OP3 stays ahead of its OP6
     return rows[np.lexsort((rows["position"], rows["kind"] != _KIND_RANK[OpKind.OP4]))]

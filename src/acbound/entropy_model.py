@@ -35,6 +35,12 @@ class ParameterError(ValueError):
     bad-input error, and the only one the command line exits 2 on."""
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: every cached array is."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class CodeLengthTable:
     """Total code length (Huffman + amplitude bits) per (runlength, size).
@@ -69,12 +75,10 @@ class CodeLengthTable:
     def lengths(self) -> np.ndarray:
         """``code_length`` as a read-only int16 array ``[runlength, size]``
         for runlength 0..62 and size 0..10, where size 0 costs 0."""
-        lengths = np.array([
+        return read_only(np.array([
             [0] + [self.code_length(r, s) for s in range(1, MAX_SIZE + 1)]
             for r in range(MAX_RUNLENGTH + 1)
-        ], dtype=np.int16)
-        lengths.setflags(write=False)
-        return lengths
+        ], dtype=np.int16))
 
     def huffman_length(self, runlength: int, size: int) -> int:
         """Length of the Huffman part alone for the residual symbol."""

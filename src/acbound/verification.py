@@ -39,13 +39,14 @@ from . import transform
 from .bound_engine import (
     BALL_UNIT,
     Refinement,
+    check_positions,
     reference_config,
     solve_limit,
     upper_limit,
 )
 from .entropy_model import (
-    AC_POSITIONS, MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, sequence_length,
-    symbolize, table_for,
+    AC_POSITIONS, MAX_SIZE, ComponentKind, ParameterError, SymbolSequence, read_only,
+    sequence_length, symbolize, table_for,
 )
 from .quantization import QuantTable
 
@@ -112,15 +113,16 @@ MAX_RESTARTS = 100_000
 MAX_TRIALS = 100_000_000
 
 
-def _count(value, name: str, high: int | None = None, low: int = 1) -> int:
-    """``value`` as a plain int in ``low..high``, or ``ParameterError``.
-    Any integer type is accepted (through ``operator.index``); a float,
-    even an integral one, a string or None is refused."""
+def _count(value, name: str, high: int | None = None, low: int | None = 1) -> int:
+    """``value`` as a plain int in ``low..high``, or ``ParameterError``;
+    a bound of None is not checked.  Any integer type is accepted (through
+    ``operator.index``); a float, even an integral one, a string or None
+    is refused."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, not {value!r}") from None
-    if value < low:
+    if low is not None and value < low:
         raise ParameterError(f"{name} {value} must be at least {low}")
     if high is not None and value > high:
         raise ParameterError(f"at most {high} {name} are supported")
@@ -155,9 +157,7 @@ _AC_RASTER = np.array(transform.RASTER_OF_ZIGZAG[1:])
 @functools.lru_cache(maxsize=64)
 def _factor_row(factors: tuple[int, ...]) -> np.ndarray:
     # keyed on the factor tuple: hashing it costs far less than rebuilding the row
-    row = np.array(factors, dtype=np.float64)
-    row.setflags(write=False)
-    return row
+    return read_only(np.array(factors, dtype=np.float64))
 
 
 def _ac_sizes(blocks, q: QuantTable) -> np.ndarray:
@@ -188,8 +188,7 @@ def _code_lengths(component: ComponentKind) -> np.ndarray:
     lengths = np.zeros((AC_POSITIONS + 1, _EOB_CODE + 1), dtype=np.int16)
     lengths[:AC_POSITIONS, :_EOB_CODE] = table.lengths
     lengths[1:, _EOB_CODE] = table.eob_bits
-    lengths.setflags(write=False)
-    return lengths.ravel()
+    return read_only(lengths).ravel()
 
 
 @functools.cache
@@ -197,8 +196,8 @@ def _columns(width: int) -> tuple[np.ndarray, np.ndarray]:
     """The scan's column numbers 1..width (int8) and the flat index's run
     offsets 12 * (0..width) (int16)."""
     step = _EOB_CODE + 1
-    return (np.arange(1, width + 1, dtype=np.int8),
-            np.arange(0, step * (width + 1), step, dtype=np.int16))
+    return (read_only(np.arange(1, width + 1, dtype=np.int8)),
+            read_only(np.arange(0, step * (width + 1), step, dtype=np.int16)))
 
 
 def _ac_bits(sizes: np.ndarray, component: ComponentKind) -> np.ndarray:
@@ -324,10 +323,8 @@ def _climb_starts() -> np.ndarray:
     """The seed block, then the checkerboards and low gratings of the structured
     extremes: the first restarts' starts, read-only, built on first use (at
     import they would raise every importer's peak memory)."""
-    starts = np.stack([transform.level_shift(HIGH_COST_SEED_BLOCK),
-                       *structured_extreme_blocks()[3:9]])
-    starts.setflags(write=False)
-    return starts
+    return read_only(np.stack([transform.level_shift(HIGH_COST_SEED_BLOCK),
+                               *structured_extreme_blocks()[3:9]]))
 
 
 def _mutations(rng: np.random.Generator, iterations: int, mutation: str):
@@ -444,7 +441,7 @@ def toy_oracle(
     (k, r) holds the array of (k - r, 0), so only the run-0 arrays are
     stored.  The engine limit (tightest refinement) must dominate it.
     """
-    n_positions = _count(n_positions, "positions", AC_POSITIONS)
+    n_positions = check_positions(_count(n_positions, "positions", low=None))
     ref = reference_config(component, (0,) * n_positions if exponents is None else exponents)
     if ref.n_positions != n_positions:
         raise ParameterError("exponent vector length must match n_positions")

@@ -3,10 +3,12 @@
 None of these feed the package: they state the geometry the bound
 derivation assumes, invert the DCT, the zigzag scan and symbolization, draw
 random reduced configurations for the decomposition identity, sum the
-copies of delta entries, and build one reference's gain sets directly
+copies of delta entries, build one reference's gain sets directly
 over every (position, run) pair, which the engine's cached gain terms
-must reproduce.  ``ac_bits_from_sizes`` is the costing kernel behind a
-check of its inputs, for the tests that cost size vectors directly.
+must reproduce, and decompose a target through the operation builders,
+which the engine's reads of its tables must reproduce.
+``ac_bits_from_sizes`` is the costing kernel behind a check of its
+inputs, for the tests that cost size vectors directly.
 """
 
 import heapq
@@ -178,3 +180,35 @@ def gain_rows(ref, step: int) -> np.ndarray:
     for name, column in zip(bound_engine._ROW.names, (*promotions, promotions[5])):
         rows[name] = column
     return by_value(rows, descending=True)
+
+
+def builder_decompose(target, ref) -> np.ndarray:
+    """``decompose`` built through the four operation builders, one
+    ``_sort_key(bits, _low_key(...))`` per family, for a valid ``target``:
+    the rows in the engine's order, the EOB first, then by position, a
+    kept coefficient's OP3 ahead of its OP6."""
+    sizes = np.array(target, dtype=np.intp)
+    p = np.flatnonzero(sizes) + 1
+    r = np.diff(p, prepend=0) - 1  # zeros ahead of each nonzero position
+    S = sizes[p - 1]
+    demoted = S < REFERENCE_SIZE
+    kept = ~demoted & (r > 0)
+    quantized = S - np.array(ref.exponents, dtype=np.intp)[p - 1]
+    table = table_for(ref.component)
+    losses = [bound_engine._demotions(table, p[demoted], r[demoted], quantized[demoted]),
+              bound_engine._kept(table, p[kept], r[kept], ref.sbar_array[p[kept] - 1])]
+    last = p.max(initial=0)
+    if last < ref.n_positions:
+        losses.append(bound_engine._eobs(table, ref.n_positions, np.array([last])))
+    families = [(*loss[:6], bound_engine._loss_bits(ref.prefix, *loss[6:])) for loss in losses]
+    for step in (1, 2):
+        promoted = S == REFERENCE_SIZE + step
+        p_up = p[promoted]
+        families.append(bound_engine._promotions(
+            table, p_up, r[promoted], ref.sbar_array[p_up - 1], step))
+    rows = bound_engine._key_rows(np.concatenate([
+        bound_engine._sort_key(bits, bound_engine._low_key(*columns))
+        for *columns, bits in families
+    ]))
+    eob = bound_engine._KIND_RANK[bound_engine.OpKind.OP4]
+    return rows[np.lexsort((rows["position"], rows["kind"] != eob))]

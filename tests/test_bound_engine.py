@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acbound import bound_engine
+from acbound import bound_engine, cli, entropy_model, quantization, transform, verification
 from acbound.bound_engine import (
     SCALE,
     DeltaEntry,
@@ -44,7 +44,8 @@ from acbound.quantization import (
 )
 from acbound.verification import toy_oracle
 from references import (
-    ac_bits_from_sizes, by_value, gain_rows, prefix_sums, random_reduced_sizes,
+    ac_bits_from_sizes, builder_decompose, by_value, gain_rows, prefix_sums,
+    random_reduced_sizes,
 )
 
 SF_GRID = [Fraction(s) for s in ("1/64", "1/16", "1/8", "1/6", "1/4", "1/2", "1")]
@@ -1102,6 +1103,17 @@ def scalar_floor(ref, bound):
     return floors
 
 
+def held_arrays(value) -> list:
+    """Every numpy array ``value`` holds, through tuples and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [array for item in value for array in held_arrays(item)]
+    return []
+
+
 class TestRunBound:
     """A loss head orders only the rows with runs of at most
     ``_RUN_BOUND`` and keeps those below the long-run floor: a prefix of
@@ -1185,12 +1197,40 @@ class TestRunBound:
             assert np.array_equal(np.sort(held), expected), bound
 
     def test_caches_are_read_only(self):
-        t = bound_engine._loss_template(ComponentKind.CHROMINANCE, 63)
-        blocks = bound_engine._run_blocks(t, 10)
-        runs = bound_engine._long_runs(ComponentKind.CHROMINANCE, 63, 10)
-        assert bound_engine._run_blocks(t, 10) is blocks
-        assert bound_engine._long_runs(ComponentKind.CHROMINANCE, 63, 10) is runs
-        for array in (*blocks, *runs):
+        # every cached builder of the package, with the arguments to build one
+        component = ComponentKind.CHROMINANCE
+        q = scaled_annex_k(component, 1)
+        builders = {
+            bound_engine._admissible: (63,),
+            bound_engine._escape_grid: (component,),
+            bound_engine._replacement_terms: (component, 63),
+            bound_engine._loss_template: (component, 63),
+            bound_engine._short_runs: (63, 10),
+            bound_engine._long_runs: (component, 63, 10),
+            bound_engine._gain_terms: (component, 63),
+            bound_engine.upper_limit: (component, q),
+            bound_engine._cell_reference: (component, pow2_table(q)),
+            verification._factor_row: (q.q,),
+            verification._code_lengths: (component,),
+            verification._columns: (63,),
+            verification._climb_starts: (),
+        }
+        cached = {
+            value for module in (bound_engine, verification, entropy_model, quantization,
+                                 transform, cli)
+            for value in vars(module).values() if hasattr(value, "cache_info")
+        }
+        assert cached == set(builders)
+        ref = bound_engine._cell_reference(*builders[bound_engine._cell_reference])
+        arrays = [ref.sbar_array, ref.prefix, ref.dominance, table_for(component).lengths]
+        for sets in (ref.head_sets, ref.base_sets):
+            arrays += [sets.loss_rows, sets.gain9_rows, sets.gain10_rows]
+        for builder, args in builders.items():
+            value = builder(*args)
+            assert builder(*args) is value, builder
+            arrays += held_arrays(value)
+        assert len(arrays) > 40
+        for array in arrays:
             assert not array.flags.writeable
 
 
@@ -1287,6 +1327,19 @@ class TestDecompose:
                 quantized = [max(s - c, 0) for s, c in zip(target, ref.exponents)]
                 direct = sequence_length(table, symbolize(quantized))
                 assert recompose_length(ref, rows) == direct
+
+    def test_rows_equal_the_builder_rows(self, rng):
+        # the template and gain-key reads against the four operation builders
+        refs = [reference_length(component, pow2_table(scaled_annex_k(component, sf)))
+                for component in ComponentKind for sf in SF_GRID]
+        refs += [reference_config(list(ComponentKind)[n % 2], rng.integers(0, 7, size=n))
+                 for n in range(1, AC_POSITIONS + 1)]
+        for ref in refs:
+            n = ref.n_positions
+            targets = [random_reduced_sizes(rng, ref) for _ in range(40)] + [[0] * n, [8] * n]
+            for target in targets:
+                rows = decompose(target, ref)
+                assert rows.tobytes() == builder_decompose(target, ref).tobytes(), (ref, target)
 
     def test_entries_are_enumerated_deltas(self, component, rng):
         # every decompose row is a row of the base set of its sign, except

@@ -13,7 +13,7 @@ import pytest
 import acbound
 from acbound import bound_engine, cli, verification
 from acbound.cli import main
-from acbound.entropy_model import ComponentKind
+from acbound.entropy_model import ComponentKind, ParameterError
 from acbound.quantization import scaled_annex_k
 from acbound.transform import level_shift
 from acbound.verification import HIGH_COST_SEED_BLOCK, encode_block
@@ -204,6 +204,16 @@ def test_huge_fuzz_trials_exit_2_before_any_block(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == f"error: at most {verification.MAX_TRIALS} trials are supported\n"
+
+
+@pytest.mark.parametrize("n", ["0", "64", "-1", "1000000000000"])
+def test_toy_position_counts_are_refused_as_reference_config_refuses(capsys, n):
+    code, out, err = run(capsys, ["verify", "toy", "--n", n])
+    assert (code, out) == (2, "")
+    for exponents in ([], [0] * 64):
+        with pytest.raises(ParameterError) as refused:
+            bound_engine.reference_config(ComponentKind.LUMINANCE, exponents)
+        assert err == f"error: {refused.value}\n"
 
 
 class TestEncode:
