@@ -61,15 +61,15 @@ array.
 A delta set is a numpy record array, one narrow row per entry: kind
 rank, position, run, size, footprint start and width, the entry's bit
 total and its copy count.  A set is ordered by one unique int64 key: the
-exact value tier ``(bits << 12) // width``, which also names a value in
-the capacity walk, above 31 low bits packing kind, position, run, size,
-start and width.  The key holds every column of its row, the bits read
-back from the tier, so one decoder, ``_key_rows``, builds every row the
-engine makes.  The loss template holds every loss row some reference of
-that length can hold, as the terms of its bits and the low bits of its
-key, in blocks a reference picks by its size at each position; a
-reference computes the keys of the rows it holds, then sorts, cuts and
-decodes them.  A gain's key but for its position and start fields
+exact value tier (``_tier``), which also names a value in the capacity
+walk, above low bits packing kind, position, run, size, start and width,
+laid out once in ``_KEY_FIELDS``.  The key holds every column of its row,
+the bits read back from the tier, so one decoder, ``_key_rows``, builds
+every row the engine makes.  The loss template holds every loss row some
+reference of that length can hold, as the terms of its bits and the low
+bits of its key, in blocks a reference picks by its size at each
+position; a reference computes the keys of the rows it holds, then
+sorts, cuts and decodes them.  A gain's key but for its position and start fields
 depends only on the run and the reference size; the keys are cached per
 component and length with their escape flags, so a reference gathers
 them by its sizes, drops the dominated escape-region ones, sorts the
@@ -143,6 +143,7 @@ from .entropy_model import (
 from .quantization import QuantTable, pow2_table
 
 REFERENCE_SIZE = 8          # unquantized size of every reference coefficient
+MIN_REFERENCE_SIZE = 2      # smallest reference size, so quantized ones stay nonzero
 PROMOTION_COST_9 = 3        # forced demotions per size-9 promotion
 PROMOTION_COST_10 = 15      # forced demotions per size-10 promotion
 ENERGY_UNITS_9 = 4          # ball-energy units consumed by a size-9 coefficient
@@ -293,14 +294,13 @@ _ROW = np.dtype({
 class LossGainSets:
     """Loss and gain multisets plus the evaluated-case census.
 
-    Each multiset is a ``_ROW`` record array in (value, kind, position,
-    runlength, size) order, ascending for losses and descending for gains,
-    which the refinements keep; the engine reads only the rows, a limit
-    only the first ones.  The ``losses``, ``gains9`` and ``gains10``
-    tuples show the same rows to a reader as ``DeltaEntry`` records, in
-    the same order; each is built on first read, so the limit path never
-    builds one.  The value order is exact: see ``_tier``.
-    The sets a limit reads may hold only the head of the loss order (see
+    Each multiset is a ``_ROW`` record array in ``_sort_key`` order,
+    ascending for losses and descending for gains, which the refinements
+    keep; the engine reads only the rows, a limit only the first ones.
+    The ``losses``, ``gains9`` and ``gains10`` tuples show the same rows
+    to a reader as ``DeltaEntry`` records, in the same order; each is
+    built on first read, so the limit path never builds one.  The sets a
+    limit reads may hold only the head of the loss order (see
     ``build_sets``).  Compared by identity.
     """
 
@@ -377,22 +377,21 @@ def check_positions(n: int) -> int:
 def reference_config(component: ComponentKind, exponents) -> ReferenceConfig:
     """Build the reference configuration for an exponent vector.
 
-    Every exponent must leave a quantized reference size of at least 2,
-    so that reference coefficients stay nonzero after quantization and
-    the promotion interdependence holds.  Any integer type is accepted
-    (through ``operator.index``); a float, even an integral one, or a
-    string is refused.
+    Every exponent must leave a quantized reference size of at least
+    ``MIN_REFERENCE_SIZE``, so that reference coefficients stay nonzero
+    after quantization and the promotion interdependence holds.  Any
+    integer type is accepted (through ``operator.index``); a float, even
+    an integral one, or a string is refused.
     """
     try:
         exponents = tuple(map(operator.index, exponents))
     except TypeError:
         raise ParameterError("exponents must be integers") from None
     check_positions(len(exponents))
-    if any(c < 0 or c > REFERENCE_SIZE - 2 for c in exponents):
-        raise ParameterError(
-            f"exponents must lie in 0..{REFERENCE_SIZE - 2} (reference sizes >= 2)"
-        )
     sbar = tuple(REFERENCE_SIZE - c for c in exponents)
+    if not all(MIN_REFERENCE_SIZE <= v <= REFERENCE_SIZE for v in sbar):
+        raise ParameterError(f"exponents must lie in 0..{REFERENCE_SIZE - MIN_REFERENCE_SIZE}"
+                             f" (reference sizes >= {MIN_REFERENCE_SIZE})")
     ref_len = int(table_for(component).lengths[0, list(sbar)].sum())
     return ReferenceConfig(component, exponents, sbar, ref_len)
 
@@ -482,7 +481,7 @@ def _escape_grid(component: ComponentKind) -> np.ndarray:
 # shorter than j): a test sums at most four code lengths of at most 59
 # bits, so any sum holding _INVALID stays below every target.
 _TESTED = slice(3, MAX_SIZE + 1)
-_DIFF = REFERENCE_SIZE - 2
+_DIFF = REFERENCE_SIZE - MIN_REFERENCE_SIZE
 _INVALID = -1024
 
 
@@ -558,12 +557,9 @@ _DEMOTION = (OpKind.OP1, OpKind.OP2)
 _PROMOTION = {1: (OpKind.OP5A, OpKind.OP6A), 2: (OpKind.OP5B, OpKind.OP6B)}
 
 
-# The sign of a row's bits in the coded length, by kind rank: OP1-OP4
-# rows are losses, OP5 and OP6 rows gains.
-_SIGN = np.array([
-    -1 if kind in (OpKind.OP1, OpKind.OP2, OpKind.OP3, OpKind.OP4) else 1
-    for kind in _KIND_ORDER
-])
+# The sign of a row's bits in the coded length, by kind rank: promotion
+# rows are gains, every other row a loss.
+_SIGN = np.array([1 if kind in chain(*_PROMOTION.values()) else -1 for kind in _KIND_ORDER])
 
 
 def _kind_ranks(kinds, run):
@@ -572,36 +568,44 @@ def _kind_ranks(kinds, run):
     return np.where(run > 0, with_run, bare)
 
 
+# The sort key's layout: the value tier (``_tier``) above bit
+# ``_TIER_SHIFT``, and below it one field per ``_ROW`` column, named with
+# its shift and mask, from the top.  Starts and widths are at most 63.
+_TIER_BITS = 12
+_TIER_SHIFT = 31
+_KEY_FIELDS = {"kind": (28, 7), "position": (22, 63), "run": (16, 63), "size": (12, 15),
+               "start": (6, 63), "width": (0, 63)}
+
+
 def _tier(bits, width) -> np.ndarray:
-    """The exact value tier ``(bits << 12) // width``, int64: rows share a
-    tier exactly when they share a value.
+    """The exact value tier ``(bits << _TIER_BITS) // width``, int64: rows
+    share a tier exactly when they share a value.
 
     Two distinct fractions with widths of at most 63 differ by at least
     1/(63 * 62) = 1/3906, so times 4096 > 3906 they differ by more than 1
     and their floors differ in the same order; equal fractions have equal
     floors.  int16 bits keep the tier below 2**27 in magnitude.
     """
-    return (np.asarray(bits, dtype=np.int64) << 12) // width
+    return (np.asarray(bits, dtype=np.int64) << _TIER_BITS) // width
 
 
-def _low_key(kind, position, run, size, start, width) -> np.ndarray:
-    """The 31 low bits of the sort key, int32: kind (3 bits), position (6),
-    run (6), size (4), start (6) and width (6), from the top.  Starts and
-    widths are at most 63."""
-    low = np.asarray(kind, dtype=np.int32) << 28
-    for column, shift in ((position, 22), (run, 16), (size, 12), (start, 6), (width, 0)):
-        low |= np.asarray(column, dtype=np.int32) << shift
-    return low
+def _low_key(*columns) -> np.ndarray:
+    """The low bits of the sort key, int32, from one column per field of
+    ``_KEY_FIELDS``, in its order."""
+    fields = (np.asarray(column, dtype=np.int32) << shift
+              for column, (shift, _) in zip(columns, _KEY_FIELDS.values()))
+    return functools.reduce(operator.or_, fields)
 
 
 def _sort_key(bits, low) -> np.ndarray:
     """The int64 key that orders a set by value, kind, position, run and
-    size: the value tier above the 31 low bits of ``_low_key``, below
-    2**59 in magnitude.  No two rows of a set share kind, position, run
-    and size, so the key is unique, start and width never decide the
-    order, and the order does not depend on the sort algorithm.  The key
-    holds every column of its row (see ``_key_rows``)."""
-    return _tier(bits, low & 63) << 31 | low
+    size: the value tier above the low bits of ``_low_key``, below 2**59 in
+    magnitude.  No two rows of a set share kind, position, run and size, so
+    the key is unique, start and width never decide the order, and the
+    order does not depend on the sort algorithm.  The key holds every
+    column of its row (see ``_key_rows``)."""
+    shift, mask = _KEY_FIELDS["width"]
+    return _tier(bits, low >> shift & mask) << _TIER_SHIFT | low
 
 
 def _key_rows(key: np.ndarray) -> np.ndarray:
@@ -609,20 +613,16 @@ def _key_rows(key: np.ndarray) -> np.ndarray:
     copies (``multiplicity == width``): the one builder of ``_ROW``
     records.  Rows start zeroed, so their padding bytes are too.
 
-    Each column is read back from its field of ``_low_key``, and the bits
-    from the tier t: it lies less than 1 below ``bits * 4096 / width``,
-    so ``t * width / 4096`` lies less than ``width / 4096 < 1`` below the
-    integer bits, and the bits are its ceiling.
+    Each column is read back from its field of ``_KEY_FIELDS``, and the
+    bits from the tier t: it lies less than 1 below ``bits * 4096 /
+    width``, so ``t * width / 4096`` lies less than ``width / 4096 < 1``
+    below the integer bits, and the bits are its ceiling.
     """
     rows = np.zeros(len(key), _ROW)
-    width = key & 63
-    rows["kind"] = key >> 28 & 7
-    rows["position"] = key >> 22 & 63
-    rows["run"] = key >> 16 & 63
-    rows["size"] = key >> 12 & 15
-    rows["start"] = key >> 6 & 63
-    rows["width"] = rows["multiplicity"] = width
-    rows["bits"] = -(-(key >> 31) * width >> 12)
+    for name, (shift, mask) in _KEY_FIELDS.items():
+        rows[name] = key >> shift & mask
+    width = rows["multiplicity"] = rows["width"]
+    rows["bits"] = -(-(key >> _TIER_SHIFT) * width >> _TIER_BITS)
     return rows
 
 
@@ -638,8 +638,8 @@ class _LossTemplate:
     """Every loss row some reference of n positions can hold, as
     read-only arrays of what does not depend on the exponents: the
     builders' bit terms ``hi``, ``lo`` and ``sub`` in 8 or 16 bits, and
-    ``low``, the 31 low bits of the sort key, which pack every other
-    column of the row.
+    ``low``, the low bits of the sort key (``_low_key``), which pack
+    every other column of the row.
 
     The rows come in blocks a reference picks by its size v at each
     position p; block b of p starts at row ``blocks_at[p - 1, b]``.
@@ -656,8 +656,7 @@ class _LossTemplate:
     blocks_at: np.ndarray
 
 
-_MIN_SBAR = REFERENCE_SIZE - 6  # the smallest reference size, at exponent 6
-_SBAR_COUNT = REFERENCE_SIZE + 1 - _MIN_SBAR
+_SBAR_COUNT = REFERENCE_SIZE + 1 - MIN_REFERENCE_SIZE
 
 
 @functools.cache
@@ -676,7 +675,7 @@ def _loss_template(component: ComponentKind, n: int) -> _LossTemplate:
     demotions = _demotions(table, q, r, s + 1)
     q, k = p.repeat(kept_rows), _ranges(np.zeros_like(p), kept_rows).astype(np.int16)
     s, r = np.divmod(k, q - 1)
-    kept = _kept(table, q, r + 1, s + _MIN_SBAR)
+    kept = _kept(table, q, r + 1, s + MIN_REFERENCE_SIZE)
     families = (demotions, kept, _eobs(table, n, np.arange(1, n)))
     low, hi, lo, sub = (np.concatenate(parts) for parts in zip(*(
         np.broadcast_arrays(_low_key(*family[:6]), *family[6:]) for family in families
@@ -697,7 +696,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # ``_HELD_BLOCKS[v]``: the template blocks a reference of size v holds at
 # a position, its demoted sizes s < v, its kept size v and its EOB.
 _HELD_BLOCKS = np.array([[s < v for s in range(1, MAX_LOSS_SIZE + 1)]
-                         + [s == v for s in range(_MIN_SBAR, REFERENCE_SIZE + 1)] + [True]
+                         + [s == v for s in range(MIN_REFERENCE_SIZE, REFERENCE_SIZE + 1)] + [True]
                          for v in range(REFERENCE_SIZE + 1)])
 
 
@@ -762,8 +761,8 @@ def _long_run_floor(ref: ReferenceConfig, bound: int) -> int | None:
     with a code of run r: a demotion to a size below V, the reference's
     largest, over width r + 1, or a kept size of at most V over width r.
     Floor division is monotone in the bits, so the tier is at least
-    ``((min_p W(p, r) - maxlen) << 12) // width``, with maxlen the longest
-    code of run r over those sizes."""
+    ``_tier(min_p W(p, r) - maxlen, width)``, with maxlen the longest code
+    of run r over those sizes."""
     if ref.n_positions <= bound + 1:
         return None
     terms = _long_runs(ref.component, ref.n_positions, bound)
@@ -790,8 +789,8 @@ def _loss_rows(ref: ReferenceConfig, head: int | None = None) -> np.ndarray:
         key = np.partition(key, head - 1)[:head]
     key.sort()
     floor = None if head is None else _long_run_floor(ref, _RUN_BOUND)
-    if floor is not None:  # a key's tier sits above its 31 low bits
-        key = key[:np.searchsorted(key, floor << 31)]
+    if floor is not None:  # a key's tier sits above its low bits
+        key = key[:np.searchsorted(key, floor << _TIER_SHIFT)]
     return _key_rows(key)
 
 
@@ -811,7 +810,7 @@ class _GainTerms(NamedTuple):
 
     * ``at``: the pair's position, p - 1 from 0;
     * ``pick``: ``7 * r`` less the smallest size;
-    * ``position``: the key's position and start fields, ``p << 22 | p << 6``;
+    * ``position``: the key's position and start fields, both p;
     * ``cell``: the flat index of ``[p, r, 0]`` in a dominance array.
     """
 
@@ -827,7 +826,7 @@ class _GainTerms(NamedTuple):
 def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
     table, escape = table_for(component), _escape_grid(component)
     runs, sizes = np.broadcast_arrays(np.arange(n)[:, None],
-                                      np.arange(_MIN_SBAR, REFERENCE_SIZE + 1))
+                                      np.arange(MIN_REFERENCE_SIZE, REFERENCE_SIZE + 1))
     keys, escapes = [], []
     for step in _PROMOTION:
         *columns, bits = _promotions(table, 0, runs, sizes, step)
@@ -835,8 +834,8 @@ def _gain_terms(component: ComponentKind, n: int) -> _GainTerms:
         escapes.append(escape[runs, sizes + step].ravel())
     p, r = np.tril_indices(n)
     p += 1  # r zeros ahead of position p, 0 <= r < p
-    terms = _GainTerms(tuple(keys), tuple(escapes), p - 1, r * _SBAR_COUNT - _MIN_SBAR,
-                       p << 22 | p << 6, (p * n + r) * (MAX_SIZE + 1))
+    terms = _GainTerms(tuple(keys), tuple(escapes), p - 1, r * _SBAR_COUNT - MIN_REFERENCE_SIZE,
+                       _low_key(0, p, 0, 0, p, 0), (p * n + r) * (MAX_SIZE + 1))
     for array in (*keys, *escapes, *terms[2:]):
         read_only(array)
     return terms
@@ -878,10 +877,9 @@ def enumerate_deltas(ref: ReferenceConfig, head: int | None = None) -> LossGainS
     are not machine readable; they are reconstructed as the escape-region
     cells, and dropping never costs soundness.  Demotions and promotions
     are built over the (position, run, size) grid with runs 0 <= r < p,
-    the kind label naming the bare (r = 0) or run case; each set is
-    ordered by value, kind, position, run and size, losses ascending and
-    gains descending.  Reference sizes are at most 8, so both promoted
-    sizes stay within 10.
+    the kind label naming the bare (r = 0) or run case; each set is in
+    ``_sort_key`` order, losses ascending and gains descending.
+    Reference sizes are at most 8, so both promoted sizes stay within 10.
     """
     n = ref.n_positions
     runs = n * (n - 1) // 2  # (p, r) pairs with 1 <= r < p
@@ -1111,8 +1109,8 @@ def decompose(target, ref: ReferenceConfig) -> np.ndarray:
     kept = ~demoted & (r > 0)
     # the template row of each loss at p: a demotion to quantized size
     # s = S + v - 8 is row r of block s - 1, a kept coefficient of
-    # reference size v row r - 1 of block MAX_LOSS_SIZE - _MIN_SBAR + v
-    block = np.where(demoted, S + v - REFERENCE_SIZE - 1, MAX_LOSS_SIZE - _MIN_SBAR + v)
+    # reference size v row r - 1 of block MAX_LOSS_SIZE - MIN_REFERENCE_SIZE + v
+    block = np.where(demoted, S + v - REFERENCE_SIZE - 1, MAX_LOSS_SIZE - MIN_REFERENCE_SIZE + v)
     lost = demoted | kept
     t = _loss_template(ref.component, n)
     keys = [_loss_keys(ref, t, (t.blocks_at[p - 1, block] + r - kept)[lost])]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import reprlib
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -75,11 +77,16 @@ def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
 
 
 def _parse_sf(text: str) -> Fraction:
-    # only parses: scale_table owns the supported range
+    # only parses: scale_table owns the supported range.  Fraction expands
+    # an exponent to all its digits (1e-10000000 takes seconds), so one past
+    # the 4300 digits int() parses is refused first
     try:
+        exponent = re.search(r"e([-+]?\d[\d_]*)\s*$", text, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > 4300:
+            raise ValueError("exponent beyond 4300 in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse scale factor {text!r}: {exc}") from None
+        raise ParameterError(f"cannot parse scale factor {reprlib.repr(text)}: {exc}") from None
 
 
 def _single_table(args) -> tuple[Fraction, ComponentKind, QuantTable]:

@@ -46,7 +46,7 @@ K2_CHROMINANCE = (
 
 @dataclass(frozen=True)
 class QuantTable:
-    """63 AC quantization factors in zigzag order plus the DC factor.
+    """63 AC quantization factors in zigzag order.
 
     ``sf`` records the scale factor the table was built with, when known;
     it is metadata only.  The factors are stored as a tuple of Python
@@ -56,18 +56,16 @@ class QuantTable:
 
     component: ComponentKind
     q: tuple[int, ...]
-    q00: int
     sf: Fraction | None = None
 
     def __post_init__(self):
         try:
             object.__setattr__(self, "q", tuple(map(operator.index, self.q)))
-            object.__setattr__(self, "q00", operator.index(self.q00))
         except TypeError:
             raise ParameterError("quantization factors must be integers") from None
         if len(self.q) != AC_POSITIONS:
             raise ParameterError(f"expected {AC_POSITIONS} AC factors, got {len(self.q)}")
-        if self.q00 < 1 or any(v < 1 for v in self.q):
+        if any(v < 1 for v in self.q):
             raise ParameterError("quantization factors must be >= 1")
 
     def factor(self, k: int) -> int:
@@ -75,15 +73,10 @@ class QuantTable:
         return self.q[k - 1]
 
 
-def annex_k_raster(component: ComponentKind) -> tuple[int, ...]:
-    return K1_LUMINANCE if component is ComponentKind.LUMINANCE else K2_CHROMINANCE
-
-
 def annex_k_table(component: ComponentKind) -> QuantTable:
-    """The unscaled annex K table for a component, in zigzag layout."""
-    raster = annex_k_raster(component)
-    zigzag = [raster[i] for i in RASTER_OF_ZIGZAG]
-    return QuantTable(component, tuple(zigzag[1:]), q00=zigzag[0], sf=Fraction(1))
+    """The unscaled annex K AC factors of a component, in zigzag order."""
+    raster = K1_LUMINANCE if component is ComponentKind.LUMINANCE else K2_CHROMINANCE
+    return QuantTable(component, tuple(raster[i] for i in RASTER_OF_ZIGZAG[1:]), sf=Fraction(1))
 
 
 def scale_table(base: QuantTable, sf) -> QuantTable:
@@ -94,11 +87,12 @@ def scale_table(base: QuantTable, sf) -> QuantTable:
     """
     sf = Fraction(sf)
     if not MIN_SCALE <= sf <= MAX_SCALE:
-        raise ParameterError(f"scale factor {sf} outside [{MIN_SCALE}, {MAX_SCALE}]")
-    if any(not 1 <= v <= 255 for v in base.q) or not 1 <= base.q00 <= 255:
+        # a long fraction is not shown: str() refuses ints past 4300 digits
+        shown = sf if max(abs(sf.numerator), sf.denominator) < 1 << 64 else "(over 64 bits)"
+        raise ParameterError(f"scale factor {shown} outside [{MIN_SCALE}, {MAX_SCALE}]")
+    if any(not 1 <= v <= 255 for v in base.q):
         raise ParameterError("base table entries must lie in 1..255")
-    scaled = tuple(max(int(sf * v), 1) for v in base.q)
-    return QuantTable(base.component, scaled, q00=max(int(sf * base.q00), 1), sf=sf)
+    return QuantTable(base.component, tuple(max(int(sf * v), 1) for v in base.q), sf=sf)
 
 
 def scaled_annex_k(component: ComponentKind, sf) -> QuantTable:
@@ -108,8 +102,7 @@ def scaled_annex_k(component: ComponentKind, sf) -> QuantTable:
 def pow2_table(q: QuantTable) -> tuple[int, ...]:
     """Exponents C(k) of the power-of-2 reduced table, one per AC
     position: 2**C(k) <= Q(k) < 2**(C(k)+1), via bit length.  A limit
-    takes exponents of at most 6 (``reference_config`` refuses the rest),
-    so factors 1..127."""
+    takes only the exponents ``reference_config`` admits."""
     return tuple(v.bit_length() - 1 for v in q.q)
 
 

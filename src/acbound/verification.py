@@ -379,10 +379,10 @@ def adversarial_search(cfg: SearchConfig, q: QuantTable) -> EncodeReport:
     current block (a no-op move) changes neither the block nor its bits,
     so the window's later candidates are still one move away from it: the
     scan goes on in the same window.  Blocks are held as float64, exact
-    for -128..127; the winner goes back to int64.
+    for -128..127; the winner goes back to int64.  The limit comes first,
+    as in ``encode_block``.
     """
-    if q.component is not cfg.component:
-        raise ParameterError("component and quantization table disagree")
+    upper_limit(cfg.component, q, Refinement.MAXCONFIG)
     starts = _climb_starts()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 

@@ -316,12 +316,12 @@ class TestUpperLimit:
             upper_limit(ComponentKind.LUMINANCE, q)
 
     def test_unsupported_user_table(self):
-        q = QuantTable(ComponentKind.LUMINANCE, (150,) * 63, q00=1)
+        q = QuantTable(ComponentKind.LUMINANCE, (150,) * 63)
         with pytest.raises(ParameterError):
             upper_limit(ComponentKind.LUMINANCE, q)
 
     def test_user_table_within_regime(self):
-        q = QuantTable(ComponentKind.LUMINANCE, (3,) * 63, q00=3)
+        q = QuantTable(ComponentKind.LUMINANCE, (3,) * 63)
         result = upper_limit(ComponentKind.LUMINANCE, q)
         ref = reference_length(ComponentKind.LUMINANCE, pow2_table(q))
         assert result.limit >= ref.ref_len

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -162,6 +163,27 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert out == ""
     assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sf", ["1e-5000", "1e-10000000"])
+@pytest.mark.parametrize("command", [
+    ["limits"], ["encode", "missing.txt"], ["search"], ["verify", "deltas"], ["verify", "fuzz"],
+], ids=" ".join)
+def test_sf_with_a_long_exponent_exits_2_at_once(capsys, command, sf):
+    # refused before Fraction expands the exponent, which takes seconds at
+    # 1e-10000000 and gives 1e-5000 a denominator str() refuses
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*command, "--sf", sf])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse scale factor '{sf}': exponent beyond 4300 in magnitude\n"
+
+
+def test_long_sf_outside_the_range_is_not_shown(capsys):
+    code, out, err = run(capsys, ["limits", "--sf", "1e-4300"])
+    assert (code, out) == (2, "")
+    assert err == "error: scale factor (over 64 bits) outside [1/64, 1]\n"
 
 
 def test_bad_sf_is_reported_before_the_block_file(capsys):

@@ -269,10 +269,12 @@ class TestAdversarialSearch:
         assert report.ac_bits <= 349
 
     def test_component_mismatch_is_refused_before_any_block(self, monkeypatch):
+        # upper_limit states the rule; the search asks for its limit first
         def started(*args):
-            raise AssertionError("a block was scored")
+            raise AssertionError("the search started")
 
-        monkeypatch.setattr(verification, "ac_bits_batch", started)
+        for name in ("_climb_starts", "_mutations", "ac_bits_batch"):
+            monkeypatch.setattr(verification, name, started)
         q = scaled_annex_k(ComponentKind.CHROMINANCE, 1)
         cfg = SearchConfig(ComponentKind.LUMINANCE, Fraction(1), iterations=1, restarts=1)
         with pytest.raises(ParameterError, match="^component and quantization table disagree$"):
